@@ -1,0 +1,608 @@
+"""Exact arithmetic for polynomials, rational functions and power series in t.
+
+Representation conventions:
+
+* ``Poly``: dense coefficient tuple, ``coeffs[k]`` is the coefficient of
+  ``t^k``.  Trailing zeros are stripped; the zero polynomial has ``coeffs
+  == ()``.  Coefficients are Python ints or ``Fraction``s, so everything
+  stays exact.
+* ``RationalFunction``: pair ``num/den`` of integer-coefficient ``Poly``s
+  with ``gcd(num, den) = 1`` and ``den(0) = 1``.  Every Hilbert-type series
+  of a connected graded algebra has this shape (``H(0) = 1`` pins the
+  constant term of the denominator), which makes identities between series
+  literal data comparisons.
+* ``Series``: coefficients ``0..order`` of the expansion at ``t = 0``.
+
+All values are immutable after construction; operations are pure functions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd as _int_gcd
+
+
+class ZeroDenominatorError(ZeroDivisionError):
+    """The denominator polynomial is identically zero."""
+
+
+class NonUnitConstantError(ValueError):
+    """No normalized form with den(0) = 1 and integer coefficients exists."""
+
+
+class NoSolutionError(ValueError):
+    """No rational function within the degree bounds matches the series."""
+
+
+class AmbiguousDataError(ValueError):
+    """The truncation is too short to pin down the rational function."""
+
+
+def _strip(coeffs):
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def _simplify(c):
+    # Fractions with denominator 1 become ints so printing and hashing stay tidy
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    return c
+
+
+class Poly:
+    """Dense univariate polynomial over exact scalars."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        object.__setattr__(self, "coeffs", _strip(tuple(_simplify(c) for c in coeffs)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def const(cls, c):
+        return cls((c,))
+
+    @classmethod
+    def monomial(cls, k, c=1):
+        return cls((0,) * k + (c,))
+
+    @property
+    def degree(self):
+        """Degree, with the convention deg 0 = -1."""
+        return len(self.coeffs) - 1
+
+    @property
+    def constant_term(self):
+        return self.coeffs[0] if self.coeffs else 0
+
+    @property
+    def leading(self):
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Poly((other,))
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __neg__(self):
+        return Poly(tuple(-c for c in self.coeffs))
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Poly((other,))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Poly((other,))
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return Poly((other,)) - self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Poly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if not self or not other:
+            return Poly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        result = Poly((1,))
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __call__(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __divmod__(self, other):
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = [Fraction(c) for c in self.coeffs]
+        d = other.degree
+        lc = Fraction(other.leading)
+        quot = [Fraction(0)] * max(0, len(rem) - d)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i] / lc
+            if c:
+                quot[i - d] = c
+                for j, oc in enumerate(other.coeffs):
+                    rem[i - d + j] -= c * oc
+        return Poly(quot), Poly(rem[:d])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def exact_div(self, other):
+        q, r = divmod(self, other)
+        if r:
+            raise ValueError("division is not exact")
+        return q
+
+    def scaled_down(self, c):
+        """Divide every coefficient by the integer c; must be exact."""
+        out = []
+        for a in self.coeffs:
+            q, r = divmod(a, c)
+            if r:
+                raise ValueError("coefficient not divisible")
+            out.append(q)
+        return Poly(out)
+
+    def is_integral(self):
+        return all(isinstance(c, int) for c in self.coeffs)
+
+    def content(self):
+        g = 0
+        for c in self.coeffs:
+            g = _int_gcd(g, abs(c))
+        return g
+
+    def primitive_positive(self):
+        """Divide out the content and make the leading coefficient positive."""
+        if not self:
+            return self
+        c = self.content()
+        p = self.scaled_down(c)
+        if p.leading < 0:
+            p = -p
+        return p
+
+    def shifted(self, k):
+        """Multiply by t^k."""
+        if not self:
+            return self
+        return Poly((0,) * k + self.coeffs)
+
+    def inflated(self, r):
+        """Substitute t -> t^r."""
+        if r == 1 or not self:
+            return self
+        out = [0] * (self.degree * r + 1)
+        for k, c in enumerate(self.coeffs):
+            out[k * r] = c
+        return Poly(out)
+
+    def reversed(self):
+        """Coefficient reversal of the t-power-free part."""
+        if not self:
+            return self
+        k = 0
+        while not self.coeffs[k]:
+            k += 1
+        return Poly(self.coeffs[k:][::-1])
+
+    def to_str(self, var="t"):
+        return poly_to_str(self, var)
+
+    def __str__(self):
+        return poly_to_str(self)
+
+    def __repr__(self):
+        return f"Poly({poly_to_str(self)!r})"
+
+
+def one_minus_power(n):
+    """The binomial 1 - t^n."""
+    if n < 1:
+        raise ValueError("exponent must be positive")
+    return Poly((1,) + (0,) * (n - 1) + (-1,))
+
+
+def poly_to_str(p, var="t"):
+    """Canonical printing: ascending powers, explicit signs, no unit coefficients."""
+    if not p:
+        return "0"
+    parts = []
+    for k, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        var_part = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+        neg = c < 0
+        mag = -c if neg else c
+        if var_part and mag == 1:
+            body = var_part
+        elif var_part and isinstance(mag, Fraction):
+            body = f"({mag}){var_part}"
+        else:
+            body = f"{mag}{var_part}"
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append((" - " if neg else " + ") + body)
+    return "".join(parts)
+
+
+def _pseudo_rem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a  mod  b, exact over the integers."""
+    k = a.degree - b.degree + 1
+    _, r = divmod(a * (b.leading ** k), b)
+    if not r.is_integral():
+        raise AssertionError("pseudo-remainder must be integral")
+    return r
+
+
+def poly_gcd(a, b):
+    """Primitive gcd with positive leading coefficient, via the subresultant PRS.
+
+    The fraction-free scaling keeps intermediate coefficients small for the
+    degree <= ~30 integer polynomials that arise here.
+    """
+    if not a:
+        return b.primitive_positive() if b else Poly()
+    if not b:
+        return a.primitive_positive()
+    a = a.primitive_positive()
+    b = b.primitive_positive()
+    if a.degree < b.degree:
+        a, b = b, a
+    g = h = 1
+    while True:
+        delta = a.degree - b.degree
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b.primitive_positive()
+        if r.degree == 0:
+            return Poly((1,))
+        a, b = b, r.scaled_down(g * h ** delta)
+        g = a.leading
+        if delta:
+            num = g ** delta
+            den = h ** (delta - 1)
+            h = num // den
+        # delta == 0 leaves h unchanged
+    # not reached
+
+
+def multiplicity_at_one(p):
+    """Multiplicity of the root t = 1."""
+    if not p:
+        raise ValueError("zero polynomial")
+    m = 0
+    lin = Poly((-1, 1))
+    while p(1) == 0:
+        p = p.exact_div(lin)
+        m += 1
+    return m
+
+
+class RationalFunction:
+    """Coprime integer num/den pair with den(0) = 1; construct via normalize()."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def from_int(cls, n):
+        return normalize(Poly((n,)), Poly((1,)))
+
+    @property
+    def is_zero(self):
+        return not self.num
+
+    @property
+    def is_one(self):
+        return self.num == self.den
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = RationalFunction.from_int(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        # canonical form is unique, so structural equality is function equality
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = RationalFunction.from_int(other)
+        return normalize(self.num * other.den + other.num * self.den,
+                         self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction(-self.num, self.den)
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            other = RationalFunction.from_int(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            other = RationalFunction.from_int(other)
+        return normalize(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, int):
+            other = RationalFunction.from_int(other)
+        return normalize(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, n):
+        if n < 0:
+            return RationalFunction.from_int(1) / self ** (-n)
+        return normalize(self.num ** n, self.den ** n)
+
+    def inflated(self, r):
+        """Substitute t -> t^r; coprimality and den(0) = 1 are preserved."""
+        return RationalFunction(self.num.inflated(r), self.den.inflated(r))
+
+    def pole_order_at_one(self):
+        m_den = multiplicity_at_one(self.den)
+        m_num = multiplicity_at_one(self.num) if self.num else 0
+        return m_den - m_num
+
+    def __str__(self):
+        if self.den == Poly((1,)):
+            return poly_to_str(self.num)
+        return f"({poly_to_str(self.num)}) / ({poly_to_str(self.den)})"
+
+    def __repr__(self):
+        return f"RationalFunction({self})"
+
+
+def normalize(p, q):
+    """Reduce p/q to the canonical coprime form with den(0) = 1.
+
+    Accepts integer or Fraction coefficients; a common rational scalar is
+    cleared first (which does not change the function).  Raises
+    ZeroDenominatorError for q = 0 and NonUnitConstantError when q(0) = 0 or
+    when the reduced denominator's constant term is not +-1 (the expansion
+    would not have integer coefficients).
+    """
+    if not isinstance(p, Poly):
+        p = Poly(p)
+    if not isinstance(q, Poly):
+        q = Poly(q)
+    if not q:
+        raise ZeroDenominatorError("denominator is zero")
+    if q.constant_term == 0:
+        raise NonUnitConstantError("denominator vanishes at t = 0")
+    if not p:
+        return RationalFunction(Poly(), Poly((1,)))
+    lam = 1
+    for c in p.coeffs + q.coeffs:
+        if isinstance(c, Fraction):
+            lam = lam * c.denominator // _int_gcd(lam, c.denominator)
+    if lam != 1:
+        p = Poly(tuple(c * lam for c in p.coeffs))
+        q = Poly(tuple(c * lam for c in q.coeffs))
+    if not (p.is_integral() and q.is_integral()):
+        raise TypeError("polynomial coefficients must be int or Fraction")
+    g = poly_gcd(p, q)
+    if g != Poly((1,)):
+        p = p.exact_div(g)
+        q = q.exact_div(g)
+    c = _int_gcd(p.content(), q.content())
+    if c > 1:
+        p = p.scaled_down(c)
+        q = q.scaled_down(c)
+    q0 = q.constant_term
+    if q0 < 0:
+        p, q, q0 = -p, -q, -q0
+    if q0 != 1:
+        raise NonUnitConstantError(
+            f"reduced denominator has constant term {q0}; "
+            "the expansion is not an integer series")
+    return RationalFunction(p, q)
+
+
+class Series:
+    """Truncated power series: coefficients for degrees 0..order."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs",
+                           tuple(_simplify(c) for c in coeffs))
+        if not self.coeffs:
+            raise ValueError("a series truncation needs at least degree 0")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Series is immutable")
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, k):
+        return self.coeffs[k]
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        n = min(self.order, other.order)
+        return Series(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+
+    def __mul__(self, other):
+        n = min(self.order, other.order)
+        out = [0] * (n + 1)
+        for i in range(n + 1):
+            a = self.coeffs[i]
+            if not a:
+                continue
+            for j in range(n + 1 - i):
+                out[i + j] += a * other.coeffs[j]
+        return Series(out)
+
+    def section(self, r):
+        """Every r-th coefficient: degree n picks out coefficient rn."""
+        return Series(self.coeffs[::r])
+
+    def prefix(self, n):
+        if n > self.order:
+            raise ValueError("not enough coefficients")
+        return Series(self.coeffs[:n + 1])
+
+    def __repr__(self):
+        return f"Series({list(self.coeffs)!r})"
+
+
+def expand(f, n):
+    """Coefficients 0..n of the power-series expansion of f at t = 0."""
+    num, den = f.num.coeffs, f.den.coeffs
+    out = [0] * (n + 1)
+    for k in range(n + 1):
+        acc = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out[k] = acc  # den(0) = 1, so no division
+    return Series(out)
+
+
+def _solve_linear(rows, rhs):
+    """Exact Gaussian elimination; returns a particular solution or None."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = 1 / aug[rank][col]
+        aug[rank] = [x * inv for x in aug[rank]]
+        for i in range(m):
+            if i != rank and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, m):
+        if aug[i][n]:
+            return None  # inconsistent
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][n]
+    return sol
+
+
+def reconstruct(s, num_bound, den_bound):
+    """Recover the rational function matching a truncated series.
+
+    Solves q * s = p (mod t^(order+1)) with q(0) = 1, deg p <= num_bound and
+    deg q <= den_bound, exactly over the rationals.  By the usual Pade
+    uniqueness argument any solution of the linear system gives the same
+    rational function, so a particular solution suffices.
+    """
+    n = s.order
+    if n < num_bound + 2 * den_bound + 2:
+        raise AmbiguousDataError(
+            f"order {n} truncation cannot determine a ({num_bound},{den_bound})"
+            f" rational function; need at least {num_bound + 2 * den_bound + 2}")
+    c = s.coeffs
+    rows = []
+    rhs = []
+    for k in range(num_bound + 1, n + 1):
+        rows.append([c[k - j] if k - j >= 0 else 0 for j in range(1, den_bound + 1)])
+        rhs.append(-c[k])
+    if den_bound:
+        sol = _solve_linear(rows, rhs)
+        if sol is None:
+            raise NoSolutionError("no rational function within the given bounds")
+        q = Poly([1] + sol)
+    else:
+        if any(rhs):
+            raise NoSolutionError("no polynomial of the given degree matches")
+        q = Poly((1,))
+    prod = [0] * (num_bound + 1)
+    for i, qc in enumerate(q.coeffs):
+        if not qc:
+            continue
+        for k in range(i, num_bound + 1):
+            prod[k] += qc * c[k - i]
+    return normalize(Poly(prod), q)

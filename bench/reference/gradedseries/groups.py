@@ -1,0 +1,323 @@
+"""Finite matrix groups over cyclotomic fields: closure, subgroup
+enumeration, trace assignments, Molien sums and quasi-bireflection tests.
+
+The trace rule used for symbolic assignments is Tr(g, t) = 1/det(I - t g),
+the reciprocal characteristic polynomial.  It is exact for graded
+automorphisms acting diagonally on a skew polynomial ring (graded twists
+leave traces unchanged, so the commutative eigenvalue count applies) and it
+reproduces every trace the Sklyanin-type computations need; it is *not*
+valid for arbitrary automorphisms of arbitrary algebras, which is why brute
+force assignments exist alongside it (see ``algebras.brute_force_trace``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+from .cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
+from .exact import RationalFunction
+
+
+class CapExceededError(RuntimeError):
+    """Closure grew past the cap; the generated group is too large or infinite."""
+
+
+class TooLargeError(ValueError):
+    """Subgroup enumeration is limited to small groups."""
+
+
+class NonRationalResultError(ValueError):
+    """A Molien sum failed to cancel into the rationals; the trace
+    assignment must be wrong."""
+
+
+class IndexMismatchError(ValueError):
+    """The trace's vanishing order at infinity contradicts the stated index."""
+
+
+VERDICT_FULL = "full"
+VERDICT_QUASI_REFLECTION = "quasi-reflection"
+VERDICT_QUASI_BIREFLECTION = "quasi-bireflection"
+VERDICT_NEITHER = "neither"
+
+PROVENANCE_CHARPOLY = "charpoly-rule"
+PROVENANCE_BRUTE_FORCE = "brute-force"
+PROVENANCE_USER = "user-supplied"
+
+
+class MatrixGroup:
+    """A finite, closed set of matrices; elements[0] is the identity."""
+
+    __slots__ = ("elements", "generators", "_index", "_table")
+
+    def __init__(self, elements, generators):
+        object.__setattr__(self, "elements", tuple(elements))
+        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(elements)})
+        object.__setattr__(self, "_table", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MatrixGroup is immutable")
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    @property
+    def dim(self):
+        return self.elements[0].dim
+
+    def index_of(self, matrix):
+        return self._index[matrix]
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __contains__(self, matrix):
+        return matrix in self._index
+
+    def multiplication_table(self):
+        if self._table is None:
+            table = tuple(
+                tuple(self._index[a * b] for b in self.elements)
+                for a in self.elements)
+            object.__setattr__(self, "_table", table)
+        return self._table
+
+    def subset_closure(self, seed_indices):
+        """Smallest closed subset (hence subgroup) containing the seeds."""
+        table = self.multiplication_table()
+        closed = {0}
+        closed.update(seed_indices)
+        queue = list(closed)
+        while queue:
+            i = queue.pop()
+            for j in tuple(closed):
+                for k in (table[i][j], table[j][i]):
+                    if k not in closed:
+                        closed.add(k)
+                        queue.append(k)
+        return frozenset(closed)
+
+    def subgroup(self, indices):
+        """The closed subset as a MatrixGroup of its own."""
+        members = [self.elements[i] for i in sorted(indices)]
+        non_identity = [m for m in members if m != self.elements[0]]
+        return MatrixGroup([self.elements[0]] + non_identity, non_identity)
+
+
+def closure(generators, cap=1000, dim=None, order=1):
+    """Breadth-first product closure of the generators.
+
+    Raises CapExceededError once more than ``cap`` elements appear.  An empty
+    generator list yields the trivial group (``dim`` then required).
+    """
+    generators = list(generators)
+    if not generators:
+        if dim is None:
+            raise ValueError("dim is required for an empty generator list")
+        return MatrixGroup([CyclotomicMatrix.identity(dim, order)], [])
+    field_order = order
+    for g in generators:
+        field_order = field_order * g.order // gcd(field_order, g.order)
+    gens = [g.lift(field_order) for g in generators]
+    dims = {g.dim for g in gens}
+    if len(dims) != 1:
+        raise ValueError("generators must share a dimension")
+    for g in gens:
+        g.inverse()  # raises if some generator is singular
+    identity = CyclotomicMatrix.identity(gens[0].dim, field_order)
+    elements = [identity]
+    seen = {identity}
+    frontier = 0
+    while frontier < len(elements):
+        current = elements[frontier]
+        frontier += 1
+        for g in gens:
+            prod = current * g
+            if prod not in seen:
+                seen.add(prod)
+                elements.append(prod)
+                if len(elements) > cap:
+                    raise CapExceededError(
+                        f"closure exceeded cap {cap}; group may be infinite")
+    return MatrixGroup(elements, gens)
+
+
+def subgroups(group, max_order=64):
+    """Every subgroup, by saturating cyclic seeds under one-element extensions.
+
+    Any subgroup arises as a chain of one-generator extensions starting from
+    a cyclic subgroup, so iterating extensions to a fixed point is complete.
+    """
+    if group.order > max_order:
+        raise TooLargeError(
+            f"subgroup enumeration capped at order {max_order}")
+    found = {frozenset({0})}
+    worklist = []
+    for i in range(1, group.order):
+        cyc = group.subset_closure({i})
+        if cyc not in found:
+            found.add(cyc)
+            worklist.append(cyc)
+    while worklist:
+        current = worklist.pop()
+        for i in range(1, group.order):
+            if i in current:
+                continue
+            extended = group.subset_closure(current | {i})
+            if extended not in found:
+                found.add(extended)
+                worklist.append(extended)
+    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
+    return [group.subgroup(s) for s in ordered]
+
+
+@dataclass(frozen=True)
+class TraceAssignment:
+    """Trace series per group element, with the provenance of each value."""
+
+    group: MatrixGroup
+    traces: tuple
+    provenance: tuple
+
+    def __post_init__(self):
+        if len(self.traces) != self.group.order:
+            raise ValueError("need one trace per group element")
+
+    def __getitem__(self, i):
+        return self.traces[i]
+
+
+def reciprocal_charpoly_trace(g):
+    """Tr(g, t) = 1/det(I - t g), as a RationalFunction when the coefficients
+    are rational and over the cyclotomic field otherwise."""
+    den = g.reciprocal_charpoly()
+    frac = FieldFraction.reciprocal(list(den), g.order)
+    rational = frac.to_rational_function()
+    return rational if rational is not None else frac
+
+
+def assign_charpoly_traces(group):
+    traces = tuple(reciprocal_charpoly_trace(g) for g in group.elements)
+    return TraceAssignment(group, traces,
+                           (PROVENANCE_CHARPOLY,) * group.order)
+
+
+def molien(group, assignment):
+    """Hilbert series of the invariants: (1/|G|) sum of the trace series.
+
+    The sum runs exactly over the cyclotomic field; distinct trace values are
+    summed once with multiplicity.  The result must land in Q.
+    """
+    field_order = 1
+    for t in assignment.traces:
+        o = t.order if isinstance(t, FieldFraction) else 1
+        field_order = field_order * o // gcd(field_order, o)
+    counts = {}
+    for t in assignment.traces:
+        f = t if isinstance(t, FieldFraction) else \
+            FieldFraction.from_rational_function(t, 1)
+        f = f.lift(field_order)
+        counts[f] = counts.get(f, 0) + 1
+    total = None
+    for f, k in counts.items():
+        term = f.scaled(Fraction(k))
+        total = term if total is None else total + term
+    total = total.scaled(Fraction(1, group.order))
+    result = total.to_rational_function()
+    if result is None:
+        raise NonRationalResultError(
+            "Molien sum did not cancel to rational coefficients")
+    return result
+
+
+def hdet(trace, gl_dim, as_index):
+    """Homological determinant read off the expansion at t = infinity.
+
+    The leading behaviour of the trace there is (-1)^n h^{-1} t^{-l}; the
+    vanishing order must match the stated index l.
+    """
+    if isinstance(trace, RationalFunction):
+        num_deg, den_deg = trace.num.degree, trace.den.degree
+        lead_num, lead_den = trace.num.leading, trace.den.leading
+    else:
+        num_deg, den_deg = trace.num_degree, trace.den_degree
+        lead_num, lead_den = trace.num[-1], trace.den[-1]
+    if den_deg - num_deg != as_index:
+        raise IndexMismatchError(
+            f"trace vanishes to order {den_deg - num_deg} at infinity, "
+            f"not {as_index}")
+    if isinstance(lead_den, CyclotomicNumber):
+        h = lead_den / lead_num
+    else:
+        h = Fraction(lead_den) / Fraction(lead_num)
+    if gl_dim % 2:
+        h = -h
+    if isinstance(h, CyclotomicNumber) and h.is_rational():
+        return h.as_fraction()
+    return h
+
+
+@dataclass(frozen=True)
+class PoleClassification:
+    pole_order: int
+    verdict: str
+
+
+def classify_pole(trace, gk_dim):
+    """Verdict from the pole order k of the trace at t = 1: k = n means the
+    full series, n-1 a quasi-reflection, n-2 a quasi-bireflection."""
+    if gk_dim < 2:
+        raise ValueError("classification needs GK dimension >= 2")
+    k = trace.pole_order_at_one()
+    if k == gk_dim:
+        verdict = VERDICT_FULL
+    elif k == gk_dim - 1:
+        verdict = VERDICT_QUASI_REFLECTION
+    elif k == gk_dim - 2:
+        verdict = VERDICT_QUASI_BIREFLECTION
+    else:
+        verdict = VERDICT_NEITHER
+    return PoleClassification(k, verdict)
+
+
+def generated_by_quasi_bireflections(group, assignment, gk_dim):
+    """Do the elements with quasi-(bi)reflection trace shape generate G?
+
+    Returns (verdict, witness_indices); the identity is always a witness.
+    """
+    witnesses = [0]
+    for i in range(1, group.order):
+        if classify_pole(assignment[i], gk_dim).verdict != VERDICT_NEITHER:
+            witnesses.append(i)
+    generated = group.subset_closure(set(witnesses))
+    return len(generated) == group.order, witnesses
+
+
+def classical_bireflection_rank(g):
+    """rank(g - I) over the field, and whether it is at most 2."""
+    rank = g.rank_of_difference_with_identity()
+    return rank, rank <= 2
+
+
+__all__ = [
+    "CapExceededError",
+    "IndexMismatchError",
+    "MatrixGroup",
+    "NonRationalResultError",
+    "PoleClassification",
+    "TooLargeError",
+    "TraceAssignment",
+    "assign_charpoly_traces",
+    "classical_bireflection_rank",
+    "classify_pole",
+    "closure",
+    "generated_by_quasi_bireflections",
+    "hdet",
+    "molien",
+    "reciprocal_charpoly_trace",
+    "subgroups",
+]

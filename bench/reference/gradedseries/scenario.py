@@ -1,0 +1,893 @@
+"""Scenario files: declarations plus a task list, with embedded expected
+results so the bundled computations double as a regression suite.
+
+Grammar (line oriented; indented lines continue the previous statement,
+``#`` starts a comment):
+
+    name: <free text>
+    zeta_order: <int>
+
+    let <ident> = matrix [[...], ...]
+    let <ident> = series <expression>
+    let <ident> = algebra { kind: ..., ... }
+
+    task <kind> key=value ... [expect key=value ...]
+
+Expressions use integer literals, ``t``, ``z`` (the fixed primitive root,
+available once ``zeta_order`` is set), ``+ - * / ^`` and parentheses, with
+juxtaposition as multiplication: ``(1-t^6)/((1-t)(1-t^2)(1-t^3)^2)``.
+Task values are integers, booleans, identifiers, quoted expression strings,
+or bracketed lists.  Task kinds: closure, subgroups, molien, classify,
+veronese, trace, betti, cyc.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .algebras import (
+    betti_numbers,
+    brute_force_trace,
+    build_truncation,
+    euler_check,
+    free_algebra,
+    growth_estimate,
+    monomial_quotient,
+    normal_quotient,
+    quantum_affine,
+)
+from .cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
+from .cyclotomic import cyc_number, is_cyclotomic
+from .exact import reconstruct
+from .groups import (
+    PROVENANCE_BRUTE_FORCE,
+    TraceAssignment,
+    assign_charpoly_traces,
+    classify_pole,
+    closure,
+    hdet,
+    molien,
+    subgroups,
+)
+from .hilbert import veronese_section
+from .reports import classify_group, classify_series, report_payload
+
+
+class ParseError(ValueError):
+    def __init__(self, message, line, col=None):
+        where = f"line {line}" + (f", col {col}" if col is not None else "")
+        super().__init__(f"{where}: {message}")
+        self.line = line
+        self.col = col
+
+
+class UndeclaredInputError(ParseError):
+    pass
+
+
+class ScenarioExecutionError(RuntimeError):
+    pass
+
+
+Token = namedtuple("Token", "kind value line col")
+Ref = namedtuple("Ref", "name")
+Lit = namedtuple("Lit", "text line")
+
+_SYMBOLS = set("[]{}(),=:^+-*/")
+
+TASK_KINDS = ("closure", "subgroups", "molien", "classify", "veronese",
+              "trace", "betti", "cyc")
+
+
+def _scan_line(raw, line_no):
+    tokens = []
+    i = 0
+    n = len(raw)
+    while i < n:
+        ch = raw[i]
+        if ch == "#":
+            break
+        if ch in " \t\r":
+            i += 1
+            continue
+        col = i + 1
+        if ch == '"':
+            end = raw.find('"', i + 1)
+            if end < 0:
+                raise ParseError("unterminated string", line_no, col)
+            tokens.append(Token("string", raw[i + 1:end], line_no, col))
+            i = end + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and raw[j].isdigit():
+                j += 1
+            tokens.append(Token("int", int(raw[i:j]), line_no, col))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (raw[j].isalnum() or raw[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", raw[i:j], line_no, col))
+            i = j
+            continue
+        if ch in _SYMBOLS:
+            tokens.append(Token("sym", ch, line_no, col))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line_no, col)
+    return tokens
+
+
+def _logical_lines(text):
+    current = None
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        tokens = _scan_line(raw, line_no)
+        if not tokens:
+            continue
+        if raw[0] in " \t" and current is not None:
+            current.extend(tokens)
+        else:
+            if current is not None:
+                yield current
+            current = tokens
+    if current is not None:
+        yield current
+
+
+class _Cursor:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self, offset=0):
+        k = self.pos + offset
+        return self.tokens[k] if k < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1]
+            raise ParseError("unexpected end of statement", last.line,
+                             last.col)
+        self.pos += 1
+        return tok
+
+    def error(self, message):
+        tok = self.peek() or self.tokens[-1]
+        raise ParseError(message, tok.line, tok.col)
+
+    def at_symbol(self, *symbols):
+        tok = self.peek()
+        return tok is not None and tok.kind == "sym" and tok.value in symbols
+
+    def take_symbol(self, symbol):
+        if self.at_symbol(symbol):
+            self.pos += 1
+            return True
+        return False
+
+    def expect_symbol(self, symbol):
+        if not self.take_symbol(symbol):
+            self.error(f"expected {symbol!r}")
+
+    def expect_ident(self, value=None):
+        tok = self.next()
+        if tok.kind != "ident" or (value is not None and tok.value != value):
+            raise ParseError(
+                f"expected {'identifier' if value is None else value!r}",
+                tok.line, tok.col)
+        return tok
+
+    def expect_int(self):
+        neg = self.take_symbol("-")
+        tok = self.next()
+        if tok.kind != "int":
+            raise ParseError("expected an integer", tok.line, tok.col)
+        return -tok.value if neg else tok.value
+
+    def done(self):
+        return self.pos >= len(self.tokens)
+
+
+# ---------------------------------------------------------------- expressions
+
+def _starts_atom(cur):
+    tok = cur.peek()
+    if tok is None:
+        return False
+    return tok.kind in ("int", "ident") or (tok.kind == "sym" and tok.value == "(")
+
+
+def _parse_factor(cur, symbols):
+    tok = cur.peek()
+    if tok is None:
+        cur.error("expected an expression")
+    if tok.kind == "int":
+        cur.next()
+        value = FieldFraction([tok.value], [1])
+    elif tok.kind == "ident":
+        cur.next()
+        if tok.value not in symbols:
+            raise ParseError(f"unknown symbol {tok.value!r} in expression",
+                             tok.line, tok.col)
+        value = symbols[tok.value]
+    elif tok.kind == "sym" and tok.value == "(":
+        cur.next()
+        value = _parse_expr(cur, symbols)
+        cur.expect_symbol(")")
+    else:
+        cur.error("expected a number, symbol or parenthesis")
+    if cur.take_symbol("^"):
+        value = value ** cur.expect_int()
+    return value
+
+
+def _parse_signed_factor(cur, symbols):
+    sign = 1
+    while cur.take_symbol("-"):
+        sign = -sign
+    value = _parse_factor(cur, symbols)
+    return value if sign > 0 else -value
+
+
+def _parse_term(cur, symbols):
+    value = _parse_signed_factor(cur, symbols)
+    while True:
+        if cur.at_symbol("*") or cur.at_symbol("/"):
+            op = cur.next().value
+            rhs = _parse_signed_factor(cur, symbols)
+            value = value * rhs if op == "*" else value / rhs
+        elif _starts_atom(cur):
+            value = value * _parse_factor(cur, symbols)
+        else:
+            return value
+
+
+def _parse_expr(cur, symbols):
+    value = _parse_term(cur, symbols)
+    while cur.at_symbol("+") or cur.at_symbol("-"):
+        op = cur.next().value
+        rhs = _parse_term(cur, symbols)
+        value = value + rhs if op == "+" else value - rhs
+    return value
+
+
+def _expression_symbols(zeta_order):
+    symbols = {"t": FieldFraction([0, 1], [1])}
+    if zeta_order and zeta_order > 1:
+        symbols["z"] = FieldFraction(
+            [CyclotomicNumber.zeta(zeta_order)], [1], zeta_order)
+    return symbols
+
+
+def _to_rational_function(value, where):
+    f = value.to_rational_function()
+    if f is None:
+        raise ParseError("series coefficients must be rational", where.line,
+                         where.col)
+    return f
+
+
+def _to_scalar(value, where):
+    if value.den_degree != 0 or value.num_degree > 0:
+        raise ParseError("matrix entries must not involve t", where.line,
+                         where.col)
+    if not value.num:
+        return Fraction(0)
+    coeff = value.num[0]
+    return coeff.as_fraction() if coeff.is_rational() else coeff
+
+
+def parse_series_literal(text, zeta_order=1, line=1):
+    cur = _Cursor(_scan_line(text, line))
+    value = _parse_expr(cur, _expression_symbols(zeta_order))
+    if not cur.done():
+        cur.error("trailing input after the expression")
+    rational = value.to_rational_function()
+    if rational is None:
+        raise ParseError("series coefficients must be rational", line, 1)
+    return rational
+
+
+def parse_matrix_literal(text, zeta_order=1, line=1):
+    cur = _Cursor(_scan_line(text, line))
+    matrix = _parse_matrix(cur, _expression_symbols(zeta_order))
+    if not cur.done():
+        cur.error("trailing input after the matrix")
+    return matrix
+
+
+def _parse_matrix(cur, symbols):
+    start = cur.peek()
+    cur.expect_symbol("[")
+    rows = []
+    while True:
+        cur.expect_symbol("[")
+        row = []
+        while True:
+            entry_tok = cur.peek()
+            row.append(_to_scalar(_parse_expr(cur, symbols), entry_tok))
+            if not cur.take_symbol(","):
+                break
+        cur.expect_symbol("]")
+        rows.append(row)
+        if not cur.take_symbol(","):
+            break
+    cur.expect_symbol("]")
+    if any(len(r) != len(rows) for r in rows):
+        raise ParseError("matrix rows must all have the full dimension",
+                         start.line, start.col)
+    return CyclotomicMatrix(rows)
+
+
+# ------------------------------------------------------------ algebra literal
+
+def _parse_name_list(cur):
+    cur.expect_symbol("[")
+    names = [cur.expect_ident().value]
+    while cur.take_symbol(","):
+        names.append(cur.expect_ident().value)
+    cur.expect_symbol("]")
+    return names
+
+
+def _parse_int_list(cur):
+    cur.expect_symbol("[")
+    values = [cur.expect_int()]
+    while cur.take_symbol(","):
+        values.append(cur.expect_int())
+    cur.expect_symbol("]")
+    return values
+
+
+def _parse_scalar_matrix(cur, symbols):
+    cur.expect_symbol("[")
+    rows = []
+    while True:
+        cur.expect_symbol("[")
+        row = []
+        while True:
+            tok = cur.peek()
+            row.append(_to_scalar(_parse_expr(cur, symbols), tok))
+            if not cur.take_symbol(","):
+                break
+        cur.expect_symbol("]")
+        rows.append(row)
+        if not cur.take_symbol(","):
+            break
+    cur.expect_symbol("]")
+    return rows
+
+
+def _parse_word(cur, name_index):
+    word = []
+    first = cur.peek()
+    while cur.peek() is not None and cur.peek().kind == "ident":
+        tok = cur.next()
+        if tok.value not in name_index:
+            raise ParseError(f"unknown generator {tok.value!r}", tok.line,
+                             tok.col)
+        power = 1
+        if cur.take_symbol("^"):
+            power = cur.expect_int()
+            if power < 1:
+                raise ParseError("powers in words must be positive", tok.line,
+                                 tok.col)
+        word.extend([name_index[tok.value]] * power)
+    if not word:
+        cur.error("expected a monomial word")
+    return tuple(word)
+
+
+def _parse_normal_element(cur, name_index, ngens):
+    items = {}
+    sign = 1
+    if cur.take_symbol("-"):
+        sign = -1
+    while True:
+        coeff = sign
+        tok = cur.peek()
+        if tok is not None and tok.kind == "int":
+            cur.next()
+            coeff = sign * tok.value
+            cur.take_symbol("*")
+        exponents = [0] * ngens
+        last_index = -1
+        saw_name = False
+        while cur.peek() is not None and cur.peek().kind == "ident":
+            name_tok = cur.next()
+            if name_tok.value not in name_index:
+                raise ParseError(f"unknown generator {name_tok.value!r}",
+                                 name_tok.line, name_tok.col)
+            idx = name_index[name_tok.value]
+            if idx < last_index:
+                raise ParseError(
+                    "monomials must be written in generator order",
+                    name_tok.line, name_tok.col)
+            last_index = idx
+            power = 1
+            if cur.take_symbol("^"):
+                power = cur.expect_int()
+            exponents[idx] += power
+            saw_name = True
+        if not saw_name and tok is not None and tok.kind != "int":
+            cur.error("expected a term")
+        key = tuple(exponents)
+        items[key] = items.get(key, 0) + coeff
+        if cur.take_symbol("+"):
+            sign = 1
+        elif cur.take_symbol("-"):
+            sign = -1
+        else:
+            break
+    return {k: v for k, v in items.items() if v}
+
+
+def _parse_algebra(cur, symbols):
+    start = cur.peek()
+    cur.expect_symbol("{")
+    kind = None
+    names = None
+    degrees = None
+    q = None
+    relations = None
+    normals = None
+    while not cur.at_symbol("}"):
+        key = cur.expect_ident().value
+        cur.expect_symbol(":")
+        if key == "kind":
+            kind = cur.expect_ident().value
+        elif key == "generators":
+            names = _parse_name_list(cur)
+        elif key == "degrees":
+            degrees = _parse_int_list(cur)
+        elif key == "q":
+            q = _parse_scalar_matrix(cur, symbols)
+        elif key in ("relations", "normal"):
+            if names is None:
+                count = len(degrees) if degrees else (len(q) if q else None)
+                if count is None:
+                    cur.error("declare generators, degrees or q before "
+                              f"{key!r}")
+                names = [f"x{i + 1}" for i in range(count)]
+            index = {n: i for i, n in enumerate(names)}
+            cur.expect_symbol("[")
+            entries = []
+            while True:
+                if key == "relations":
+                    entries.append(_parse_word(cur, index))
+                else:
+                    entries.append(
+                        _parse_normal_element(cur, index, len(names)))
+                if not cur.take_symbol(","):
+                    break
+            cur.expect_symbol("]")
+            if key == "relations":
+                relations = entries
+            else:
+                normals = entries
+        else:
+            cur.error(f"unknown algebra key {key!r}")
+        cur.take_symbol(",")
+    cur.expect_symbol("}")
+    try:
+        if kind == "free":
+            return free_algebra(names or (len(degrees) if degrees else 2),
+                                degrees)
+        if kind == "monomial_quotient":
+            return monomial_quotient(names, relations or (), degrees)
+        if kind == "quantum_affine":
+            return quantum_affine(q, names, degrees)
+        if kind == "normal_quotient":
+            return normal_quotient(q, normals or (), names, degrees)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"bad algebra literal: {exc}", start.line, start.col)
+    raise ParseError(f"unknown algebra kind {kind!r}", start.line, start.col)
+
+
+# ------------------------------------------------------------------ scenarios
+
+@dataclass
+class Task:
+    kind: str
+    args: dict
+    expect: dict
+    line: int
+
+
+@dataclass
+class Scenario:
+    name: str = ""
+    zeta_order: int = 1
+    bindings: dict = field(default_factory=dict)
+    tasks: list = field(default_factory=list)
+
+
+def _parse_task_value(cur):
+    tok = cur.peek()
+    if tok is None:
+        cur.error("expected a value")
+    if tok.kind == "int" or (tok.kind == "sym" and tok.value == "-"):
+        return cur.expect_int()
+    if tok.kind == "string":
+        cur.next()
+        return Lit(tok.value, tok.line)
+    if tok.kind == "ident":
+        cur.next()
+        if tok.value == "true":
+            return True
+        if tok.value == "false":
+            return False
+        return Ref(tok.value)
+    if tok.kind == "sym" and tok.value == "[":
+        cur.next()
+        values = []
+        while not cur.at_symbol("]"):
+            inner = cur.peek()
+            if inner.kind == "int" or (inner.kind == "sym" and inner.value == "-"):
+                values.append(cur.expect_int())
+            elif inner.kind == "ident":
+                values.append(Ref(cur.next().value))
+            else:
+                cur.error("lists hold integers or identifiers")
+            cur.take_symbol(",")
+        cur.expect_symbol("]")
+        return values
+    cur.error("expected a value")
+
+
+def _parse_key_values(cur):
+    args = {}
+    expect = {}
+    target = args
+    while not cur.done():
+        tok = cur.expect_ident()
+        if tok.value == "expect":
+            target = expect
+            continue
+        cur.expect_symbol("=")
+        target[tok.value] = _parse_task_value(cur)
+    return args, expect
+
+
+_REFERENCE_KEYS = {
+    "generators": "matrix",
+    "group": "group",
+    "matrix": "matrix",
+    "algebra": "algebra",
+    "series": "series",
+}
+
+
+def _validate_refs(task, declared):
+    for key, category in _REFERENCE_KEYS.items():
+        value = task.args.get(key)
+        refs = []
+        if isinstance(value, Ref):
+            refs = [value]
+        elif isinstance(value, list):
+            refs = [v for v in value if isinstance(v, Ref)]
+        for ref in refs:
+            if declared.get(ref.name) != category:
+                raise UndeclaredInputError(
+                    f"task {task.kind!r} references undeclared {category} "
+                    f"{ref.name!r}", task.line)
+
+
+def parse_scenario(text):
+    scenario = Scenario()
+    declared = {}
+    for tokens in _logical_lines(text):
+        cur = _Cursor(tokens)
+        head = cur.next()
+        if head.kind != "ident":
+            raise ParseError("statements start with a keyword", head.line,
+                             head.col)
+        if head.value in ("name", "zeta_order") and cur.at_symbol(":"):
+            cur.expect_symbol(":")
+            if head.value == "zeta_order":
+                scenario.zeta_order = cur.expect_int()
+                if scenario.zeta_order < 1:
+                    raise ParseError("zeta_order must be positive", head.line,
+                                     head.col)
+                if not cur.done():
+                    cur.error("trailing input")
+            else:
+                parts = []
+                while not cur.done():
+                    parts.append(str(cur.next().value))
+                scenario.name = " ".join(parts)
+            continue
+        if head.value == "let":
+            target = cur.expect_ident()
+            cur.expect_symbol("=")
+            what = cur.expect_ident()
+            symbols = _expression_symbols(scenario.zeta_order)
+            if what.value == "matrix":
+                obj = _parse_matrix(cur, symbols)
+                category = "matrix"
+            elif what.value == "series":
+                expr_tok = cur.peek()
+                if expr_tok is None:
+                    cur.error("expected a series expression")
+                value = _parse_expr(cur, symbols)
+                obj = _to_rational_function(value, expr_tok)
+                category = "series"
+            elif what.value == "algebra":
+                obj = _parse_algebra(cur, symbols)
+                category = "algebra"
+            else:
+                raise ParseError(
+                    "let declares a matrix, series or algebra",
+                    what.line, what.col)
+            if not cur.done():
+                cur.error("trailing input after the declaration")
+            if target.value in declared:
+                raise ParseError(f"{target.value!r} is declared twice",
+                                 target.line, target.col)
+            scenario.bindings[target.value] = (category, obj)
+            declared[target.value] = category
+            continue
+        if head.value == "task":
+            kind_tok = cur.expect_ident()
+            if kind_tok.value not in TASK_KINDS:
+                raise ParseError(f"unknown task kind {kind_tok.value!r}",
+                                 kind_tok.line, kind_tok.col)
+            args, expect = _parse_key_values(cur)
+            task = Task(kind_tok.value, args, expect, head.line)
+            _validate_refs(task, declared)
+            if kind_tok.value == "closure" and isinstance(args.get("name"), Ref):
+                declared[args["name"].name] = "group"
+            scenario.tasks.append(task)
+            continue
+        raise ParseError(f"unknown statement {head.value!r}", head.line,
+                         head.col)
+    return scenario
+
+
+# -------------------------------------------------------------------- runner
+
+def _series_str(f):
+    return str(f)
+
+
+def _fraction_str(x):
+    return str(x)
+
+
+class _Runner:
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.env = dict(scenario.bindings)
+
+    def lookup(self, value, category):
+        if isinstance(value, Ref):
+            entry = self.env.get(value.name)
+            if entry is None or entry[0] != category:
+                raise ScenarioExecutionError(
+                    f"{value.name!r} is not a declared {category}")
+            return entry[1]
+        raise ScenarioExecutionError(f"expected a {category} reference")
+
+    def resolve_series(self, value):
+        if isinstance(value, Lit):
+            return parse_series_literal(value.text, self.scenario.zeta_order,
+                                        value.line)
+        return self.lookup(value, "series")
+
+    def run(self):
+        reports = []
+        all_passed = True
+        for task in self.scenario.tasks:
+            handler = getattr(self, f"run_{task.kind}")
+            try:
+                result = handler(task.args)
+            except (ParseError, ScenarioExecutionError):
+                raise
+            except Exception as exc:
+                raise ScenarioExecutionError(
+                    f"task {task.kind!r} (line {task.line}): {exc}") from exc
+            report = {"task": task.kind, "line": task.line}
+            report.update(result)
+            if task.expect:
+                failures = self.compare(task.expect, result)
+                report["expected"] = {
+                    k: self.expected_payload(v) for k, v in task.expect.items()}
+                report["passed"] = not failures
+                if failures:
+                    report["failures"] = failures
+                    all_passed = False
+            else:
+                report["passed"] = None
+            reports.append(report)
+        return reports, all_passed
+
+    def expected_payload(self, value):
+        if isinstance(value, Lit):
+            return value.text
+        if isinstance(value, Ref):
+            return value.name
+        return value
+
+    def compare(self, expect, result):
+        failures = []
+        for key, want in expect.items():
+            if key not in result:
+                failures.append(f"no field {key!r} in the result")
+                continue
+            got = result[key]
+            if isinstance(want, Lit):
+                # expected series compare exactly after normalization
+                want_series = parse_series_literal(
+                    want.text, self.scenario.zeta_order, want.line)
+                got_series = parse_series_literal(got, self.scenario.zeta_order)
+                if want_series != got_series:
+                    failures.append(f"{key}: expected {want_series}, got {got}")
+                continue
+            if isinstance(want, Ref):
+                # bare identifiers stand for enum-like strings
+                if got not in (want.name, want.name.replace("_", "-")):
+                    failures.append(f"{key}: expected {want.name!r}, got {got!r}")
+                continue
+            if isinstance(want, int) and isinstance(got, str):
+                want = str(want)
+            if got != want:
+                failures.append(f"{key}: expected {want!r}, got {got!r}")
+        return failures
+
+    # ---- individual task kinds
+
+    def run_closure(self, args):
+        gens = [self.lookup(v, "matrix") for v in args.get("generators", [])]
+        cap = args.get("cap", 1000)
+        dim = args.get("dim")
+        group = closure(gens, cap=cap, dim=dim,
+                        order=self.scenario.zeta_order)
+        name = args.get("name")
+        if isinstance(name, Ref):
+            self.env[name.name] = ("group", group)
+        return {"order": group.order, "dim": group.dim}
+
+    def run_subgroups(self, args):
+        group = self.lookup(args["group"], "group")
+        subs = subgroups(group, max_order=args.get("max_order", 64))
+        orders = sorted(s.order for s in subs)
+        return {"count": len(subs), "orders": orders}
+
+    def assignment_for(self, args, group):
+        mode = args.get("traces", Ref("charpoly"))
+        mode = mode.name if isinstance(mode, Ref) else mode
+        if mode == "charpoly":
+            return assign_charpoly_traces(group)
+        if mode == "bruteforce":
+            presentation = self.lookup(args["algebra"], "algebra")
+            cutoff = args.get("truncation", 12)
+            trunc = build_truncation(presentation, cutoff)
+            num_bound = args.get("num_bound", 0)
+            den_bound = args.get("den_bound", presentation.ngens)
+            traces = tuple(
+                reconstruct(brute_force_trace(g, trunc), num_bound, den_bound)
+                for g in group.elements)
+            return TraceAssignment(group, traces,
+                                   (PROVENANCE_BRUTE_FORCE,) * group.order)
+        raise ScenarioExecutionError(
+            "traces must be charpoly or bruteforce")
+
+    def run_molien(self, args):
+        group = self.lookup(args["group"], "group")
+        assignment = self.assignment_for(args, group)
+        series = molien(group, assignment)
+        return {"series": _series_str(series), "group_order": group.order}
+
+    def run_classify(self, args):
+        if "series" in args:
+            report = classify_series(self.resolve_series(args["series"]))
+        else:
+            group = self.lookup(args["group"], "group")
+            assignment = self.assignment_for(args, group)
+            gk = args.get("gk", group.dim)
+            report = classify_group(group, assignment, gk)
+        full = report_payload(report)
+        result = {
+            "series": full["hilbert_series"],
+            "cyclotomic": full["cyclotomic"],
+            "gorenstein": full["gorenstein_symmetric"],
+            "cyclotomic_gorenstein": full["cyclotomic_gorenstein"],
+            "cyc": full["cyc_number"],
+            "cyc_profile": full["cyc_profile"],
+            "qb_generated": full["quasi_bireflection_generation"],
+        }
+        if "qb_witnesses" in full:
+            result["qb_witnesses"] = full["qb_witnesses"]
+            result["pole_orders"] = full["pole_orders"]
+        return result
+
+    def run_veronese(self, args):
+        f = self.resolve_series(args["series"])
+        r = args.get("r", 2)
+        section = veronese_section(f, r, args.get("num_bound"),
+                                   args.get("den_bound"))
+        return {
+            "section": _series_str(section),
+            "ambient_section": _series_str(section.inflated(r)),
+            "cyclotomic": is_cyclotomic(section),
+        }
+
+    def run_trace(self, args):
+        presentation = self.lookup(args["algebra"], "algebra")
+        g = self.lookup(args["matrix"], "matrix")
+        cutoff = args.get("truncation", 12)
+        trunc = build_truncation(presentation, cutoff)
+        series = brute_force_trace(g, trunc)
+        num_bound = args.get("num_bound", 0)
+        den_bound = args.get("den_bound", presentation.ngens)
+        closed = reconstruct(series, num_bound, den_bound)
+        gk = args.get("gk", presentation.ngens)
+        pole = classify_pole(closed, gk)
+        result = {
+            "coefficients": [c if isinstance(c, int) else str(c)
+                             for c in series],
+            "closed_form": _series_str(closed),
+            "pole_order": pole.pole_order,
+            "verdict": pole.verdict,
+        }
+        index = args.get("index", presentation.ngens)
+        result["hdet"] = _fraction_str(hdet(closed, gk, index))
+        return result
+
+    def run_betti(self, args):
+        presentation = self.lookup(args["algebra"], "algebra")
+        cutoff = args.get("truncation", 8)
+        trunc = build_truncation(presentation, cutoff)
+        table = betti_numbers(trunc)
+        residual = euler_check(table, trunc.hilbert_coefficients(), cutoff)
+        growth = growth_estimate(table) if cutoff >= 6 else None
+        result = {
+            "dims": trunc.dims(),
+            "row_sums": [table.row_sum(i) for i in range(table.max_index() + 1)],
+            "betti": {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())},
+            "euler_zero": not any(residual),
+        }
+        if growth is not None:
+            result["growth"] = {
+                "kind": growth.kind,
+                "value": round(growth.value, 4) if growth.value is not None else None,
+                "window": list(growth.window) if growth.window else None,
+            }
+        return result
+
+    def run_cyc(self, args):
+        f = self.resolve_series(args["series"])
+        got = cyc_number(f)
+        if got is None:
+            return {"cyc": None, "profile": None}
+        m, profile = got
+        return {"cyc": m,
+                "profile": {str(a): e for a, e in sorted(profile.factors.items())}}
+
+
+def run_scenario(scenario):
+    """Execute the tasks in order; returns (reports, all_expectations_met)."""
+    return _Runner(scenario).run()
+
+
+__all__ = [
+    "Lit",
+    "ParseError",
+    "Ref",
+    "Scenario",
+    "ScenarioExecutionError",
+    "Task",
+    "TASK_KINDS",
+    "UndeclaredInputError",
+    "parse_matrix_literal",
+    "parse_scenario",
+    "parse_series_literal",
+    "run_scenario",
+]
