@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import log
 
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber
-from .exact import Series, expand
+from .exact import Series, _reduce_vec, _rref_add, expand
 
 
 class NotNormalError(ValueError):
@@ -283,50 +283,6 @@ class Truncation:
         for i, e in enumerate(label):
             word.extend([i] * e)
         return tuple(word)
-
-
-def _inv_scalar(x):
-    if isinstance(x, CyclotomicNumber):
-        return x.inverse()
-    return _ONE / Fraction(x)
-
-
-def _rref_add(rows, pivots, vec):
-    """Reduce vec against rows (RREF, pivot columns in pivots); if a residual
-    survives, normalize and insert it.  Returns the residual or None."""
-    vec = list(vec)
-    for row, p in zip(rows, pivots):
-        c = vec[p]
-        if c:
-            for k in range(len(vec)):
-                if row[k]:
-                    vec[k] = vec[k] - c * row[k]
-    piv = next((k for k, c in enumerate(vec) if c), None)
-    if piv is None:
-        return None
-    inv = _inv_scalar(vec[piv])
-    vec = [c * inv for c in vec]
-    for row, p in zip(rows, pivots):
-        c = row[piv]
-        if c:
-            for k in range(len(vec)):
-                if vec[k]:
-                    row[k] = row[k] - c * vec[k]
-    at = next((idx for idx, p in enumerate(pivots) if p > piv), len(pivots))
-    rows.insert(at, vec)
-    pivots.insert(at, piv)
-    return vec
-
-
-def _reduce_vec(rows, pivots, vec):
-    vec = list(vec)
-    for row, p in zip(rows, pivots):
-        c = vec[p]
-        if c:
-            for k in range(len(vec)):
-                if row[k]:
-                    vec[k] = vec[k] - c * row[k]
-    return vec
 
 
 def _dense(vec, basis_positions, size):

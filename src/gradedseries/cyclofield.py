@@ -7,10 +7,10 @@ arithmetic lifts both operands into Q(zeta_lcm); z_N lifts to z_M^(M/N).
 Group-theoretic code keeps every value in one ambient order so that values
 can serve as dict keys (hashing does not lift).
 
-``FieldFraction`` is a num/den pair of polynomials in t with cyclotomic
-coefficients, normalized so den(0) = 1; it carries trace series such as
-1/det(I - t g) whose coefficients are irrational until a Molien sum cancels
-them back into Q.
+``FieldFraction`` is a reduced num/den pair of ``Poly``s in t with
+cyclotomic coefficients, normalized so den(0) = 1; it carries trace series
+such as 1/det(I - t g) whose coefficients are irrational until a Molien sum
+cancels them back into Q.
 """
 
 from __future__ import annotations
@@ -19,7 +19,14 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import cyclotomic_polynomial, euler_phi
-from .exact import Poly, RationalFunction, normalize
+from .exact import (
+    Poly,
+    RationalFunction,
+    _rref_add,
+    expand,
+    monic_gcd,
+    normalize,
+)
 
 
 def _as_fraction(x):
@@ -292,40 +299,31 @@ class CyclotomicMatrix:
         n = self.dim
         one = cyclo_one(self.order)
         zero = cyclo_zero(self.order)
-        aug = [list(row) + [one if i == j else zero for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [x * inv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-        return CyclotomicMatrix([row[n:] for row in aug], self.order)
+        rows, pivots = [], []
+        for i, row in enumerate(self.rows):
+            _rref_add(rows, pivots,
+                      list(row) + [one if i == j else zero for j in range(n)])
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return CyclotomicMatrix([row[n:] for row in rows], self.order)
 
     def rank_of_difference_with_identity(self):
         """rank(g - I), the classical (bi)reflection invariant."""
         one = cyclo_one(self.order)
-        work = [[x - one if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(self.rows)]
-        return _rank(work)
+        rows, pivots = [], []
+        for i, row in enumerate(self.rows):
+            _rref_add(rows, pivots,
+                      [x - one if i == j else x for j, x in enumerate(row)])
+        return len(pivots)
 
     def reciprocal_charpoly(self):
         """Coefficients of det(I - t * g), ascending in t."""
-        n = self.dim
         zero = cyclo_zero(self.order)
         one = cyclo_one(self.order)
-        # polynomial entries of I - t g as coefficient pairs
-        mat = [[(one if i == j else zero, -x) for j, x in enumerate(row)]
+        # the polynomial entries of I - t g
+        mat = [[Poly((one if i == j else zero, -x)) for j, x in enumerate(row)]
                for i, row in enumerate(self.rows)]
-        det = _poly_det(mat, zero)
-        while det and not det[-1]:
-            det.pop()
-        return tuple(det)
+        return _poly_det(mat).coeffs
 
     def __str__(self):
         return "[" + ", ".join(
@@ -334,131 +332,132 @@ class CyclotomicMatrix:
     __repr__ = __str__
 
 
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse() if isinstance(rows[rank][col], CyclotomicNumber) \
-            else 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _cpoly_mul(a, b, zero):
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_det(mat, zero):
-    """Cofactor determinant of a matrix of coefficient-list polynomials."""
+def _poly_det(mat):
+    """Cofactor determinant of a matrix of Polys."""
     n = len(mat)
     if n == 1:
-        return list(mat[0][0])
-    acc = None
+        return mat[0][0]
+    acc = Poly()
     for j in range(n):
         entry = mat[0][j]
-        if not any(entry):
+        if not entry:
             continue
         minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        term = _cpoly_mul(entry, _poly_det(minor, zero), zero)
-        if j % 2:
-            term = [-x for x in term]
-        if acc is None:
-            acc = term
-        else:
-            if len(acc) < len(term):
-                acc, term = term, acc
-            acc = [a + b for a, b in zip(acc, term)] + acc[len(term):]
-    return acc if acc is not None else [zero]
+        term = entry * _poly_det(minor)
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+def _coeffs(p):
+    return p.coeffs if isinstance(p, Poly) else p
+
+
+def _order_of(*polys):
+    """lcm of the orders of the cyclotomic coefficients (1 if there are none)."""
+    order = 1
+    for p in polys:
+        for c in _coeffs(p):
+            if isinstance(c, CyclotomicNumber):
+                order = order * c.order // gcd(order, c.order)
+    return order
+
+
+def _field_poly(coeffs, order):
+    """A Poly over Q(zeta_order) from ints, Fractions or cyclotomic numbers."""
+    return Poly([c.lift(order) if isinstance(c, CyclotomicNumber)
+                 else CyclotomicNumber.from_rational(_as_fraction(c), order)
+                 for c in _coeffs(coeffs)])
+
+
+def _common_order(a, b):
+    m = a.order * b.order // gcd(a.order, b.order)
+    return a.lift(m), b.lift(m), m
+
+
+def _unit_constant(num, den, order):
+    """Scale num and den by one constant so that den(0) = 1."""
+    d0 = den.constant_term
+    if not d0:
+        raise ValueError("denominator must be invertible at t = 0")
+    if d0 == cyclo_one(order):
+        return num, den
+    inv = d0.inverse()
+    return num * inv, den * inv
+
+
+def _reduced(num, den, order):
+    """Cancel gcd(num, den) and scale so that den(0) = 1."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return num, Poly((cyclo_one(order),))
+    g = monic_gcd(num, den)
+    if g.degree:
+        num, den = num.exact_div(g), den.exact_div(g)
+    return _unit_constant(num, den, order)
 
 
 class FieldFraction:
-    """num/den pair of t-polynomials with cyclotomic coefficients, den(0) = 1."""
+    """Rational function in t over Q(zeta_order), as Polys num/den with
+    gcd(num, den) = 1 and den(0) = 1.
+
+    That reduced form is unique, so two values of one order are equal
+    exactly when their fields are, and equal values hash alike.  Hashes are
+    not comparable across orders.
+    """
 
     __slots__ = ("order", "num", "den")
 
     def __init__(self, num, den, order=None):
-        num = list(num)
-        den = list(den)
-        orders = {c.order for c in num + den if isinstance(c, CyclotomicNumber)}
         if order is None:
-            order = 1
-            for o in orders:
-                order = order * o // gcd(order, o)
-        num = [self._lift_coeff(c, order) for c in num]
-        den = [self._lift_coeff(c, order) for c in den]
-        while num and not num[-1]:
-            num.pop()
-        while den and not den[-1]:
-            den.pop()
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not den[0] == CyclotomicNumber.from_rational(1, order):
-            if not den[0]:
-                raise ValueError("denominator must be invertible at t = 0")
-            inv = den[0].inverse()
-            num = [c * inv for c in num]
-            den = [c * inv for c in den]
+            order = _order_of(num, den)
+        self._assign(*_reduced(_field_poly(num, order), _field_poly(den, order),
+                               order), order)
+
+    def _assign(self, num, den, order):
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
+    def _wrap(cls, num, den, order):
+        """A value whose num/den are already coprime with den(0) = 1."""
+        return object.__new__(cls)._assign(num, den, order)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldFraction is immutable")
 
-    @staticmethod
-    def _lift_coeff(c, order):
-        if not isinstance(c, CyclotomicNumber):
-            c = CyclotomicNumber.from_rational(_as_fraction(c), 1)
-        return c.lift(order)
-
     @classmethod
     def from_rational_function(cls, f, order=1):
-        return cls(list(f.num.coeffs), list(f.den.coeffs), order)
+        # coprime over Q stays coprime over any extension field
+        return cls._wrap(_field_poly(f.num, order), _field_poly(f.den, order),
+                         order)
 
     @classmethod
     def reciprocal(cls, den_coeffs, order=None):
-        return cls([1], den_coeffs, order)
+        """1/den: already coprime, so only den(0) = 1 needs arranging."""
+        if order is None:
+            order = _order_of(den_coeffs)
+        den = _field_poly(den_coeffs, order)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        return cls._wrap(*_unit_constant(Poly((cyclo_one(order),)), den, order),
+                         order)
 
     def lift(self, order):
         if order == self.order:
             return self
-        return FieldFraction(self.num, self.den, order)
+        return FieldFraction._wrap(_field_poly(self.num, order),
+                                   _field_poly(self.den, order), order)
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
             other = FieldFraction.from_rational_function(other, self.order)
         if not isinstance(other, FieldFraction):
             return NotImplemented
-        left = _cpoly_mul(list(self.num), list(other.den), cyclo_zero(1)) \
-            if self.num and other.den else []
-        right = _cpoly_mul(list(other.num), list(self.den), cyclo_zero(1)) \
-            if other.num and self.den else []
-        while left and not left[-1]:
-            left.pop()
-        while right and not right[-1]:
-            right.pop()
-        if len(left) != len(right):
-            return False
-        return all(a == b for a, b in zip(left, right))
+        a, b, _ = _common_order(self, other)
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -475,23 +474,14 @@ class FieldFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self, other
-        m = a.order * b.order // gcd(a.order, b.order)
-        a, b = a.lift(m), b.lift(m)
-        zero = cyclo_zero(m)
-        num1 = _cpoly_mul(list(a.num), list(b.den), zero) if a.num else []
-        num2 = _cpoly_mul(list(b.num), list(a.den), zero) if b.num else []
-        if len(num1) < len(num2):
-            num1, num2 = num2, num1
-        num = [x + y for x, y in zip(num1, num2)] + num1[len(num2):]
-        den = _cpoly_mul(list(a.den), list(b.den), zero)
-        num, den = _reduce_field_fraction(num, den, m)
-        return FieldFraction(num, den, m)
+        a, b, m = _common_order(self, other)
+        return FieldFraction._wrap(
+            *_reduced(a.num * b.den + b.num * a.den, a.den * b.den, m), m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldFraction([-c for c in self.num], self.den, self.order)
+        return FieldFraction._wrap(-self.num, self.den, self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -506,16 +496,9 @@ class FieldFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self, other
-        m = a.order * b.order // gcd(a.order, b.order)
-        a, b = a.lift(m), b.lift(m)
-        zero = cyclo_zero(m)
-        if not a.num or not b.num:
-            return FieldFraction([], [1], m)
-        num = _cpoly_mul(list(a.num), list(b.num), zero)
-        den = _cpoly_mul(list(a.den), list(b.den), zero)
-        num, den = _reduce_field_fraction(num, den, m)
-        return FieldFraction(num, den, m)
+        a, b, m = _common_order(self, other)
+        return FieldFraction._wrap(
+            *_reduced(a.num * b.num, a.den * b.den, m), m)
 
     __rmul__ = __mul__
 
@@ -525,8 +508,9 @@ class FieldFraction:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero series")
-        flipped = FieldFraction(other.den, other.num, other.order)
-        return self * flipped
+        a, b, m = _common_order(self, other)
+        return FieldFraction._wrap(
+            *_reduced(a.num * b.den, a.den * b.num, m), m)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -536,149 +520,37 @@ class FieldFraction:
 
     def __pow__(self, n):
         if n < 0:
-            return (FieldFraction([1], [1], self.order) / self) ** (-n)
-        result = FieldFraction([1], [1], self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return (1 / self) ** (-n)
+        if n == 0:
+            one = Poly((cyclo_one(self.order),))
+            return FieldFraction._wrap(one, one, self.order)
+        # powers of coprime polynomials stay coprime, and den(0)^n = 1
+        return FieldFraction._wrap(self.num ** n, self.den ** n, self.order)
 
     def scaled(self, q):
-        return FieldFraction([c * q for c in self.num], self.den, self.order)
+        """q * self for a scalar q."""
+        num = self.num * q
+        den = self.den if num else Poly((cyclo_one(self.order),))
+        return FieldFraction._wrap(num, den, self.order)
 
     def expand(self, n):
         """Power-series coefficients 0..n (den(0) = 1 makes this division-free)."""
-        zero = cyclo_zero(self.order)
-        num, den = self.num, self.den
-        out = []
-        for k in range(n + 1):
-            acc = num[k] if k < len(num) else zero
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc = acc - den[j] * out[k - j]
-            out.append(acc)
-        return out
+        return list(expand(self, n))
 
-    @property
-    def num_degree(self):
-        return len(self.num) - 1
-
-    @property
-    def den_degree(self):
-        return len(self.den) - 1
-
-    def pole_order_at_one(self):
-        return _root_multiplicity_at_one(self.den, self.order) - \
-            (_root_multiplicity_at_one(self.num, self.order) if self.num else 0)
+    pole_order_at_one = RationalFunction.pole_order_at_one
 
     def is_rational(self):
-        return all(c.is_rational() for c in self.num + self.den)
+        return all(c.is_rational() for c in self.num.coeffs + self.den.coeffs)
 
     def to_rational_function(self):
         """Exact conversion into the integer canonical form; None if irrational."""
         if not self.is_rational():
             return None
-        return normalize(Poly([c.as_fraction() for c in self.num]),
-                         Poly([c.as_fraction() for c in self.den]))
+        return normalize(Poly([c.as_fraction() for c in self.num.coeffs]),
+                         Poly([c.as_fraction() for c in self.den.coeffs]))
 
-    def __str__(self):
-        return f"({_cpoly_str(self.num)}) / ({_cpoly_str(self.den)})"
-
+    __str__ = RationalFunction.__str__
     __repr__ = __str__
-
-
-def _cpoly_str(coeffs):
-    if not any(coeffs):
-        return "0"
-    parts = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        var = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-        cs = str(c.as_fraction()) if c.is_rational() else f"({c})"
-        parts.append(var if var and cs == "1" else f"{cs}{var}")
-    return " + ".join(parts)
-
-
-def _root_multiplicity_at_one(coeffs, order):
-    zero = cyclo_zero(order)
-    m = 0
-    work = [c.lift(order) for c in coeffs]
-    while work and not sum(work, zero):
-        # p(1) = 0, so divide by (t - 1) synthetically
-        out = []
-        carry = zero
-        for c in reversed(work):
-            carry = carry + c
-            out.append(carry)
-        # out = quotient coefficients descending, then p(1) = 0
-        work = out[:-1][::-1]
-        m += 1
-    return m
-
-
-def _monic_gcd(a, b, order):
-    """Euclidean gcd of coefficient-list polynomials over Q(zeta_order)."""
-    a = [c for c in a]
-    b = [c for c in b]
-    while b and not b[-1]:
-        b.pop()
-    while a and not a[-1]:
-        a.pop()
-    while b:
-        a = _cpoly_mod(a, b, order)
-        a, b = b, a
-        while b and not b[-1]:
-            b.pop()
-    if not a:
-        return [cyclo_one(order)]
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
-def _cpoly_mod(a, b, order):
-    work = list(a)
-    db = len(b) - 1
-    lead_inv = b[-1].inverse()
-    for i in range(len(work) - 1, db - 1, -1):
-        c = work[i] * lead_inv
-        if c:
-            for j in range(db + 1):
-                work[i - db + j] = work[i - db + j] - c * b[j]
-    return work[:db]
-
-
-def _cpoly_exact_div(a, b, order):
-    zero = cyclo_zero(order)
-    work = list(a)
-    db = len(b) - 1
-    lead_inv = b[-1].inverse()
-    quot = [zero] * (len(work) - db)
-    for i in range(len(work) - 1, db - 1, -1):
-        c = work[i] * lead_inv
-        quot[i - db] = c
-        if c:
-            for j in range(db + 1):
-                work[i - db + j] = work[i - db + j] - c * b[j]
-    if any(work[:db]):
-        raise ValueError("division not exact")
-    return quot
-
-
-def _reduce_field_fraction(num, den, order):
-    while num and not num[-1]:
-        num.pop()
-    while den and not den[-1]:
-        den.pop()
-    if not num:
-        return [], den[:1]
-    g = _monic_gcd(list(num), list(den), order)
-    if len(g) > 1:
-        num = _cpoly_exact_div(num, g, order)
-        den = _cpoly_exact_div(den, g, order)
-    return num, den
 
 
 __all__ = [

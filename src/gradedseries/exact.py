@@ -4,8 +4,8 @@ Representation conventions:
 
 * ``Poly``: dense coefficient tuple, ``coeffs[k]`` is the coefficient of
   ``t^k``.  Trailing zeros are stripped; the zero polynomial has ``coeffs
-  == ()``.  Coefficients are Python ints or ``Fraction``s, so everything
-  stays exact.
+  == ()``.  Coefficients lie in one exact field: Python ints and
+  ``Fraction``s, or ``CyclotomicNumber``s of one fixed order.
 * ``RationalFunction``: pair ``num/den`` of integer-coefficient ``Poly``s
   with ``gcd(num, den) = 1`` and ``den(0) = 1``.  Every Hilbert-type series
   of a connected graded algebra has this shape (``H(0) = 1`` pins the
@@ -18,7 +18,9 @@ All values are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as _int_gcd
 
 
@@ -50,6 +52,18 @@ def _simplify(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _zero_like(c):
+    # accumulating from the int 0 would lift every cyclotomic term across orders
+    return c - c
+
+
+def scalar_inverse(x):
+    """1/x for a nonzero int, Fraction or CyclotomicNumber."""
+    if isinstance(x, (int, Fraction)):
+        return _simplify(Fraction(1) / x)
+    return x.inverse()
 
 
 class Poly:
@@ -124,13 +138,13 @@ class Poly:
         return Poly((other,)) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
-            return NotImplemented
+            # a scalar of the coefficient field
+            return Poly(tuple(c * other if c else c for c in self.coeffs))
         if not self or not other:
             return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        out = [_zero_like(other.leading)] * size
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -143,14 +157,15 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly((1,))
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Poly((1,)) if result is None else result
 
     def __call__(self, x):
         acc = 0
@@ -161,16 +176,17 @@ class Poly:
     def __divmod__(self, other):
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
+        rem = list(self.coeffs)
         d = other.degree
-        lc = Fraction(other.leading)
-        quot = [Fraction(0)] * max(0, len(rem) - d)
+        inv = scalar_inverse(other.leading)
+        quot = [_zero_like(other.leading)] * max(0, len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lc
+            c = rem[i] * inv
             if c:
                 quot[i - d] = c
                 for j, oc in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * oc
+                    if oc:
+                        rem[i - d + j] -= c * oc
         return Poly(quot), Poly(rem[:d])
 
     def __floordiv__(self, other):
@@ -184,6 +200,9 @@ class Poly:
         if r:
             raise ValueError("division is not exact")
         return q
+
+    def monic(self):
+        return self * scalar_inverse(self.leading)
 
     def scaled_down(self, c):
         """Divide every coefficient by the integer c; must be exact."""
@@ -264,6 +283,11 @@ def poly_to_str(p, var="t"):
         if not c:
             continue
         var_part = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+        if not isinstance(c, (int, Fraction)):
+            if not c.is_rational():
+                parts.append((" + " if parts else "") + f"({c}){var_part}")
+                continue
+            c = _simplify(c.as_fraction())
         neg = c < 0
         mag = -c if neg else c
         if var_part and mag == 1:
@@ -320,16 +344,26 @@ def poly_gcd(a, b):
     # not reached
 
 
+def monic_gcd(a, b):
+    """Monic gcd over a field (the rationals or one cyclotomic field), by Euclid."""
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
 def multiplicity_at_one(p):
-    """Multiplicity of the root t = 1."""
+    """Multiplicity of the root t = 1, by synthetic division by t - 1."""
     if not p:
         raise ValueError("zero polynomial")
+    coeffs = p.coeffs
     m = 0
-    lin = Poly((-1, 1))
-    while p(1) == 0:
-        p = p.exact_div(lin)
+    while True:
+        # running sums from the top: the last is p(1), the rest the quotient
+        sums = list(accumulate(reversed(coeffs)))
+        if sums[-1]:
+            return m
+        coeffs = sums[-2::-1]
         m += 1
-    return m
 
 
 class RationalFunction:
@@ -531,43 +565,72 @@ class Series:
 
 
 def expand(f, n):
-    """Coefficients 0..n of the power-series expansion of f at t = 0."""
+    """Coefficients 0..n of the power-series expansion of f at t = 0.
+
+    f is a RationalFunction or a FieldFraction: any num/den pair of Polys
+    with den(0) = 1, so the recursion needs no division.
+    """
     num, den = f.num.coeffs, f.den.coeffs
-    out = [0] * (n + 1)
+    zero = _zero_like(den[0])
+    out = []
     for k in range(n + 1):
-        acc = num[k] if k < len(num) else 0
+        acc = num[k] if k < len(num) else zero
         for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc  # den(0) = 1, so no division
+            if den[j]:
+                acc = acc - den[j] * out[k - j]
+        out.append(acc)
     return Series(out)
 
 
+def _reduce_vec(rows, pivots, vec):
+    """vec minus its components along the reduced rows."""
+    vec = list(vec)
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if c:
+            for k, x in enumerate(row):
+                if x:
+                    vec[k] = vec[k] - c * x
+    return vec
+
+
+def _rref_add(rows, pivots, vec):
+    """Incremental Gauss-Jordan over any exact field.
+
+    rows is a reduced row echelon form with pivot columns pivots (ascending).
+    vec is reduced against it; a nonzero residual is scaled to pivot 1,
+    cleared from the other rows and inserted in pivot order.  Returns the
+    residual, or None when vec lies in the row span.
+    """
+    vec = _reduce_vec(rows, pivots, vec)
+    piv = next((k for k, c in enumerate(vec) if c), None)
+    if piv is None:
+        return None
+    inv = scalar_inverse(vec[piv])
+    vec = [c * inv if c else c for c in vec]
+    for row in rows:
+        c = row[piv]
+        if c:
+            for k, x in enumerate(vec):
+                if x:
+                    row[k] = row[k] - c * x
+    at = bisect(pivots, piv)
+    rows.insert(at, vec)
+    pivots.insert(at, piv)
+    return vec
+
+
 def _solve_linear(rows, rhs):
-    """Exact Gaussian elimination; returns a particular solution or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][n]:
-            return None  # inconsistent
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
+    """A particular solution of rows * x = rhs (free unknowns 0), or None."""
+    n = len(rows[0])
+    reduced, pivots = [], []
+    for row, r in zip(rows, rhs):
+        _rref_add(reduced, pivots, list(row) + [r])
+    if pivots and pivots[-1] == n:
+        return None  # inconsistent
+    sol = [0] * n
+    for row, p in zip(reduced, pivots):
+        sol[p] = row[n]
     return sol
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
-from .exact import RationalFunction
+from .exact import scalar_inverse
 
 
 class CapExceededError(RuntimeError):
@@ -218,9 +218,8 @@ def molien(group, assignment):
         field_order = field_order * o // gcd(field_order, o)
     counts = {}
     for t in assignment.traces:
-        f = t if isinstance(t, FieldFraction) else \
-            FieldFraction.from_rational_function(t, 1)
-        f = f.lift(field_order)
+        f = t.lift(field_order) if isinstance(t, FieldFraction) else \
+            FieldFraction.from_rational_function(t, field_order)
         counts[f] = counts.get(f, 0) + 1
     total = None
     for f, k in counts.items():
@@ -240,20 +239,11 @@ def hdet(trace, gl_dim, as_index):
     The leading behaviour of the trace there is (-1)^n h^{-1} t^{-l}; the
     vanishing order must match the stated index l.
     """
-    if isinstance(trace, RationalFunction):
-        num_deg, den_deg = trace.num.degree, trace.den.degree
-        lead_num, lead_den = trace.num.leading, trace.den.leading
-    else:
-        num_deg, den_deg = trace.num_degree, trace.den_degree
-        lead_num, lead_den = trace.num[-1], trace.den[-1]
-    if den_deg - num_deg != as_index:
+    order = trace.den.degree - trace.num.degree
+    if order != as_index:
         raise IndexMismatchError(
-            f"trace vanishes to order {den_deg - num_deg} at infinity, "
-            f"not {as_index}")
-    if isinstance(lead_den, CyclotomicNumber):
-        h = lead_den / lead_num
-    else:
-        h = Fraction(lead_den) / Fraction(lead_num)
+            f"trace vanishes to order {order} at infinity, not {as_index}")
+    h = trace.den.leading * scalar_inverse(trace.num.leading)
     if gl_dim % 2:
         h = -h
     if isinstance(h, CyclotomicNumber) and h.is_rational():

@@ -23,6 +23,7 @@ veronese, trace, betti, cyc.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -223,9 +224,18 @@ def _parse_factor(cur, symbols):
         cur.expect_symbol(")")
     else:
         cur.error("expected a number, symbol or parenthesis")
-    if cur.take_symbol("^"):
-        value = value ** cur.expect_int()
+    if cur.at_symbol("^"):
+        op = cur.next()
+        value = _apply(op, operator.pow, value, cur.expect_int())
     return value
+
+
+def _apply(op, fn, left, right):
+    """fn(left, right), with arithmetic failures reported at the operator."""
+    try:
+        return fn(left, right)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise ParseError(str(exc), op.line, op.col) from None
 
 
 def _parse_signed_factor(cur, symbols):
@@ -240,9 +250,10 @@ def _parse_term(cur, symbols):
     value = _parse_signed_factor(cur, symbols)
     while True:
         if cur.at_symbol("*") or cur.at_symbol("/"):
-            op = cur.next().value
+            op = cur.next()
             rhs = _parse_signed_factor(cur, symbols)
-            value = value * rhs if op == "*" else value / rhs
+            value = _apply(op, operator.mul if op.value == "*"
+                           else operator.truediv, value, rhs)
         elif _starts_atom(cur):
             value = value * _parse_factor(cur, symbols)
         else:
@@ -275,12 +286,12 @@ def _to_rational_function(value, where):
 
 
 def _to_scalar(value, where):
-    if value.den_degree != 0 or value.num_degree > 0:
+    if value.den.degree != 0 or value.num.degree > 0:
         raise ParseError("matrix entries must not involve t", where.line,
                          where.col)
     if not value.num:
         return Fraction(0)
-    coeff = value.num[0]
+    coeff = value.num.constant_term
     return coeff.as_fraction() if coeff.is_rational() else coeff
 
 
@@ -305,21 +316,7 @@ def parse_matrix_literal(text, zeta_order=1, line=1):
 
 def _parse_matrix(cur, symbols):
     start = cur.peek()
-    cur.expect_symbol("[")
-    rows = []
-    while True:
-        cur.expect_symbol("[")
-        row = []
-        while True:
-            entry_tok = cur.peek()
-            row.append(_to_scalar(_parse_expr(cur, symbols), entry_tok))
-            if not cur.take_symbol(","):
-                break
-        cur.expect_symbol("]")
-        rows.append(row)
-        if not cur.take_symbol(","):
-            break
-    cur.expect_symbol("]")
+    rows = _parse_scalar_rows(cur, symbols)
     if any(len(r) != len(rows) for r in rows):
         raise ParseError("matrix rows must all have the full dimension",
                          start.line, start.col)
@@ -346,7 +343,7 @@ def _parse_int_list(cur):
     return values
 
 
-def _parse_scalar_matrix(cur, symbols):
+def _parse_scalar_rows(cur, symbols):
     cur.expect_symbol("[")
     rows = []
     while True:
@@ -448,7 +445,7 @@ def _parse_algebra(cur, symbols):
         elif key == "degrees":
             degrees = _parse_int_list(cur)
         elif key == "q":
-            q = _parse_scalar_matrix(cur, symbols)
+            q = _parse_scalar_rows(cur, symbols)
         elif key in ("relations", "normal"):
             if names is None:
                 count = len(degrees) if degrees else (len(q) if q else None)
@@ -530,6 +527,8 @@ def _parse_task_value(cur):
         values = []
         while not cur.at_symbol("]"):
             inner = cur.peek()
+            if inner is None:
+                cur.error("expected ']' to close the list")
             if inner.kind == "int" or (inner.kind == "sym" and inner.value == "-"):
                 values.append(cur.expect_int())
             elif inner.kind == "ident":
@@ -653,14 +652,6 @@ def parse_scenario(text):
 
 # -------------------------------------------------------------------- runner
 
-def _series_str(f):
-    return str(f)
-
-
-def _fraction_str(x):
-    return str(x)
-
-
 class _Runner:
     def __init__(self, scenario):
         self.scenario = scenario
@@ -783,7 +774,7 @@ class _Runner:
         group = self.lookup(args["group"], "group")
         assignment = self.assignment_for(args, group)
         series = molien(group, assignment)
-        return {"series": _series_str(series), "group_order": group.order}
+        return {"series": str(series), "group_order": group.order}
 
     def run_classify(self, args):
         if "series" in args:
@@ -814,8 +805,8 @@ class _Runner:
         section = veronese_section(f, r, args.get("num_bound"),
                                    args.get("den_bound"))
         return {
-            "section": _series_str(section),
-            "ambient_section": _series_str(section.inflated(r)),
+            "section": str(section),
+            "ambient_section": str(section.inflated(r)),
             "cyclotomic": is_cyclotomic(section),
         }
 
@@ -833,12 +824,12 @@ class _Runner:
         result = {
             "coefficients": [c if isinstance(c, int) else str(c)
                              for c in series],
-            "closed_form": _series_str(closed),
+            "closed_form": str(closed),
             "pole_order": pole.pole_order,
             "verdict": pole.verdict,
         }
         index = args.get("index", presentation.ngens)
-        result["hdet"] = _fraction_str(hdet(closed, gk, index))
+        result["hdet"] = str(hdet(closed, gk, index))
         return result
 
     def run_betti(self, args):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -136,3 +137,26 @@ class TestFieldFraction:
     def test_irrational_detected(self):
         g = FieldFraction.reciprocal([cyclo_one(3), -z3])
         assert g.to_rational_function() is None
+
+    def test_equal_values_hash_alike(self):
+        # p*g / (q*g) must reduce to p/q, over Q and over Q(zeta_3)
+        rng = random.Random(7)
+        for order, scalars in ((1, [Fraction(c) for c in range(-3, 4)]),
+                               (3, [a + b * z3 for a in range(-2, 3)
+                                    for b in range(-2, 3)])):
+            for _ in range(25):
+                p = Poly([rng.choice(scalars) for _ in range(rng.randint(1, 4))])
+                q = Poly([1] + [rng.choice(scalars)
+                                for _ in range(rng.randint(0, 3))])
+                g = Poly([rng.choice(scalars) for _ in range(rng.randint(1, 3))])
+                if not p or not g:
+                    continue
+                reduced = FieldFraction(p, q, order)
+                bloated = FieldFraction(p * g, q * g, order)
+                assert bloated == reduced
+                assert hash(bloated) == hash(reduced)
+        for a, b in ((FieldFraction([1, 1], [1, 0, -1]),
+                      FieldFraction([1], [1, -1])),
+                     (FieldFraction([1, 1], P(1, 1) * P(1, -z3)),
+                      FieldFraction([1], [1, -z3]))):
+            assert a == b and hash(a) == hash(b)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from gradedseries.scenario import (
     parse_series_literal,
     run_scenario,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestSeriesLiterals:
@@ -109,6 +112,10 @@ class TestRunScenarios:
         scenario = parse_scenario(gs.load_bundled_scenario(name))
         reports, passed = run_scenario(scenario)
         assert passed, [r.get("failures") for r in reports if r.get("failures")]
+        # the `run --json` payload, byte for byte as recorded in tests/golden
+        payload = json.dumps({"scenario": scenario.name, "reports": reports},
+                             indent=2) + "\n"
+        assert payload == (GOLDEN / name.replace(".scn", ".json")).read_text()
 
     def test_deterministic_reports(self):
         scenario_text = gs.load_bundled_scenario("mystic_bireflection.scn")
@@ -143,6 +150,20 @@ class TestCli:
         path.write_text("let = matrix [[1]]\n")
         assert main(["run", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where", [
+        ("task closure generators=[g1,\n", "line 1, col 28"),
+        ("let H = series 1/0\n", "line 1, col 17"),
+    ])
+    def test_malformed_input_is_a_located_input_error(self, tmp_path, capsys,
+                                                       text, where):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == 1 and err.value.col is not None
+        path = tmp_path / "broken.scn"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert where in capsys.readouterr().err
 
     def test_classify_json(self, capsys):
         assert main(["classify", "(1+t)^3/(1-t)^4", "--json"]) == 0
