@@ -1,7 +1,11 @@
 """Command-line front end.
 
-Subcommands mirror the scenario task kinds; ``run`` executes a scenario file
-and exits 1 when an embedded expected result fails, 2 on input errors.
+Every subcommand but ``run`` is a short scenario: it binds its ``--matrix``
+and ``--algebra`` literals, runs one task (``molien`` and ``subgroups`` run a
+``closure`` first) through ``run_scenario`` and prints that task's report,
+so its output keys are those of the same-named scenario task.  ``run``
+executes a scenario file.  Exit codes: 0 ok, 1 an embedded expected result
+failed (``run``), 2 bad input.
 """
 
 from __future__ import annotations
@@ -10,28 +14,14 @@ import argparse
 import json
 import sys
 
-from .cyclotomic import cyc_number, gorenstein_symmetry, is_cyclotomic
-from .exact import NonUnitConstantError
-from .groups import (
-    CapExceededError,
-    assign_charpoly_traces,
-    classical_bireflection_rank,
-    closure,
-    molien,
-    subgroups,
-)
-from .hilbert import veronese_section
-from .reports import classify_series, report_payload
 from .scenario import (
-    ParseError,
+    Lit,
     Ref,
     Scenario,
     ScenarioExecutionError,
-    UndeclaredInputError,
-    _Runner,
+    Task,
     parse_matrix_literal,
     parse_scenario,
-    parse_series_literal,
     run_scenario,
 )
 
@@ -74,111 +64,64 @@ def _flat(v):
     return v
 
 
-def _series_arg(text, zeta_order):
-    return parse_series_literal(text, zeta_order)
-
-
-def _matrices_arg(texts, zeta_order):
-    return [parse_matrix_literal(m, zeta_order) for m in texts]
-
-
 def _algebra_arg(text):
     scenario = parse_scenario(f"let A = algebra {text}\n")
     return scenario.bindings["A"][1]
 
 
-def _scenario_with(bindings, zeta_order):
-    scenario = Scenario(zeta_order=zeta_order)
-    scenario.bindings.update(bindings)
-    return scenario
+def _matrix_arg(text, args):
+    return ("matrix", parse_matrix_literal(text, args.zeta_order))
 
 
-def cmd_classify(args):
-    f = _series_arg(args.series, args.zeta_order)
-    payload = report_payload(classify_series(f))
-    _emit(payload, args.json)
-    return EXIT_OK
+def _given(**task_args):
+    """Task args without the unset options, so the runner's defaults apply."""
+    return {k: v for k, v in task_args.items() if v is not None}
 
 
-def cmd_cyc(args):
-    f = _series_arg(args.series, args.zeta_order)
-    got = cyc_number(f)
-    if got is None:
-        payload = {"cyc_number": None, "profile": None}
-    else:
-        m, profile = got
-        payload = {"cyc_number": m,
-                   "profile": {str(a): e for a, e in sorted(profile.factors.items())}}
-    payload["cyclotomic"] = is_cyclotomic(f)
-    payload["gorenstein_symmetric"] = gorenstein_symmetry(f).symmetric
-    _emit(payload, args.json)
-    return EXIT_OK
+def _on_series(args):
+    return {}, [Task(args.command, {"series": Lit(args.series, 1)})]
 
 
-def cmd_veronese(args):
-    f = _series_arg(args.series, args.zeta_order)
-    section = veronese_section(f, args.stride, args.num_bound, args.den_bound)
-    payload = {
-        "stride": args.stride,
-        "section": str(section),
-        "ambient_section": str(section.inflated(args.stride)),
-        "cyclotomic": is_cyclotomic(section),
-    }
-    _emit(payload, args.json)
-    return EXIT_OK
+def _veronese(args):
+    return {}, [Task("veronese", _given(
+        series=Lit(args.series, 1), r=args.stride,
+        num_bound=args.num_bound, den_bound=args.den_bound))]
 
 
-def cmd_molien(args):
-    gens = _matrices_arg(args.matrix, args.zeta_order)
-    group = closure(gens, cap=args.cap, order=args.zeta_order)
-    series = molien(group, assign_charpoly_traces(group))
-    payload = report_payload(classify_series(series))
-    payload["group_order"] = group.order
-    _emit(payload, args.json)
-    return EXIT_OK
+def _on_group(args):
+    bindings = {f"g{i}": _matrix_arg(text, args)
+                for i, text in enumerate(args.matrix, start=1)}
+    closure = _given(name=Ref("G"), generators=[Ref(n) for n in bindings],
+                     cap=args.cap)
+    return bindings, [Task("closure", closure),
+                      Task(args.command, {"group": Ref("G")})]
 
 
-def cmd_subgroups(args):
-    gens = _matrices_arg(args.matrix, args.zeta_order)
-    group = closure(gens, cap=args.cap, order=args.zeta_order)
-    subs = subgroups(group)
-    payload = {
-        "group_order": group.order,
-        "count": len(subs),
-        "orders": sorted(s.order for s in subs),
-    }
-    _emit(payload, args.json)
-    return EXIT_OK
+def _bireflection(args):
+    return ({"g": _matrix_arg(args.matrix, args)},
+            [Task("bireflection", {"matrix": Ref("g")})])
 
 
-def cmd_bireflection(args):
-    [g] = _matrices_arg([args.matrix], args.zeta_order)
-    rank, verdict = classical_bireflection_rank(g)
-    _emit({"rank": rank, "classical_bireflection": verdict}, args.json)
-    return EXIT_OK
+def _trace(args):
+    bindings = {"A": ("algebra", _algebra_arg(args.algebra)),
+                "g": _matrix_arg(args.matrix, args)}
+    return bindings, [Task("trace", _given(
+        algebra=Ref("A"), matrix=Ref("g"), truncation=args.truncation,
+        num_bound=args.num_bound, den_bound=args.den_bound))]
 
 
-def cmd_trace(args):
-    runner = _Runner(_scenario_with({
-        "A": ("algebra", _algebra_arg(args.algebra)),
-        "g": ("matrix", parse_matrix_literal(args.matrix, args.zeta_order)),
-    }, args.zeta_order))
-    task_args = {"algebra": Ref("A"), "matrix": Ref("g"),
-                 "truncation": args.truncation}
-    if args.num_bound is not None:
-        task_args["num_bound"] = args.num_bound
-    if args.den_bound is not None:
-        task_args["den_bound"] = args.den_bound
-    payload = runner.run_trace(task_args)
-    _emit(payload, args.json)
-    return EXIT_OK
+def _betti(args):
+    bindings = {"A": ("algebra", _algebra_arg(args.algebra))}
+    return bindings, [Task("betti", _given(algebra=Ref("A"),
+                                           truncation=args.truncation))]
 
 
-def cmd_betti(args):
-    runner = _Runner(_scenario_with(
-        {"A": ("algebra", _algebra_arg(args.algebra))}, args.zeta_order))
-    payload = runner.run_betti({"algebra": Ref("A"),
-                                "truncation": args.truncation})
+def cmd_task(args):
+    bindings, tasks = args.tasks(args)
+    reports, _ = run_scenario(Scenario(zeta_order=args.zeta_order,
+                                       bindings=bindings, tasks=tasks))
+    payload = {k: v for k, v in reports[-1].items()
+               if k not in ("task", "line", "passed")}
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -209,12 +152,12 @@ def build_parser():
     p = sub.add_parser("classify", help="cyclotomic/Gorenstein verdicts of a series")
     p.add_argument("series")
     common(p)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_task, tasks=_on_series)
 
     p = sub.add_parser("cyc", help="minimal binomial numerator count")
     p.add_argument("series")
     common(p)
-    p.set_defaults(func=cmd_cyc)
+    p.set_defaults(func=cmd_task, tasks=_on_series)
 
     p = sub.add_parser("veronese", help="closed form of the r-section")
     p.add_argument("series")
@@ -222,25 +165,25 @@ def build_parser():
     p.add_argument("--num-bound", type=int, default=None)
     p.add_argument("--den-bound", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_veronese)
+    p.set_defaults(func=cmd_task, tasks=_veronese)
 
     p = sub.add_parser("molien", help="invariant Hilbert series of a matrix group")
     p.add_argument("--matrix", action="append", required=True,
                    help="generator, e.g. '[[0,z,0],[0,0,z^2],[1,0,0]]'")
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--cap", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_molien)
+    p.set_defaults(func=cmd_task, tasks=_on_group)
 
     p = sub.add_parser("subgroups", help="subgroup inventory of a small group")
     p.add_argument("--matrix", action="append", required=True)
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--cap", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_subgroups)
+    p.set_defaults(func=cmd_task, tasks=_on_group)
 
     p = sub.add_parser("bireflection", help="rank(g - I) test")
     p.add_argument("--matrix", required=True)
     common(p)
-    p.set_defaults(func=cmd_bireflection)
+    p.set_defaults(func=cmd_task, tasks=_bireflection)
 
     p = sub.add_parser("trace", help="brute-force trace series of a matrix action")
     p.add_argument("--algebra", required=True,
@@ -248,17 +191,17 @@ def build_parser():
                         "'{ kind: quantum_affine, degrees: [1,1,1], "
                         "q: [[1,-1,-1],[-1,1,-1],[-1,-1,1]] }'")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--truncation", type=int, default=12)
+    p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--num-bound", type=int, default=None)
     p.add_argument("--den-bound", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func=cmd_task, tasks=_trace)
 
     p = sub.add_parser("betti", help="minimal free resolution Betti numbers")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--truncation", type=int, default=8)
+    p.add_argument("--truncation", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_betti)
+    p.set_defaults(func=cmd_task, tasks=_betti)
 
     p = sub.add_parser("run", help="execute a scenario file")
     p.add_argument("scenario")
@@ -273,9 +216,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UndeclaredInputError, ScenarioExecutionError,
-            NonUnitConstantError, CapExceededError, FileNotFoundError,
-            ValueError) as exc:
+    except (ValueError, ScenarioExecutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

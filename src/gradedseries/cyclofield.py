@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import cyclotomic_polynomial, euler_phi
+from .cyclotomic import cyclotomic_polynomial
 from .exact import (
     Poly,
     RationalFunction,
@@ -43,7 +43,7 @@ class CyclotomicNumber:
     def __init__(self, order, coords):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
-        if len(self.coords) != euler_phi(order):
+        if len(self.coords) != cyclotomic_polynomial(order).degree:
             raise ValueError("coordinate length must be phi(order)")
 
     def __setattr__(self, name, value):
@@ -51,7 +51,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q, order=1):
-        coords = [Fraction(q)] + [Fraction(0)] * (euler_phi(order) - 1)
+        coords = [Fraction(q)] + [Fraction(0)] * (cyclotomic_polynomial(order).degree - 1)
         return cls(order, coords)
 
     @classmethod
@@ -149,7 +149,7 @@ class CyclotomicNumber:
         if r0.degree != 0:
             raise ArithmeticError("Phi_n is squarefree; gcd must be constant")
         s0 = s0 * inv_lead
-        coords = list(s0.coeffs) + [Fraction(0)] * (euler_phi(self.order) - len(s0.coeffs))
+        coords = list(s0.coeffs) + [Fraction(0)] * (phi.degree - len(s0.coeffs))
         return CyclotomicNumber(self.order, _reduce_mod_phi(coords, self.order))
 
     def __truediv__(self, other):

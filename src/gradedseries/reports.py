@@ -69,16 +69,17 @@ def classify_group(group, assignment, gk_dim):
 
 
 def report_payload(report):
-    """Orderly JSON-ready dict; polynomial strings are canonical."""
+    """Orderly JSON-ready dict in the ``classify`` task's key schema;
+    polynomial strings are canonical."""
     payload = {
-        "hilbert_series": str(report.hilbert_series),
+        "series": str(report.hilbert_series),
         "cyclotomic": report.is_cyclotomic,
-        "gorenstein_symmetric": report.gorenstein_symmetric,
+        "gorenstein": report.gorenstein_symmetric,
         "cyclotomic_gorenstein": report.cyclotomic_gorenstein,
-        "cyc_number": report.cyc_number,
+        "cyc": report.cyc_number,
         "cyc_profile": {str(a): e for a, e in sorted(report.cyc_profile.items())}
         if report.cyc_profile is not None else None,
-        "quasi_bireflection_generation": report.qb_generated,
+        "qb_generated": report.qb_generated,
     }
     if report.qb_generated != NOT_APPLICABLE:
         payload["qb_witnesses"] = list(report.qb_witnesses)

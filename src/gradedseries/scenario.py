@@ -18,7 +18,7 @@ available once ``zeta_order`` is set), ``+ - * / ^`` and parentheses, with
 juxtaposition as multiplication: ``(1-t^6)/((1-t)(1-t^2)(1-t^3)^2)``.
 Task values are integers, booleans, identifiers, quoted expression strings,
 or bracketed lists.  Task kinds: closure, subgroups, molien, classify,
-veronese, trace, betti, cyc.
+veronese, trace, betti, cyc, bireflection.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ from .algebras import (
 )
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
 from .cyclotomic import cyc_number, is_cyclotomic
-from .exact import reconstruct
+from .exact import NonUnitConstantError, reconstruct
 from .groups import (
     PROVENANCE_BRUTE_FORCE,
     TraceAssignment,
     assign_charpoly_traces,
+    classical_bireflection_rank,
     classify_pole,
     closure,
     hdet,
@@ -79,7 +80,7 @@ Lit = namedtuple("Lit", "text line")
 _SYMBOLS = set("[]{}(),=:^+-*/")
 
 TASK_KINDS = ("closure", "subgroups", "molien", "classify", "veronese",
-              "trace", "betti", "cyc")
+              "trace", "betti", "cyc", "bireflection")
 
 
 def _scan_line(raw, line_no):
@@ -278,7 +279,10 @@ def _expression_symbols(zeta_order):
 
 
 def _to_rational_function(value, where):
-    f = value.to_rational_function()
+    try:
+        f = value.to_rational_function()
+    except NonUnitConstantError as exc:
+        raise ParseError(str(exc), where.line, where.col) from None
     if f is None:
         raise ParseError("series coefficients must be rational", where.line,
                          where.col)
@@ -297,13 +301,11 @@ def _to_scalar(value, where):
 
 def parse_series_literal(text, zeta_order=1, line=1):
     cur = _Cursor(_scan_line(text, line))
+    start = cur.peek()
     value = _parse_expr(cur, _expression_symbols(zeta_order))
     if not cur.done():
         cur.error("trailing input after the expression")
-    rational = value.to_rational_function()
-    if rational is None:
-        raise ParseError("series coefficients must be rational", line, 1)
-    return rational
+    return _to_rational_function(value, start)
 
 
 def parse_matrix_literal(text, zeta_order=1, line=1):
@@ -494,8 +496,8 @@ def _parse_algebra(cur, symbols):
 class Task:
     kind: str
     args: dict
-    expect: dict
-    line: int
+    expect: dict = field(default_factory=dict)
+    line: int | None = None     # None for a task built outside a file
 
 
 @dataclass
@@ -682,8 +684,9 @@ class _Runner:
             except (ParseError, ScenarioExecutionError):
                 raise
             except Exception as exc:
+                where = f" (line {task.line})" if task.line else ""
                 raise ScenarioExecutionError(
-                    f"task {task.kind!r} (line {task.line}): {exc}") from exc
+                    f"task {task.kind!r}{where}: {exc}") from exc
             report = {"task": task.kind, "line": task.line}
             report.update(result)
             if task.expect:
@@ -757,18 +760,24 @@ class _Runner:
         if mode == "charpoly":
             return assign_charpoly_traces(group)
         if mode == "bruteforce":
-            presentation = self.lookup(args["algebra"], "algebra")
-            cutoff = args.get("truncation", 12)
-            trunc = build_truncation(presentation, cutoff)
-            num_bound = args.get("num_bound", 0)
-            den_bound = args.get("den_bound", presentation.ngens)
-            traces = tuple(
-                reconstruct(brute_force_trace(g, trunc), num_bound, den_bound)
-                for g in group.elements)
+            traces = tuple(closed for _, closed in
+                           self.brute_force_traces(args, group.elements))
             return TraceAssignment(group, traces,
                                    (PROVENANCE_BRUTE_FORCE,) * group.order)
         raise ScenarioExecutionError(
             "traces must be charpoly or bruteforce")
+
+    def brute_force_traces(self, args, matrices):
+        """(series, closed form) of each matrix's trace on the algebra in
+        ``args``, truncated at ``truncation`` and reconstructed within
+        ``num_bound``/``den_bound``."""
+        presentation = self.lookup(args["algebra"], "algebra")
+        trunc = build_truncation(presentation, args.get("truncation", 12))
+        num_bound = args.get("num_bound", 0)
+        den_bound = args.get("den_bound", presentation.ngens)
+        for g in matrices:
+            series = brute_force_trace(g, trunc)
+            yield series, reconstruct(series, num_bound, den_bound)
 
     def run_molien(self, args):
         group = self.lookup(args["group"], "group")
@@ -784,20 +793,7 @@ class _Runner:
             assignment = self.assignment_for(args, group)
             gk = args.get("gk", group.dim)
             report = classify_group(group, assignment, gk)
-        full = report_payload(report)
-        result = {
-            "series": full["hilbert_series"],
-            "cyclotomic": full["cyclotomic"],
-            "gorenstein": full["gorenstein_symmetric"],
-            "cyclotomic_gorenstein": full["cyclotomic_gorenstein"],
-            "cyc": full["cyc_number"],
-            "cyc_profile": full["cyc_profile"],
-            "qb_generated": full["quasi_bireflection_generation"],
-        }
-        if "qb_witnesses" in full:
-            result["qb_witnesses"] = full["qb_witnesses"]
-            result["pole_orders"] = full["pole_orders"]
-        return result
+        return report_payload(report)
 
     def run_veronese(self, args):
         f = self.resolve_series(args["series"])
@@ -813,12 +809,7 @@ class _Runner:
     def run_trace(self, args):
         presentation = self.lookup(args["algebra"], "algebra")
         g = self.lookup(args["matrix"], "matrix")
-        cutoff = args.get("truncation", 12)
-        trunc = build_truncation(presentation, cutoff)
-        series = brute_force_trace(g, trunc)
-        num_bound = args.get("num_bound", 0)
-        den_bound = args.get("den_bound", presentation.ngens)
-        closed = reconstruct(series, num_bound, den_bound)
+        [(series, closed)] = self.brute_force_traces(args, [g])
         gk = args.get("gk", presentation.ngens)
         pole = classify_pole(closed, gk)
         result = {
@@ -861,6 +852,11 @@ class _Runner:
         m, profile = got
         return {"cyc": m,
                 "profile": {str(a): e for a, e in sorted(profile.factors.items())}}
+
+    def run_bireflection(self, args):
+        rank, verdict = classical_bireflection_rank(
+            self.lookup(args["matrix"], "matrix"))
+        return {"rank": rank, "classical_bireflection": verdict}
 
 
 def run_scenario(scenario):

@@ -169,7 +169,7 @@ class TestCli:
         assert main(["classify", "(1+t)^3/(1-t)^4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cyclotomic"] is True
-        assert payload["cyc_number"] == 3
+        assert payload["cyc"] == 3
 
     def test_veronese(self, capsys):
         assert main(["veronese", "1/(1-t)^2", "-r", "3", "--json"]) == 0
@@ -184,7 +184,10 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["group_order"] == 27
-        assert payload["cyclotomic"] is True
+        series = "(1 - t^3 + t^6) / (1 - 3t^3 + 3t^6 - t^9)"
+        assert payload["series"] == series
+        assert main(["classify", series, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cyclotomic"] is True
 
     def test_subgroups_subcommand(self, capsys):
         code = main(["subgroups", "--zeta-order", "3",
@@ -229,10 +232,20 @@ class TestCli:
     def test_cyc_subcommand(self, capsys):
         assert main(["cyc", "1 + 2t + t^2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["cyc_number"] == 2
+        assert payload["cyc"] == 2
         assert payload["profile"] == {"1": -2, "2": 2}
 
     def test_cap_exceeded_is_input_error(self, capsys):
         code = main(["molien", "--zeta-order", "12",
                      "--matrix", "[[z,0],[0,1]]", "--cap", "5"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "."],
+        ["molien", "--matrix", "[[0]]"],
+    ])
+    def test_bad_input_exits_2_with_an_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "(line" not in err
