@@ -20,6 +20,7 @@ from .scenario import (
     Scenario,
     ScenarioExecutionError,
     Task,
+    parse_algebra_literal,
     parse_matrix_literal,
     parse_scenario,
     run_scenario,
@@ -64,9 +65,8 @@ def _flat(v):
     return v
 
 
-def _algebra_arg(text):
-    scenario = parse_scenario(f"let A = algebra {text}\n")
-    return scenario.bindings["A"][1]
+def _algebra_arg(text, args):
+    return ("algebra", parse_algebra_literal(text, args.zeta_order))
 
 
 def _matrix_arg(text, args):
@@ -103,7 +103,7 @@ def _bireflection(args):
 
 
 def _trace(args):
-    bindings = {"A": ("algebra", _algebra_arg(args.algebra)),
+    bindings = {"A": _algebra_arg(args.algebra, args),
                 "g": _matrix_arg(args.matrix, args)}
     return bindings, [Task("trace", _given(
         algebra=Ref("A"), matrix=Ref("g"), truncation=args.truncation,
@@ -111,7 +111,7 @@ def _trace(args):
 
 
 def _betti(args):
-    bindings = {"A": ("algebra", _algebra_arg(args.algebra))}
+    bindings = {"A": _algebra_arg(args.algebra, args)}
     return bindings, [Task("betti", _given(algebra=Ref("A"),
                                            truncation=args.truncation))]
 

@@ -2,23 +2,27 @@
 rational functions with cyclotomic coefficients.
 
 A ``CyclotomicNumber`` of order N is a residue modulo Phi_N in the power
-basis 1, z, ..., z^(phi(N)-1) with Fraction coordinates.  Mixed-order
-arithmetic lifts both operands into Q(zeta_lcm); z_N lifts to z_M^(M/N).
-Group-theoretic code keeps every value in one ambient order so that values
-can serve as dict keys (hashing does not lift).
+basis 1, z, ..., z^(phi(N)-1) with Fraction coordinates.  It is the one
+place where orders meet: a rational operand is taken into the other
+operand's order as it stands, and only two irrational operands of different
+orders are lifted into Q(zeta_lcm), where z_N becomes z_M^(M/N).  A number
+hashes as its normalized trace Tr(x)/phi(N), which lifting leaves unchanged,
+so equal numbers hash alike whatever orders they carry.
 
-``FieldFraction`` is a reduced num/den pair of ``Poly``s in t with
-cyclotomic coefficients, normalized so den(0) = 1; it carries trace series
-such as 1/det(I - t g) whose coefficients are irrational until a Molien sum
-cancels them back into Q.
+``CyclotomicMatrix`` and ``FieldFraction`` (a reduced num/den pair of
+``Poly``s in t, normalized so den(0) = 1) hold numbers of any orders and
+leave every order question to that arithmetic.  A ``FieldFraction`` carries
+trace series such as 1/det(I - t g) whose coefficients are irrational until a
+Molien sum cancels them back into Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
-from .cyclotomic import cyclotomic_polynomial
+from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
 from .exact import (
     Poly,
     RationalFunction,
@@ -87,12 +91,21 @@ class CyclotomicNumber:
         return CyclotomicNumber(order, _reduce_mod_phi(raised, order))
 
     def _pair(self, other):
+        """Both operands in one order, or (None, None) for a foreign type.
+
+        A rational operand takes the other's order; two irrational operands
+        of different orders are lifted into the lcm order.
+        """
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, 1)
+            return self, CyclotomicNumber.from_rational(other, self.order)
         if not isinstance(other, CyclotomicNumber):
             return None, None
         if self.order == other.order:
             return self, other
+        if other.is_rational():
+            return self, CyclotomicNumber.from_rational(other.coords[0], self.order)
+        if self.is_rational():
+            return CyclotomicNumber.from_rational(self.coords[0], other.order), other
         m = self.order * other.order // gcd(self.order, other.order)
         return self.lift(m), other.lift(m)
 
@@ -100,11 +113,7 @@ class CyclotomicNumber:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        n = max(len(a.coords), len(b.coords))
-        return CyclotomicNumber(
-            a.order,
-            [ (a.coords[i] if i < len(a.coords) else 0)
-              + (b.coords[i] if i < len(b.coords) else 0) for i in range(n)])
+        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coords, b.coords)])
 
     __radd__ = __add__
 
@@ -159,7 +168,7 @@ class CyclotomicNumber:
         return a * b.inverse()
 
     def __rtruediv__(self, other):
-        return CyclotomicNumber.from_rational(other, 1) / self
+        return self.inverse() * other
 
     def __pow__(self, n):
         if n < 0:
@@ -180,16 +189,32 @@ class CyclotomicNumber:
         return a.coords == b.coords
 
     def __hash__(self):
-        # hash in the element's own order; keep dict keys within one order
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.order, self.coords))
+        # Tr(x)/phi(N) is unchanged by lifting and equals x for rational x;
+        # it is summed as num/den in ints, which is faster than Fractions
+        weights = _trace_weights(self.order)
+        num, den = 0, 1
+        for c, w in zip(self.coords, weights):
+            if c and w:
+                num = num * c.denominator + c.numerator * w * den
+                den *= c.denominator
+        den *= weights[0]
+        return hash(num // den if num % den == 0 else Fraction(num, den))
 
     def __str__(self):
         return Poly(self.coords).to_str("z") if self else "0"
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {self})"
+
+
+@cache
+def _trace_weights(order):
+    """Tr(z^i) over Q for i < phi(order): the Ramanujan sums c_order(i).
+
+    The first weight, Tr(1), is phi(order).
+    """
+    return tuple(sum(mobius(order // d) * d for d in _divisors(gcd(order, i)))
+                 for i in range(cyclotomic_polynomial(order).degree))
 
 
 def _reduce_mod_phi(coeffs, order):
@@ -216,63 +241,41 @@ def cyclo_zero(order=1):
 
 
 class CyclotomicMatrix:
-    """Square matrix over one cyclotomic field."""
+    """Square matrix with cyclotomic entries; each entry keeps its own order."""
 
-    __slots__ = ("order", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, order=None):
-        entries = []
-        max_order = order or 1
-        for row in rows:
-            out = []
-            for x in row:
-                if not isinstance(x, CyclotomicNumber):
-                    x = CyclotomicNumber.from_rational(_as_fraction(x), 1)
-                out.append(x)
-                max_order = max_order * x.order // gcd(max_order, x.order)
-            entries.append(out)
-        dim = len(entries)
-        if any(len(r) != dim for r in entries):
+    def __init__(self, rows, order=1):
+        """``order`` is the field that int and Fraction entries become."""
+        rows = tuple(
+            tuple(x if isinstance(x, CyclotomicNumber)
+                  else CyclotomicNumber.from_rational(_as_fraction(x), order)
+                  for x in row)
+            for row in rows)
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "order", max_order)
-        object.__setattr__(self, "rows", tuple(
-            tuple(x.lift(max_order) for x in row) for row in entries))
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicMatrix is immutable")
 
     @classmethod
     def identity(cls, dim, order=1):
-        one = cyclo_one(order)
-        zero = cyclo_zero(order)
-        return cls([[one if i == j else zero for j in range(dim)]
-                    for i in range(dim)], order)
+        return cls([[int(i == j) for j in range(dim)] for i in range(dim)], order)
 
     @property
     def dim(self):
         return len(self.rows)
-
-    def lift(self, order):
-        if order == self.order:
-            return self
-        return CyclotomicMatrix(
-            [[x.lift(order) for x in row] for row in self.rows], order)
 
     def __mul__(self, other):
         if not isinstance(other, CyclotomicMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        a, b = self, other
-        if a.order != b.order:
-            m = a.order * b.order // gcd(a.order, b.order)
-            a, b = a.lift(m), b.lift(m)
-        n = a.dim
-        cols = list(zip(*b.rows))
+        cols = list(zip(*other.rows))
         return CyclotomicMatrix(
-            [[sum((x * y for x, y in zip(row, col)),
-                  cyclo_zero(a.order)) for col in cols] for row in a.rows],
-            a.order)
+            [[sum(x * y for x, y in zip(row, col)) for col in cols]
+             for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicMatrix):
@@ -283,43 +286,32 @@ class CyclotomicMatrix:
                    for x, y in zip(r1, r2))
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.rows))
-
-    def is_diagonal(self):
-        return all(not x for i, row in enumerate(self.rows)
-                   for j, x in enumerate(row) if i != j)
+        return hash(self.rows)
 
     def diagonal(self):
         return tuple(row[i] for i, row in enumerate(self.rows))
 
-    def transpose(self):
-        return CyclotomicMatrix(tuple(zip(*self.rows)), self.order)
-
     def inverse(self):
         n = self.dim
-        one = cyclo_one(self.order)
-        zero = cyclo_zero(self.order)
         rows, pivots = [], []
         for i, row in enumerate(self.rows):
-            _rref_add(rows, pivots,
-                      list(row) + [one if i == j else zero for j in range(n)])
+            _rref_add(rows, pivots, list(row) + [int(i == j) for j in range(n)])
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return CyclotomicMatrix([row[n:] for row in rows], self.order)
+        return CyclotomicMatrix([row[n:] for row in rows])
 
     def rank_of_difference_with_identity(self):
         """rank(g - I), the classical (bi)reflection invariant."""
-        one = cyclo_one(self.order)
         rows, pivots = [], []
         for i, row in enumerate(self.rows):
             _rref_add(rows, pivots,
-                      [x - one if i == j else x for j, x in enumerate(row)])
+                      [x - 1 if i == j else x for j, x in enumerate(row)])
         return len(pivots)
 
     def reciprocal_charpoly(self):
         """Coefficients of det(I - t * g), ascending in t."""
-        zero = cyclo_zero(self.order)
-        one = cyclo_one(self.order)
+        zero = cyclo_zero()
+        one = cyclo_one()
         # the polynomial entries of I - t g
         mat = [[Poly((one if i == j else zero, -x)) for j, x in enumerate(row)]
                for i, row in enumerate(self.rows)]
@@ -352,78 +344,60 @@ def _coeffs(p):
     return p.coeffs if isinstance(p, Poly) else p
 
 
-def _order_of(*polys):
-    """lcm of the orders of the cyclotomic coefficients (1 if there are none)."""
-    order = 1
-    for p in polys:
-        for c in _coeffs(p):
-            if isinstance(c, CyclotomicNumber):
-                order = order * c.order // gcd(order, c.order)
-    return order
-
-
-def _field_poly(coeffs, order):
-    """A Poly over Q(zeta_order) from ints, Fractions or cyclotomic numbers."""
-    return Poly([c.lift(order) if isinstance(c, CyclotomicNumber)
+def _field_poly(coeffs, order=1):
+    """A Poly of cyclotomic numbers; ints and Fractions join Q(zeta_order)."""
+    return Poly([c if isinstance(c, CyclotomicNumber)
                  else CyclotomicNumber.from_rational(_as_fraction(c), order)
                  for c in _coeffs(coeffs)])
 
 
-def _common_order(a, b):
-    m = a.order * b.order // gcd(a.order, b.order)
-    return a.lift(m), b.lift(m), m
-
-
-def _unit_constant(num, den, order):
+def _unit_constant(num, den):
     """Scale num and den by one constant so that den(0) = 1."""
     d0 = den.constant_term
     if not d0:
         raise ValueError("denominator must be invertible at t = 0")
-    if d0 == cyclo_one(order):
+    if d0 == 1:
         return num, den
     inv = d0.inverse()
     return num * inv, den * inv
 
 
-def _reduced(num, den, order):
+def _reduced(num, den):
     """Cancel gcd(num, den) and scale so that den(0) = 1."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return num, Poly((cyclo_one(order),))
+        return num, Poly((cyclo_one(),))
     g = monic_gcd(num, den)
     if g.degree:
         num, den = num.exact_div(g), den.exact_div(g)
-    return _unit_constant(num, den, order)
+    return _unit_constant(num, den)
 
 
 class FieldFraction:
-    """Rational function in t over Q(zeta_order), as Polys num/den with
-    gcd(num, den) = 1 and den(0) = 1.
+    """Rational function in t with cyclotomic coefficients, as Polys num/den
+    with gcd(num, den) = 1 and den(0) = 1.
 
-    That reduced form is unique, so two values of one order are equal
-    exactly when their fields are, and equal values hash alike.  Hashes are
-    not comparable across orders.
+    That reduced form is unique, so two values are equal exactly when their
+    coefficients are, whatever orders those carry, and equal values hash
+    alike because equal ``CyclotomicNumber``s do.
     """
 
-    __slots__ = ("order", "num", "den")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den, order=None):
-        if order is None:
-            order = _order_of(num, den)
-        self._assign(*_reduced(_field_poly(num, order), _field_poly(den, order),
-                               order), order)
+    def __init__(self, num, den, order=1):
+        """``order`` is the field that int and Fraction coefficients join."""
+        self._assign(*_reduced(_field_poly(num, order), _field_poly(den, order)))
 
-    def _assign(self, num, den, order):
-        object.__setattr__(self, "order", order)
+    def _assign(self, num, den):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         return self
 
     @classmethod
-    def _wrap(cls, num, den, order):
+    def _wrap(cls, num, den):
         """A value whose num/den are already coprime with den(0) = 1."""
-        return object.__new__(cls)._assign(num, den, order)
+        return object.__new__(cls)._assign(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldFraction is immutable")
@@ -431,33 +405,22 @@ class FieldFraction:
     @classmethod
     def from_rational_function(cls, f, order=1):
         # coprime over Q stays coprime over any extension field
-        return cls._wrap(_field_poly(f.num, order), _field_poly(f.den, order),
-                         order)
+        return cls._wrap(_field_poly(f.num, order), _field_poly(f.den, order))
 
     @classmethod
-    def reciprocal(cls, den_coeffs, order=None):
+    def reciprocal(cls, den_coeffs):
         """1/den: already coprime, so only den(0) = 1 needs arranging."""
-        if order is None:
-            order = _order_of(den_coeffs)
-        den = _field_poly(den_coeffs, order)
+        den = _field_poly(den_coeffs)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        return cls._wrap(*_unit_constant(Poly((cyclo_one(order),)), den, order),
-                         order)
-
-    def lift(self, order):
-        if order == self.order:
-            return self
-        return FieldFraction._wrap(_field_poly(self.num, order),
-                                   _field_poly(self.den, order), order)
+        return cls._wrap(*_unit_constant(Poly((cyclo_one(),)), den))
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
-            other = FieldFraction.from_rational_function(other, self.order)
+            other = FieldFraction.from_rational_function(other)
         if not isinstance(other, FieldFraction):
             return NotImplemented
-        a, b, _ = _common_order(self, other)
-        return a.num == b.num and a.den == b.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -474,14 +437,13 @@ class FieldFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, m = _common_order(self, other)
-        return FieldFraction._wrap(
-            *_reduced(a.num * b.den + b.num * a.den, a.den * b.den, m), m)
+        return FieldFraction._wrap(*_reduced(
+            self.num * other.den + other.num * self.den, self.den * other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldFraction._wrap(-self.num, self.den, self.order)
+        return FieldFraction._wrap(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -496,9 +458,8 @@ class FieldFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, m = _common_order(self, other)
         return FieldFraction._wrap(
-            *_reduced(a.num * b.num, a.den * b.den, m), m)
+            *_reduced(self.num * other.num, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -508,9 +469,8 @@ class FieldFraction:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero series")
-        a, b, m = _common_order(self, other)
         return FieldFraction._wrap(
-            *_reduced(a.num * b.den, a.den * b.num, m), m)
+            *_reduced(self.num * other.den, self.den * other.num))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -522,16 +482,16 @@ class FieldFraction:
         if n < 0:
             return (1 / self) ** (-n)
         if n == 0:
-            one = Poly((cyclo_one(self.order),))
-            return FieldFraction._wrap(one, one, self.order)
+            one = Poly((cyclo_one(),))
+            return FieldFraction._wrap(one, one)
         # powers of coprime polynomials stay coprime, and den(0)^n = 1
-        return FieldFraction._wrap(self.num ** n, self.den ** n, self.order)
+        return FieldFraction._wrap(self.num ** n, self.den ** n)
 
     def scaled(self, q):
         """q * self for a scalar q."""
         num = self.num * q
-        den = self.den if num else Poly((cyclo_one(self.order),))
-        return FieldFraction._wrap(num, den, self.order)
+        den = self.den if num else Poly((cyclo_one(),))
+        return FieldFraction._wrap(num, den)
 
     def expand(self, n):
         """Power-series coefficients 0..n (den(0) = 1 makes this division-free)."""

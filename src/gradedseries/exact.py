@@ -5,7 +5,8 @@ Representation conventions:
 * ``Poly``: dense coefficient tuple, ``coeffs[k]`` is the coefficient of
   ``t^k``.  Trailing zeros are stripped; the zero polynomial has ``coeffs
   == ()``.  Coefficients lie in one exact field: Python ints and
-  ``Fraction``s, or ``CyclotomicNumber``s of one fixed order.
+  ``Fraction``s, or ``CyclotomicNumber``s, which may carry different orders
+  (their own arithmetic reconciles those).
 * ``RationalFunction``: pair ``num/den`` of integer-coefficient ``Poly``s
   with ``gcd(num, den) = 1`` and ``den(0) = 1``.  Every Hilbert-type series
   of a connected graded algebra has this shape (``H(0) = 1`` pins the
@@ -55,7 +56,7 @@ def _simplify(c):
 
 
 def _zero_like(c):
-    # accumulating from the int 0 would lift every cyclotomic term across orders
+    # a zero of c's own type, so a Poly of CyclotomicNumbers holds no int
     return c - c
 
 
@@ -76,10 +77,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
 
     @classmethod
     def monomial(cls, k, c=1):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
 from .exact import scalar_inverse
@@ -72,12 +71,6 @@ class MatrixGroup:
     def index_of(self, matrix):
         return self._index[matrix]
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, matrix):
-        return matrix in self._index
-
     def multiplication_table(self):
         if self._table is None:
             table = tuple(
@@ -112,23 +105,20 @@ def closure(generators, cap=1000, dim=None, order=1):
     """Breadth-first product closure of the generators.
 
     Raises CapExceededError once more than ``cap`` elements appear.  An empty
-    generator list yields the trivial group (``dim`` then required).
+    generator list yields the trivial group (``dim`` then required).  The
+    identity's entries are rationals of Q(zeta_order).
     """
-    generators = list(generators)
-    if not generators:
+    gens = list(generators)
+    if not gens:
         if dim is None:
             raise ValueError("dim is required for an empty generator list")
         return MatrixGroup([CyclotomicMatrix.identity(dim, order)], [])
-    field_order = order
-    for g in generators:
-        field_order = field_order * g.order // gcd(field_order, g.order)
-    gens = [g.lift(field_order) for g in generators]
     dims = {g.dim for g in gens}
     if len(dims) != 1:
         raise ValueError("generators must share a dimension")
     for g in gens:
         g.inverse()  # raises if some generator is singular
-    identity = CyclotomicMatrix.identity(gens[0].dim, field_order)
+    identity = CyclotomicMatrix.identity(gens[0].dim, order)
     elements = [identity]
     seen = {identity}
     frontier = 0
@@ -195,7 +185,7 @@ def reciprocal_charpoly_trace(g):
     """Tr(g, t) = 1/det(I - t g), as a RationalFunction when the coefficients
     are rational and over the cyclotomic field otherwise."""
     den = g.reciprocal_charpoly()
-    frac = FieldFraction.reciprocal(list(den), g.order)
+    frac = FieldFraction.reciprocal(list(den))
     rational = frac.to_rational_function()
     return rational if rational is not None else frac
 
@@ -212,14 +202,10 @@ def molien(group, assignment):
     The sum runs exactly over the cyclotomic field; distinct trace values are
     summed once with multiplicity.  The result must land in Q.
     """
-    field_order = 1
-    for t in assignment.traces:
-        o = t.order if isinstance(t, FieldFraction) else 1
-        field_order = field_order * o // gcd(field_order, o)
     counts = {}
     for t in assignment.traces:
-        f = t.lift(field_order) if isinstance(t, FieldFraction) else \
-            FieldFraction.from_rational_function(t, field_order)
+        f = t if isinstance(t, FieldFraction) else \
+            FieldFraction.from_rational_function(t)
         counts[f] = counts.get(f, 0) + 1
     total = None
     for f, k in counts.items():

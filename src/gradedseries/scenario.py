@@ -299,21 +299,35 @@ def _to_scalar(value, where):
     return coeff.as_fraction() if coeff.is_rational() else coeff
 
 
-def parse_series_literal(text, zeta_order=1, line=1):
+def _parse_literal(what, text, zeta_order, line):
+    """A one-line literal that holds exactly one ``what`` (a key of
+    _VALUE_PARSERS) and nothing after it."""
     cur = _Cursor(_scan_line(text, line))
-    start = cur.peek()
-    value = _parse_expr(cur, _expression_symbols(zeta_order))
+    if cur.done():
+        raise ParseError(f"empty {what} literal", line, 1)
+    value = _VALUE_PARSERS[what](cur, _expression_symbols(zeta_order))
     if not cur.done():
-        cur.error("trailing input after the expression")
-    return _to_rational_function(value, start)
+        cur.error(f"trailing input after the {what}")
+    return value
+
+
+def parse_series_literal(text, zeta_order=1, line=1):
+    return _parse_literal("series", text, zeta_order, line)
 
 
 def parse_matrix_literal(text, zeta_order=1, line=1):
-    cur = _Cursor(_scan_line(text, line))
-    matrix = _parse_matrix(cur, _expression_symbols(zeta_order))
-    if not cur.done():
-        cur.error("trailing input after the matrix")
-    return matrix
+    return _parse_literal("matrix", text, zeta_order, line)
+
+
+def parse_algebra_literal(text, zeta_order=1, line=1):
+    return _parse_literal("algebra", text, zeta_order, line)
+
+
+def _parse_series(cur, symbols):
+    start = cur.peek()
+    if start is None:
+        cur.error("expected a series expression")
+    return _to_rational_function(_parse_expr(cur, symbols), start)
 
 
 def _parse_matrix(cur, symbols):
@@ -490,6 +504,14 @@ def _parse_algebra(cur, symbols):
     raise ParseError(f"unknown algebra kind {kind!r}", start.line, start.col)
 
 
+# the values a ``let`` statement or a CLI literal can declare
+_VALUE_PARSERS = {
+    "matrix": _parse_matrix,
+    "series": _parse_series,
+    "algebra": _parse_algebra,
+}
+
+
 # ------------------------------------------------------------------ scenarios
 
 @dataclass
@@ -609,24 +631,13 @@ def parse_scenario(text):
             target = cur.expect_ident()
             cur.expect_symbol("=")
             what = cur.expect_ident()
-            symbols = _expression_symbols(scenario.zeta_order)
-            if what.value == "matrix":
-                obj = _parse_matrix(cur, symbols)
-                category = "matrix"
-            elif what.value == "series":
-                expr_tok = cur.peek()
-                if expr_tok is None:
-                    cur.error("expected a series expression")
-                value = _parse_expr(cur, symbols)
-                obj = _to_rational_function(value, expr_tok)
-                category = "series"
-            elif what.value == "algebra":
-                obj = _parse_algebra(cur, symbols)
-                category = "algebra"
-            else:
+            category = what.value
+            if category not in _VALUE_PARSERS:
                 raise ParseError(
                     "let declares a matrix, series or algebra",
                     what.line, what.col)
+            obj = _VALUE_PARSERS[category](
+                cur, _expression_symbols(scenario.zeta_order))
             if not cur.done():
                 cur.error("trailing input after the declaration")
             if target.value in declared:
@@ -873,6 +884,7 @@ __all__ = [
     "Task",
     "TASK_KINDS",
     "UndeclaredInputError",
+    "parse_algebra_literal",
     "parse_matrix_literal",
     "parse_scenario",
     "parse_series_literal",

@@ -43,6 +43,22 @@ class TestCyclotomicNumber:
         assert z6 ** 2 == z3  # zeta_6^2 = zeta_3
         assert z3.lift(6) == z6 ** 2
         assert z3.lift(12) * z4.lift(12) == CyclotomicNumber.zeta(12, 7)
+        # equal values hash alike whatever order they carry
+        assert hash(z3) == hash(z6 ** 2)
+        assert len({z3, z6 ** 2}) == 1
+        rng = random.Random(5)
+        for n in (3, 4, 5, 12):
+            phi = len(CyclotomicNumber.zeta(n).coords)
+            for _ in range(10):
+                x = CyclotomicNumber(n, [Fraction(rng.randint(-4, 4),
+                                                  rng.randint(1, 3))
+                                         for _ in range(phi)])
+                for m in (2 * n, 3 * n, 60):
+                    assert x.lift(m) == x
+                    assert hash(x.lift(m)) == hash(x)
+        a = FieldFraction([1], [1, -z3])
+        b = FieldFraction([1], [1, -z6 ** 2])
+        assert a == b and hash(a) == hash(b)
 
     def test_mixed_scalar_arithmetic(self):
         assert z3 + Fraction(1, 2) == Fraction(1, 2) + z3

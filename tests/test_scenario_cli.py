@@ -243,9 +243,23 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["run", "."],
         ["molien", "--matrix", "[[0]]"],
+        ["molien", "--matrix", ""],
+        ["classify", ""],
+        ["veronese", "", "-r", "2"],
     ])
     def test_bad_input_exits_2_with_an_error_line(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "(line" not in err
+
+    def test_algebra_literal_sees_zeta_order(self, capsys):
+        code = main(["trace", "--zeta-order", "4", "--algebra",
+                     "{ kind: quantum_affine, degrees: [1,1], "
+                     "q: [[1,z],[z^3,1]] }",
+                     "--matrix", "[[1,0],[0,1]]"])
+        assert code == 0
+
+    def test_algebra_literal_errors_are_located_in_the_literal(self, capsys):
+        assert main(["betti", "--algebra", "{ kind: nope }"]) == 2
+        assert "line 1, col 1: unknown algebra kind" in capsys.readouterr().err
