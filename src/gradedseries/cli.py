@@ -30,6 +30,15 @@ EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+# argparse reads a literal such as "-t" as an option; "--" or "--opt=TEXT" avoids it
+SERIES_HELP = ("series literal, e.g. '(1+t)^3/(1-t)^4'; "
+               "put one that starts with '-' after '--'")
+MATRIX_HELP = ("matrix literal, e.g. '[[0,z,0],[0,0,z^2],[1,0,0]]'; "
+               "write one that starts with '-' as --matrix=TEXT")
+ALGEBRA_HELP = ("algebra literal, e.g. '{ kind: quantum_affine, degrees: "
+                "[1,1,1], q: [[1,-1,-1],[-1,1,-1],[-1,-1,1]] }'; "
+                "write one that starts with '-' as --algebra=TEXT")
+
 
 def _emit(payload, as_json):
     if as_json:
@@ -150,17 +159,17 @@ def build_parser():
                        help="emit a JSON report")
 
     p = sub.add_parser("classify", help="cyclotomic/Gorenstein verdicts of a series")
-    p.add_argument("series")
+    p.add_argument("series", help=SERIES_HELP)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_on_series)
 
     p = sub.add_parser("cyc", help="minimal binomial numerator count")
-    p.add_argument("series")
+    p.add_argument("series", help=SERIES_HELP)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_on_series)
 
     p = sub.add_parser("veronese", help="closed form of the r-section")
-    p.add_argument("series")
+    p.add_argument("series", help=SERIES_HELP)
     p.add_argument("-r", "--stride", type=int, required=True)
     p.add_argument("--num-bound", type=int, default=None)
     p.add_argument("--den-bound", type=int, default=None)
@@ -169,28 +178,26 @@ def build_parser():
 
     p = sub.add_parser("molien", help="invariant Hilbert series of a matrix group")
     p.add_argument("--matrix", action="append", required=True,
-                   help="generator, e.g. '[[0,z,0],[0,0,z^2],[1,0,0]]'")
+                   help="generator " + MATRIX_HELP)
     p.add_argument("--cap", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_on_group)
 
     p = sub.add_parser("subgroups", help="subgroup inventory of a small group")
-    p.add_argument("--matrix", action="append", required=True)
+    p.add_argument("--matrix", action="append", required=True,
+                   help="generator " + MATRIX_HELP)
     p.add_argument("--cap", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_on_group)
 
     p = sub.add_parser("bireflection", help="rank(g - I) test")
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", required=True, help=MATRIX_HELP)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_bireflection)
 
     p = sub.add_parser("trace", help="brute-force trace series of a matrix action")
-    p.add_argument("--algebra", required=True,
-                   help="algebra literal, e.g. "
-                        "'{ kind: quantum_affine, degrees: [1,1,1], "
-                        "q: [[1,-1,-1],[-1,1,-1],[-1,-1,1]] }'")
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--algebra", required=True, help=ALGEBRA_HELP)
+    p.add_argument("--matrix", required=True, help=MATRIX_HELP)
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--num-bound", type=int, default=None)
     p.add_argument("--den-bound", type=int, default=None)
@@ -198,7 +205,7 @@ def build_parser():
     p.set_defaults(func=cmd_task, tasks=_trace)
 
     p = sub.add_parser("betti", help="minimal free resolution Betti numbers")
-    p.add_argument("--algebra", required=True)
+    p.add_argument("--algebra", required=True, help=ALGEBRA_HELP)
     p.add_argument("--truncation", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_betti)

@@ -1,19 +1,18 @@
-"""Arithmetic in cyclotomic fields Q(zeta_N), matrices over them, and
-rational functions with cyclotomic coefficients.
+"""Arithmetic in cyclotomic fields Q(zeta_N) and matrices over them.
 
 A ``CyclotomicNumber`` of order N is a residue modulo Phi_N in the power
 basis 1, z, ..., z^(phi(N)-1) with Fraction coordinates.  It is the one
-place where orders meet: a rational operand is taken into the other
-operand's order as it stands, and only two irrational operands of different
-orders are lifted into Q(zeta_lcm), where z_N becomes z_M^(M/N).  A number
-hashes as its normalized trace Tr(x)/phi(N), which lifting leaves unchanged,
-so equal numbers hash alike whatever orders they carry.
+place where orders meet: a rational operand (an int, a Fraction or a
+rational number of any order) scales the coordinates or shifts the first
+one, and only two irrational operands of different orders are lifted into
+Q(zeta_lcm), where z_N becomes z_M^(M/N).  A number hashes as its
+normalized trace Tr(x)/phi(N), which lifting leaves unchanged, so equal
+numbers hash alike whatever orders they carry.
 
-``CyclotomicMatrix`` and ``FieldFraction`` (a reduced num/den pair of
-``Poly``s in t, normalized so den(0) = 1) hold numbers of any orders and
-leave every order question to that arithmetic.  A ``FieldFraction`` carries
-trace series such as 1/det(I - t g) whose coefficients are irrational until a
-Molien sum cancels them back into Q.
+``CyclotomicMatrix`` holds numbers of any orders and leaves every order
+question to that arithmetic.  Rational functions with cyclotomic
+coefficients, such as the trace series 1/det(I - t g), are
+``exact.RationalFunction`` values; ``FieldFraction`` is another name for it.
 """
 
 from __future__ import annotations
@@ -23,20 +22,22 @@ from functools import cache
 from math import gcd
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
-from .exact import (
-    Poly,
-    RationalFunction,
-    _rref_add,
-    expand,
-    monic_gcd,
-    normalize,
-)
+from .exact import Poly, RationalFunction, _rref_add
 
 
 def _as_fraction(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into a cyclotomic number")
+
+
+def _rational_value(x):
+    """x as an int or a Fraction when it is a rational scalar, else None."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, CyclotomicNumber) and x.is_rational():
+        return x.coords[0]
+    return None
 
 
 class CyclotomicNumber:
@@ -90,56 +91,61 @@ class CyclotomicNumber:
             raised[i * k] = c
         return CyclotomicNumber(order, _reduce_mod_phi(raised, order))
 
-    def _pair(self, other):
-        """Both operands in one order, or (None, None) for a foreign type.
+    @classmethod
+    def _raw(cls, order, coords):
+        """A number from a tuple of phi(order) Fraction coordinates."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coords", coords)
+        return self
 
-        A rational operand takes the other's order; two irrational operands
-        of different orders are lifted into the lcm order.
-        """
-        if isinstance(other, (int, Fraction)):
-            return self, CyclotomicNumber.from_rational(other, self.order)
-        if not isinstance(other, CyclotomicNumber):
-            return None, None
+    def _pair(self, other):
+        """Two irrational numbers in one order: the lcm order if theirs differ."""
         if self.order == other.order:
             return self, other
-        if other.is_rational():
-            return self, CyclotomicNumber.from_rational(other.coords[0], self.order)
-        if self.is_rational():
-            return CyclotomicNumber.from_rational(self.coords[0], other.order), other
         m = self.order * other.order // gcd(self.order, other.order)
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        q = _rational_value(other)
+        if q is not None:
+            return self._raw(self.order, (self.coords[0] + q,) + self.coords[1:])
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coords, b.coords)])
+        if self.is_rational():
+            return other + self.coords[0]
+        a, b = self._pair(other)
+        return self._raw(a.order, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coords])
+        return self._raw(self.order, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if not isinstance(other, (int, Fraction, CyclotomicNumber)):
             return NotImplemented
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        q = _rational_value(other)
+        if q is not None:
+            return self._raw(self.order, tuple(c * q for c in self.coords))
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
+        if self.is_rational():
+            return other * self.coords[0]
+        a, b = self._pair(other)
         prod = [Fraction(0)] * (len(a.coords) + len(b.coords) - 1)
         for i, x in enumerate(a.coords):
             if not x:
                 continue
             for j, y in enumerate(b.coords):
                 prod[i + j] += x * y
-        return CyclotomicNumber(a.order, _reduce_mod_phi(prod, a.order))
+        return self._raw(a.order, tuple(_reduce_mod_phi(prod, a.order)))
 
     __rmul__ = __mul__
 
@@ -162,10 +168,11 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.order, _reduce_mod_phi(coords, self.order))
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / other)
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -183,9 +190,14 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        q = _rational_value(other)
+        if q is not None:
+            return self.is_rational() and self.coords[0] == q
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
+        if self.is_rational():
+            return False
+        a, b = self._pair(other)
         return a.coords == b.coords
 
     def __hash__(self):
@@ -340,177 +352,7 @@ def _poly_det(mat):
     return acc
 
 
-def _coeffs(p):
-    return p.coeffs if isinstance(p, Poly) else p
-
-
-def _field_poly(coeffs, order=1):
-    """A Poly of cyclotomic numbers; ints and Fractions join Q(zeta_order)."""
-    return Poly([c if isinstance(c, CyclotomicNumber)
-                 else CyclotomicNumber.from_rational(_as_fraction(c), order)
-                 for c in _coeffs(coeffs)])
-
-
-def _unit_constant(num, den):
-    """Scale num and den by one constant so that den(0) = 1."""
-    d0 = den.constant_term
-    if not d0:
-        raise ValueError("denominator must be invertible at t = 0")
-    if d0 == 1:
-        return num, den
-    inv = d0.inverse()
-    return num * inv, den * inv
-
-
-def _reduced(num, den):
-    """Cancel gcd(num, den) and scale so that den(0) = 1."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return num, Poly((cyclo_one(),))
-    g = monic_gcd(num, den)
-    if g.degree:
-        num, den = num.exact_div(g), den.exact_div(g)
-    return _unit_constant(num, den)
-
-
-class FieldFraction:
-    """Rational function in t with cyclotomic coefficients, as Polys num/den
-    with gcd(num, den) = 1 and den(0) = 1.
-
-    That reduced form is unique, so two values are equal exactly when their
-    coefficients are, whatever orders those carry, and equal values hash
-    alike because equal ``CyclotomicNumber``s do.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den, order=1):
-        """``order`` is the field that int and Fraction coefficients join."""
-        self._assign(*_reduced(_field_poly(num, order), _field_poly(den, order)))
-
-    def _assign(self, num, den):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return self
-
-    @classmethod
-    def _wrap(cls, num, den):
-        """A value whose num/den are already coprime with den(0) = 1."""
-        return object.__new__(cls)._assign(num, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldFraction is immutable")
-
-    @classmethod
-    def from_rational_function(cls, f, order=1):
-        # coprime over Q stays coprime over any extension field
-        return cls._wrap(_field_poly(f.num, order), _field_poly(f.den, order))
-
-    @classmethod
-    def reciprocal(cls, den_coeffs):
-        """1/den: already coprime, so only den(0) = 1 needs arranging."""
-        den = _field_poly(den_coeffs)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        return cls._wrap(*_unit_constant(Poly((cyclo_one(),)), den))
-
-    def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            other = FieldFraction.from_rational_function(other)
-        if not isinstance(other, FieldFraction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunction):
-            return FieldFraction.from_rational_function(other)
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return FieldFraction([other], [1])
-        return other if isinstance(other, FieldFraction) else None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldFraction._wrap(*_reduced(
-            self.num * other.den + other.num * self.den, self.den * other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldFraction._wrap(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldFraction._wrap(
-            *_reduced(self.num * other.num, self.den * other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by the zero series")
-        return FieldFraction._wrap(
-            *_reduced(self.num * other.den, self.den * other.num))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return (1 / self) ** (-n)
-        if n == 0:
-            one = Poly((cyclo_one(),))
-            return FieldFraction._wrap(one, one)
-        # powers of coprime polynomials stay coprime, and den(0)^n = 1
-        return FieldFraction._wrap(self.num ** n, self.den ** n)
-
-    def scaled(self, q):
-        """q * self for a scalar q."""
-        num = self.num * q
-        den = self.den if num else Poly((cyclo_one(),))
-        return FieldFraction._wrap(num, den)
-
-    def expand(self, n):
-        """Power-series coefficients 0..n (den(0) = 1 makes this division-free)."""
-        return list(expand(self, n))
-
-    pole_order_at_one = RationalFunction.pole_order_at_one
-
-    def is_rational(self):
-        return all(c.is_rational() for c in self.num.coeffs + self.den.coeffs)
-
-    def to_rational_function(self):
-        """Exact conversion into the integer canonical form; None if irrational."""
-        if not self.is_rational():
-            return None
-        return normalize(Poly([c.as_fraction() for c in self.num.coeffs]),
-                         Poly([c.as_fraction() for c in self.den.coeffs]))
-
-    __str__ = RationalFunction.__str__
-    __repr__ = __str__
+FieldFraction = RationalFunction
 
 
 __all__ = [

@@ -7,11 +7,14 @@ Representation conventions:
   == ()``.  Coefficients lie in one exact field: Python ints and
   ``Fraction``s, or ``CyclotomicNumber``s, which may carry different orders
   (their own arithmetic reconciles those).
-* ``RationalFunction``: pair ``num/den`` of integer-coefficient ``Poly``s
-  with ``gcd(num, den) = 1`` and ``den(0) = 1``.  Every Hilbert-type series
-  of a connected graded algebra has this shape (``H(0) = 1`` pins the
-  constant term of the denominator), which makes identities between series
-  literal data comparisons.
+* ``RationalFunction``: pair ``num/den`` of ``Poly``s over Q or Q(zeta_N)
+  with ``gcd(num, den) = 1`` and ``den(0) = 1``, every rational coefficient
+  an int or a Fraction.  One reducer produces that form for every value.
+  Every Hilbert-type series of a connected graded algebra has this shape
+  (``H(0) = 1`` pins the constant term of the denominator), and so does a
+  trace series 1/det(I - t g) over Q(zeta_N), which makes identities
+  between series literal data comparisons.  ``normalize`` also checks that
+  the expansion is an integer series.
 * ``Series``: coefficients ``0..order`` of the expansion at ``t = 0``.
 
 All values are immutable after construction; operations are pure functions.
@@ -363,21 +366,84 @@ def multiplicity_at_one(p):
         m += 1
 
 
+def _as_poly(p):
+    return p if isinstance(p, Poly) else Poly(p)
+
+
+def _rationals_as_fractions(p):
+    """p with each rational coefficient an int or a Fraction."""
+    if all(isinstance(c, (int, Fraction)) for c in p.coeffs):
+        return p
+    return Poly([c if isinstance(c, (int, Fraction)) or not c.is_rational()
+                 else c.as_fraction() for c in p.coeffs])
+
+
+def _field_gcd(p, q):
+    """gcd over the coefficients' field: the integer subresultant PRS when
+    every coefficient is rational, Euclid over Q(zeta_N) otherwise."""
+    coeffs = p.coeffs + q.coeffs
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return monic_gcd(p, q)
+    lam = 1
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            lam = lam * c.denominator // _int_gcd(lam, c.denominator)
+    if lam != 1:
+        p, q = p * lam, q * lam
+    return poly_gcd(p, q)
+
+
+def _lowest_terms(num, den):
+    """The reducer: cancel gcd(num, den), then scale so that den(0) = 1."""
+    if not den:
+        raise ZeroDenominatorError("denominator is zero")
+    if not num:
+        return Poly(), Poly((1,))
+    g = _field_gcd(num, den)
+    if g.degree > 0:
+        num, den = num.exact_div(g), den.exact_div(g)
+    d0 = den.constant_term
+    if not d0:
+        raise NonUnitConstantError("denominator vanishes at t = 0")
+    if d0 != 1:
+        inv = scalar_inverse(d0)
+        num, den = num * inv, den * inv
+    return num, den
+
+
 class RationalFunction:
-    """Coprime integer num/den pair with den(0) = 1; construct via normalize()."""
+    """Rational function in t over Q or Q(zeta_N), as Polys num/den with
+    gcd(num, den) = 1 and den(0) = 1.
+
+    Coefficients are ints, Fractions and CyclotomicNumbers of any orders,
+    mixed freely; a rational coefficient is always stored as an int or a
+    Fraction.  That reduced form is unique, so two values are equal exactly
+    when their coefficients are, and equal values hash alike.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, num, den=(1,)):
+        """num/den from Polys or coefficient sequences, reduced."""
+        self._assign(*_lowest_terms(_as_poly(num), _as_poly(den)))
+
+    def _assign(self, num, den):
+        object.__setattr__(self, "num", _rationals_as_fractions(num))
+        object.__setattr__(self, "den", _rationals_as_fractions(den))
+        return self
+
+    @classmethod
+    def _wrap(cls, num, den):
+        """A value whose num/den are already coprime with den(0) = 1."""
+        return object.__new__(cls)._assign(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
-    def from_int(cls, n):
-        return normalize(Poly((n,)), Poly((1,)))
+    def reciprocal(cls, den):
+        """1/den for a polynomial (or coefficient sequence) den."""
+        return cls((1,), den)
 
     @property
     def is_zero(self):
@@ -390,56 +456,94 @@ class RationalFunction:
     def __bool__(self):
         return bool(self.num)
 
+    def is_rational(self):
+        return all(isinstance(c, (int, Fraction))
+                   for c in self.num.coeffs + self.den.coeffs)
+
+    def to_rational_function(self):
+        """The same value, checked to expand to an integer series; None if a
+        coefficient is irrational."""
+        return _integer_series(self) if self.is_rational() else None
+
+    @staticmethod
+    def _coerce(other):
+        """other as a RationalFunction, or None for a foreign type."""
+        if isinstance(other, RationalFunction):
+            return other
+        # a scalar: an int, a Fraction or a CyclotomicNumber (known by its coords)
+        if isinstance(other, (int, Fraction)) or hasattr(other, "coords"):
+            return RationalFunction._wrap(Poly((other,)), Poly((1,)))
+        return None
+
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.from_int(other)
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        # canonical form is unique, so structural equality is function equality
+        # the reduced form is unique, so structural equality is function equality
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.from_int(other)
-        return normalize(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return RationalFunction(self.num * other.den + other.num * self.den,
+                                self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._wrap(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.from_int(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.from_int(other)
-        return normalize(self.num * other.num, self.den * other.den)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.from_int(other)
-        return normalize(self.num * other.den, self.den * other.num)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return RationalFunction(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         if n < 0:
-            return RationalFunction.from_int(1) / self ** (-n)
-        return normalize(self.num ** n, self.den ** n)
+            return (1 / self) ** (-n)
+        # powers of coprime polynomials stay coprime, and den(0)^n = 1
+        return RationalFunction._wrap(self.num ** n, self.den ** n)
+
+    def scaled(self, q):
+        """q * self for a scalar q."""
+        num = self.num * q
+        return RationalFunction._wrap(num, self.den if num else Poly((1,)))
+
+    def expand(self, n):
+        """Power-series coefficients 0..n."""
+        return list(expand(self, n))
 
     def inflated(self, r):
         """Substitute t -> t^r; coprimality and den(0) = 1 are preserved."""
-        return RationalFunction(self.num.inflated(r), self.den.inflated(r))
+        return RationalFunction._wrap(self.num.inflated(r), self.den.inflated(r))
 
     def pole_order_at_one(self):
         m_den = multiplicity_at_one(self.den)
@@ -455,50 +559,29 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def normalize(p, q):
-    """Reduce p/q to the canonical coprime form with den(0) = 1.
+def _integer_series(f):
+    """f, if its coefficients lie in Z or Z[zeta_N], so that it expands to
+    an integer series; NonUnitConstantError otherwise."""
+    for c in f.num.coeffs + f.den.coeffs:
+        if any(x.denominator != 1 for x in getattr(c, "coords", (c,))):
+            raise NonUnitConstantError(
+                f"{f} has the non-integral coefficient {c}; "
+                "the expansion is not an integer series")
+    return f
 
-    Accepts integer or Fraction coefficients; a common rational scalar is
-    cleared first (which does not change the function).  Raises
-    ZeroDenominatorError for q = 0 and NonUnitConstantError when q(0) = 0 or
-    when the reduced denominator's constant term is not +-1 (the expansion
-    would not have integer coefficients).
+
+def normalize(p, q):
+    """p/q in the reduced form of RationalFunction, checked to expand to an
+    integer series.
+
+    p and q are Polys or coefficient sequences over Q or Q(zeta_N).  The gcd
+    is cancelled before den(0) is looked at, so normalize(t p, t q) equals
+    normalize(p, q).  Raises ZeroDenominatorError for q = 0, and
+    NonUnitConstantError when the reduced denominator vanishes at t = 0 (as
+    for 1/t) or the reduced form has a coefficient outside Z or Z[zeta_N]
+    (as for 1/(2 - t)).
     """
-    if not isinstance(p, Poly):
-        p = Poly(p)
-    if not isinstance(q, Poly):
-        q = Poly(q)
-    if not q:
-        raise ZeroDenominatorError("denominator is zero")
-    if q.constant_term == 0:
-        raise NonUnitConstantError("denominator vanishes at t = 0")
-    if not p:
-        return RationalFunction(Poly(), Poly((1,)))
-    lam = 1
-    for c in p.coeffs + q.coeffs:
-        if isinstance(c, Fraction):
-            lam = lam * c.denominator // _int_gcd(lam, c.denominator)
-    if lam != 1:
-        p = Poly(tuple(c * lam for c in p.coeffs))
-        q = Poly(tuple(c * lam for c in q.coeffs))
-    if not (p.is_integral() and q.is_integral()):
-        raise TypeError("polynomial coefficients must be int or Fraction")
-    g = poly_gcd(p, q)
-    if g != Poly((1,)):
-        p = p.exact_div(g)
-        q = q.exact_div(g)
-    c = _int_gcd(p.content(), q.content())
-    if c > 1:
-        p = p.scaled_down(c)
-        q = q.scaled_down(c)
-    q0 = q.constant_term
-    if q0 < 0:
-        p, q, q0 = -p, -q, -q0
-    if q0 != 1:
-        raise NonUnitConstantError(
-            f"reduced denominator has constant term {q0}; "
-            "the expansion is not an integer series")
-    return RationalFunction(p, q)
+    return _integer_series(RationalFunction(p, q))
 
 
 class Series:
@@ -564,14 +647,13 @@ class Series:
 def expand(f, n):
     """Coefficients 0..n of the power-series expansion of f at t = 0.
 
-    f is a RationalFunction or a FieldFraction: any num/den pair of Polys
-    with den(0) = 1, so the recursion needs no division.
+    f is a RationalFunction, whose den(0) = 1 makes the recursion
+    division-free.
     """
     num, den = f.num.coeffs, f.den.coeffs
-    zero = _zero_like(den[0])
     out = []
     for k in range(n + 1):
-        acc = num[k] if k < len(num) else zero
+        acc = num[k] if k < len(num) else 0
         for j in range(1, min(k, len(den) - 1) + 1):
             if den[j]:
                 acc = acc - den[j] * out[k - j]

@@ -12,11 +12,13 @@ force assignments exist alongside it (see ``algebras.brute_force_trace``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
-from .exact import scalar_inverse
+from .cyclofield import CyclotomicMatrix, CyclotomicNumber
+from .exact import RationalFunction, scalar_inverse
 
 
 class CapExceededError(RuntimeError):
@@ -182,12 +184,9 @@ class TraceAssignment:
 
 
 def reciprocal_charpoly_trace(g):
-    """Tr(g, t) = 1/det(I - t g), as a RationalFunction when the coefficients
-    are rational and over the cyclotomic field otherwise."""
-    den = g.reciprocal_charpoly()
-    frac = FieldFraction.reciprocal(list(den))
-    rational = frac.to_rational_function()
-    return rational if rational is not None else frac
+    """Tr(g, t) = 1/det(I - t g), a RationalFunction over Q(zeta_N) whose
+    coefficients are ints wherever they are rational."""
+    return RationalFunction.reciprocal(g.reciprocal_charpoly())
 
 
 def assign_charpoly_traces(group):
@@ -203,15 +202,10 @@ def molien(group, assignment):
     summed once with multiplicity.  The result must land in Q.
     """
     counts = {}
-    for t in assignment.traces:
-        f = t if isinstance(t, FieldFraction) else \
-            FieldFraction.from_rational_function(t)
+    for f in assignment.traces:
         counts[f] = counts.get(f, 0) + 1
-    total = None
-    for f, k in counts.items():
-        term = f.scaled(Fraction(k))
-        total = term if total is None else total + term
-    total = total.scaled(Fraction(1, group.order))
+    total = reduce(operator.add, (f.scaled(Fraction(k, group.order))
+                                  for f, k in counts.items()))
     result = total.to_rational_function()
     if result is None:
         raise NonRationalResultError(

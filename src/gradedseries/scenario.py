@@ -26,7 +26,6 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebras import (
     betti_numbers,
@@ -39,9 +38,9 @@ from .algebras import (
     normal_quotient,
     quantum_affine,
 )
-from .cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
+from .cyclofield import CyclotomicMatrix, CyclotomicNumber
 from .cyclotomic import cyc_number, is_cyclotomic
-from .exact import NonUnitConstantError, reconstruct
+from .exact import NonUnitConstantError, RationalFunction, reconstruct
 from .groups import (
     PROVENANCE_BRUTE_FORCE,
     TraceAssignment,
@@ -212,7 +211,7 @@ def _parse_factor(cur, symbols):
         cur.error("expected an expression")
     if tok.kind == "int":
         cur.next()
-        value = FieldFraction([tok.value], [1])
+        value = RationalFunction([tok.value])
     elif tok.kind == "ident":
         cur.next()
         if tok.value not in symbols:
@@ -271,10 +270,9 @@ def _parse_expr(cur, symbols):
 
 
 def _expression_symbols(zeta_order):
-    symbols = {"t": FieldFraction([0, 1], [1])}
+    symbols = {"t": RationalFunction([0, 1])}
     if zeta_order and zeta_order > 1:
-        symbols["z"] = FieldFraction(
-            [CyclotomicNumber.zeta(zeta_order)], [1], zeta_order)
+        symbols["z"] = RationalFunction([CyclotomicNumber.zeta(zeta_order)])
     return symbols
 
 
@@ -293,10 +291,7 @@ def _to_scalar(value, where):
     if value.den.degree != 0 or value.num.degree > 0:
         raise ParseError("matrix entries must not involve t", where.line,
                          where.col)
-    if not value.num:
-        return Fraction(0)
-    coeff = value.num.constant_term
-    return coeff.as_fraction() if coeff.is_rational() else coeff
+    return value.num.constant_term
 
 
 def _parse_literal(what, text, zeta_order, line):

@@ -22,7 +22,13 @@ from gradedseries.algebras import (
 )
 from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
 from gradedseries.exact import Poly, Series, expand, normalize, one_minus_power, reconstruct
-from gradedseries.groups import closure, molien, TraceAssignment, PROVENANCE_BRUTE_FORCE
+from gradedseries.groups import (
+    PROVENANCE_BRUTE_FORCE,
+    TraceAssignment,
+    closure,
+    molien,
+    reciprocal_charpoly_trace,
+)
 from gradedseries.hilbert import quotient_series
 
 
@@ -157,6 +163,16 @@ class TestBruteForceTrace:
         want = FieldFraction.reciprocal(prod).expand(10)
         assert all(a == b for a, b in zip(got, want))
 
+    def test_irrational_trace_reconstructs_over_the_field(self):
+        # 1/((1 - t)(1 - z t)) has coefficients 1 + z + ... + z^n, irrational
+        # in Q(zeta_3); reconstruct and normalize stay in that field
+        z = CyclotomicNumber.zeta(3)
+        g = CyclotomicMatrix([[z, 0], [0, 1]])
+        trunc = build_truncation(quantum_affine([[1, 1], [1, 1]]), 12)
+        closed = reconstruct(brute_force_trace(g, trunc), 0, 2)
+        assert closed == reciprocal_charpoly_trace(g)
+        assert not closed.is_rational()
+
     def test_rejects_non_automorphism(self):
         trunc = build_truncation(quantum_affine([[1, 2], [Fraction(1, 2), 1]]), 4)
         shear = CyclotomicMatrix([[1, 1], [0, 1]])
@@ -281,6 +297,27 @@ class TestBetti:
         trunc = build_truncation(pres, 8)
         table = betti_numbers(trunc)
         assert [table.row_sum(i) for i in range(9)] == [1, 2, 2, 2, 2, 2, 2, 2, 2]
+
+    def test_quadratic_monomial_quotient_matches_anick_chains(self):
+        # k<x_1..x_n>/(W) with W a set of length-2 words has a minimal Anick
+        # resolution (Anick, Trans. AMS 296, 1986): b(1, 1) = n, b(i, i)
+        # counts the length-i words whose every length-2 factor lies in W,
+        # and nothing sits off the diagonal
+        rng = random.Random(31)
+        for n, cutoff in ((2, 7), (3, 5), (3, 6)) * 5:
+            pairs = [(a, b) for a in range(n) for b in range(n)]
+            relations = set(rng.sample(pairs, rng.randint(0, len(pairs))))
+            want = {(0, 0): 1, (1, 1): n}
+            chains = [(a,) for a in range(n)]
+            for i in range(2, cutoff + 1):
+                chains = [c + (b,) for c in chains for b in range(n)
+                          if (c[-1], b) in relations]
+                if chains:
+                    want[(i, i)] = len(chains)
+            pres = monomial_quotient([f"x{k}" for k in range(n)],
+                                     sorted(relations))
+            table = betti_numbers(build_truncation(pres, cutoff))
+            assert table.entries == want, sorted(relations)
 
 
 class TestEulerCheck:

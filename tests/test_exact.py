@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedseries.cyclofield import CyclotomicNumber
 from gradedseries.exact import (
     AmbiguousDataError,
     NonUnitConstantError,
@@ -134,6 +135,40 @@ class TestNormalize:
         f = normalize(Poly((Fraction(1, 3), Fraction(2, 3))),
                       Poly((Fraction(1, 3), Fraction(-1, 3))))
         assert f == normalize(P(1, 2), ONE_MINUS_T)
+
+    def test_common_factors_of_t_cancel_first(self):
+        t = P(0, 1)
+        for p, q in ((P(1, 2), ONE_MINUS_T), (P(3), P(1, 1) * ONE_MINUS_T),
+                     (one_minus_power(2), ONE_MINUS_T ** 2)):
+            assert normalize(t * p, t * q) == normalize(p, q)
+            assert normalize(t * t * p, t * q * t) == normalize(p, q)
+        with pytest.raises(NonUnitConstantError):
+            normalize(t, t * t)  # 1/t once the common t cancels
+        with pytest.raises(NonUnitConstantError):
+            normalize(t, t * P(2, -1))
+
+    def test_rational_cyclotomic_coefficients_give_the_same_value(self):
+        # one reducer over Q and Q(zeta_N): the value does not depend on the
+        # field its rational coefficients were written in
+        rng = random.Random(23)
+        for n in (3, 4, 12):
+            for _ in range(10):
+                p = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
+                q = Poly([1] + [rng.randint(-3, 3)
+                                for _ in range(rng.randint(0, 4))])
+                g = Poly([rng.randint(1, 3)] + [rng.randint(-3, 3)
+                                                for _ in range(rng.randint(0, 2))])
+                if not p:
+                    continue
+                f = normalize(p, q)
+
+                def lifted(poly):
+                    return Poly([CyclotomicNumber.from_rational(c, n)
+                                 for c in poly.coeffs])
+
+                h = RationalFunction(lifted(p * g), lifted(q * g))
+                assert h == f and hash(h) == hash(f) and str(h) == str(f)
+                assert h.is_rational() and h.to_rational_function() == f
 
 
 class TestExpand:

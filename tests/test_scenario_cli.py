@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -263,3 +264,27 @@ class TestCli:
     def test_algebra_literal_errors_are_located_in_the_literal(self, capsys):
         assert main(["betti", "--algebra", "{ kind: nope }"]) == 2
         assert "line 1, col 1: unknown algebra kind" in capsys.readouterr().err
+
+    def test_literal_starting_with_a_dash(self, capsys):
+        assert main(["classify", "--json", "--", "-t"]) == 0
+        assert json.loads(capsys.readouterr().out)["series"] == "-t"
+        assert main(["betti", "--algebra=-x"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_command_lines():
+    """The README "Command line" block, one argv per command."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines())
+def test_readme_command_line_examples_run(argv, monkeypatch, capsys):
+    monkeypatch.chdir(README.parent)
+    assert argv[0] == "gradedseries"
+    assert main(argv[1:]) == 0
