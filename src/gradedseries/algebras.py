@@ -12,10 +12,17 @@ needed because each supported presentation multiplies by direct rules:
                       left multiplication, with normality and regularity
                       verified up to the cutoff (never as a global claim)
 
-Graded pieces are immutable once built.  Betti numbers of the trivial module
-come from iterated graded syzygies: minimal generators of each kernel are
-found degreewise by row reduction, which is exact for internal degree <= the
-cutoff because Tor_{i,j} only depends on the algebra below degree j.
+Graded pieces are immutable once built.  The defining scalars (q parameters,
+normal-element coefficients, basis unit vectors) follow the rule of the exact
+types: an integral rational is an int, any other rational a Fraction, an
+irrational one a CyclotomicNumber.
+
+Betti numbers of the trivial module come from iterated graded syzygies,
+exact for internal degree <= the cutoff because Tor_{i,j} only depends on
+the algebra below degree j.  In each degree j the kernel K is complete, so
+it is a left submodule and (m K)_j = sum_i x_i K_{j - d_i} over the
+generators x_i of degree d_i: the minimal generators of K_j are the kernel
+vectors outside that span, found by sparse row reduction (``exact._rref_add``).
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from fractions import Fraction
 from math import log
 
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber
-from .exact import Series, _reduce_vec, _rref_add, expand
+from .exact import (Series, _reduce_vec, _rref_add, _simplify, expand,
+                    scalar_inverse)
 
 
 class NotNormalError(ValueError):
@@ -49,7 +57,7 @@ NORMAL_QUOTIENT = "normal_quotient"
 def _as_scalar(x):
     if isinstance(x, CyclotomicNumber):
         return x
-    return Fraction(x)
+    return _simplify(Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,9 @@ def quantum_affine(q, names=None, degrees=None):
 def skew_symmetric_q(n, value=-1):
     """All off-diagonal parameters equal: the (-1)-skew case of the examples."""
     value = _as_scalar(value)
-    return tuple(tuple(_as_scalar(1) if i == j else
-                       (value if i < j else 1 / value) for j in range(n))
+    inverse = scalar_inverse(value)
+    return tuple(tuple(1 if i == j else (value if i < j else inverse)
+                       for j in range(n))
                  for i in range(n))
 
 
@@ -197,7 +206,7 @@ def _q_merge(q, left, right):
     return scalar, tuple(a + b for a, b in zip(left, right))
 
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class Truncation:
@@ -285,13 +294,6 @@ class Truncation:
         return tuple(word)
 
 
-def _dense(vec, basis_positions, size):
-    out = [0] * size
-    for lab, c in vec.items():
-        out[basis_positions[lab]] = c
-    return out
-
-
 def build_truncation(presentation, cutoff):
     """Complete multiplication data of the presented algebra up to the cutoff."""
     if cutoff < 0:
@@ -335,24 +337,20 @@ def _build_normal_quotient(presentation, cutoff):
         stage_rows = {}
         for d in range(omega_degree, cutoff + 1):
             source = bases[d - omega_degree]
-            positions = {lab: k for k, lab in enumerate(bases[d])}
-            rows, pivots = [], []
+            rows = {}
             independent = 0
             for lab in source:
                 image = current.mul(omega_degree, omega,
                                     d - omega_degree, {lab: _ONE})
-                if _rref_add(rows, pivots,
-                             _dense(image, positions, len(bases[d]))) is not None:
+                if _rref_add(rows, image) is not None:
                     independent += 1
-            stage_rows[d] = (rows, pivots)
+            stage_rows[d] = rows
             # two-sidedness first: x_i * omega must be a right multiple of omega
             for i in gens_at.get(d, ()):
                 _, x_vec = current.generator_vector(i)
                 moved = current.mul(presentation.degrees[i], x_vec,
                                     omega_degree, omega)
-                residual = _reduce_vec(rows, pivots,
-                                       _dense(moved, positions, len(bases[d])))
-                if any(residual):
+                if _reduce_vec(rows, moved):
                     raise NotNormalError(
                         f"{presentation.names[i]} * element {stage} is not a "
                         f"right multiple of it (degree {d}); two-sidedness fails")
@@ -360,20 +358,8 @@ def _build_normal_quotient(presentation, cutoff):
                 raise NotRegularError(f"regularity violated at degree {d}")
         # shrink bases and compose the reduction into the projections
         for d in range(omega_degree, cutoff + 1):
-            rows, pivots = stage_rows[d]
-            old = bases[d]
-            pivot_set = set(pivots)
-            keep = [lab for k, lab in enumerate(old) if k not in pivot_set]
-            delta = {}
-            for k, lab in enumerate(old):
-                if k not in pivot_set:
-                    delta[lab] = {lab: _ONE}
-                    continue
-                unit = [0] * len(old)
-                unit[k] = _ONE
-                residual = _reduce_vec(rows, pivots, unit)
-                delta[lab] = {old[m]: residual[m]
-                              for m in range(len(old)) if residual[m]}
+            rows = stage_rows[d]
+            delta = {lab: _reduce_vec(rows, {lab: _ONE}) for lab in bases[d]}
             table = projections[d]
             for amb_lab, vec in table.items():
                 merged = {}
@@ -381,7 +367,7 @@ def _build_normal_quotient(presentation, cutoff):
                     for lab2, c2 in delta[lab].items():
                         merged[lab2] = merged.get(lab2, 0) + c * c2
                 table[amb_lab] = {k2: v for k2, v in merged.items() if v}
-            bases[d] = keep
+            bases[d] = [lab for lab in bases[d] if lab not in rows]
         current = Truncation(presentation, cutoff, bases, ambient, projections)
     return current
 
@@ -530,23 +516,22 @@ class BettiTable:
         return max((i for i, _ in self.entries), default=0)
 
 
-def _nullspace(columns, nrows):
-    ncols = len(columns)
-    reduced, pivot_cols = [], []
-    for r in range(nrows):
-        _rref_add(reduced, pivot_cols, [columns[c][r] for c in range(ncols)])
-    basis = []
-    pivot_set = set(pivot_cols)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, p in zip(reduced, pivot_cols):
-            if row[free]:
-                vec[p] = -row[free]
-        basis.append(vec)
-    return basis
+def _nullspace(columns):
+    """Kernel basis of the matrix with these sparse columns (dicts of row key
+    -> entry), one sparse vector per free column, read off the RREF."""
+    by_row = {}
+    for c, column in enumerate(columns):
+        for r, x in column.items():
+            by_row.setdefault(r, {})[c] = x
+    reduced = {}
+    for row in by_row.values():
+        _rref_add(reduced, row)
+    basis = {c: {c: _ONE} for c in range(len(columns)) if c not in reduced}
+    for p, row in reduced.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return list(basis.values())
 
 
 def betti_numbers(trunc, cutoff=None):
@@ -556,20 +541,21 @@ def betti_numbers(trunc, cutoff=None):
     if cutoff > trunc.cutoff:
         raise ValueError("cutoff exceeds the truncation")
     entries = {(0, 0): 1}
+    generators = []
+    for i, d in enumerate(trunc.presentation.degrees):
+        if d < cutoff:
+            _, x = trunc.generator_vector(i)
+            if x:  # a generator killed by a normal element acts as zero
+                generators.append((d, x))
 
-    def piece(gens, j):
-        return [(s, lab) for s, ds in enumerate(gens) if ds <= j
-                for lab in trunc.bases[j - ds]]
-
-    def left_mul(e, a_lab, vec, vec_degree, gens):
+    def left_mul(e, a_vec, vec, vec_degree, gens):
         out = {}
         for (s, lab), c in vec.items():
-            prod = trunc.mul(e, {a_lab: _ONE},
-                             vec_degree - gens[s], {lab: c})
+            prod = trunc.mul(e, a_vec, vec_degree - gens[s], {lab: c})
             for lab2, c2 in prod.items():
                 key = (s, lab2)
                 out[key] = out.get(key, 0) + c2
-        return {k: v for k, v in out.items() if v}
+        return out
 
     gens = [0]
     kernel = {j: [{(0, lab): _ONE} for lab in trunc.bases[j]]
@@ -581,20 +567,14 @@ def betti_numbers(trunc, cutoff=None):
             vectors = kernel.get(j, [])
             if not vectors:
                 continue
-            pbasis = piece(gens, j)
-            positions = {lab: k for k, lab in enumerate(pbasis)}
-            rows, pivots = [], []
-            for e in range(1, j + 1):
-                for v in kernel.get(j - e, []):
-                    for a_lab in trunc.bases[e]:
-                        moved = left_mul(e, a_lab, v, j - e, gens)
-                        if moved:
-                            _rref_add(rows, pivots,
-                                      _dense(moved, positions, len(pbasis)))
+            # K is the whole kernel below the cutoff, so (m K)_j is the span
+            # of x_i K_{j - d_i} over the generators x_i
+            rows = {}
+            for d, x in generators:
+                for v in kernel.get(j - d, []):
+                    _rref_add(rows, left_mul(d, x, v, j - d, gens))
             for v in vectors:
-                res = _rref_add(rows, pivots,
-                                _dense(v, positions, len(pbasis)))
-                if res is not None:
+                if _rref_add(rows, v) is not None:
                     mingens.append((j, v))
         if not mingens:
             break
@@ -608,18 +588,13 @@ def betti_numbers(trunc, cutoff=None):
                       for a_lab in trunc.bases[j - ds]]
             if not domain:
                 continue
-            pbasis = piece(gens, j)
-            positions = {lab: k for k, lab in enumerate(pbasis)}
-            cols = []
-            for s, a_lab in domain:
-                moved = left_mul(j - new_gens[s], a_lab,
-                                 columns_by_gen[s], new_gens[s], gens)
-                cols.append(_dense(moved, positions, len(pbasis)))
-            null = _nullspace(cols, len(pbasis))
+            null = _nullspace([
+                left_mul(j - new_gens[s], {a_lab: _ONE}, columns_by_gen[s],
+                         new_gens[s], gens)
+                for s, a_lab in domain])
             if null:
-                new_kernel[j] = [
-                    {domain[k]: c for k, c in enumerate(vec) if c}
-                    for vec in null]
+                new_kernel[j] = [{domain[k]: c for k, c in vec.items()}
+                                 for vec in null]
         gens, kernel = new_gens, new_kernel
         index += 1
     return BettiTable(entries, cutoff)

@@ -305,20 +305,20 @@ class CyclotomicMatrix:
 
     def inverse(self):
         n = self.dim
-        rows, pivots = [], []
+        rows = {}
         for i, row in enumerate(self.rows):
-            _rref_add(rows, pivots, list(row) + [int(i == j) for j in range(n)])
-        if pivots != list(range(n)):
+            _rref_add(rows, {**dict(enumerate(row)), n + i: 1})
+        if sorted(rows) != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return CyclotomicMatrix([row[n:] for row in rows])
+        return CyclotomicMatrix([[rows[i].get(n + j, 0) for j in range(n)]
+                                 for i in range(n)])
 
     def rank_of_difference_with_identity(self):
         """rank(g - I), the classical (bi)reflection invariant."""
-        rows, pivots = [], []
+        rows = {}
         for i, row in enumerate(self.rows):
-            _rref_add(rows, pivots,
-                      [x - 1 if i == j else x for j, x in enumerate(row)])
-        return len(pivots)
+            _rref_add(rows, {j: x - 1 if i == j else x for j, x in enumerate(row)})
+        return len(rows)
 
     def reciprocal_charpoly(self):
         """Coefficients of det(I - t * g), ascending in t."""

@@ -16,13 +16,19 @@ Representation conventions:
   between series literal data comparisons.  ``normalize`` also checks that
   the expansion is an integer series.
 * ``Series``: coefficients ``0..order`` of the expansion at ``t = 0``.
+* Sparse rows for elimination: ``_rref_add`` keeps a reduced row echelon
+  form as a dict from pivot column to row, each row a dict of column ->
+  nonzero entry.
+
+An integral rational is stored as an int: in these types and in the scalars
+that define algebra truncations (q parameters, normal-element coefficients,
+basis unit vectors), so arithmetic over +-1 stays in ints.
 
 All values are immutable after construction; operations are pure functions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd as _int_gcd
@@ -661,55 +667,66 @@ def expand(f, n):
     return Series(out)
 
 
-def _reduce_vec(rows, pivots, vec):
-    """vec minus its components along the reduced rows."""
-    vec = list(vec)
-    for row, p in zip(rows, pivots):
-        c = vec[p]
-        if c:
-            for k, x in enumerate(row):
-                if x:
-                    vec[k] = vec[k] - c * x
-    return vec
+def _reduce_vec(rows, vec):
+    """vec minus its components along the reduced rows, as a sparse dict.
 
-
-def _rref_add(rows, pivots, vec):
-    """Incremental Gauss-Jordan over any exact field.
-
-    rows is a reduced row echelon form with pivot columns pivots (ascending).
-    vec is reduced against it; a nonzero residual is scaled to pivot 1,
-    cleared from the other rows and inserted in pivot order.  Returns the
-    residual, or None when vec lies in the row span.
+    rows maps each pivot column to its row, a dict of column -> nonzero
+    entry with 1 at the pivot and no other pivot column; vec is a dict of
+    column -> entry, whose zero entries are dropped.
     """
-    vec = _reduce_vec(rows, pivots, vec)
-    piv = next((k for k, c in enumerate(vec) if c), None)
-    if piv is None:
+    out = {k: c for k, c in vec.items() if c}
+    for p in [k for k in out if k in rows]:
+        c = out[p]  # no other row touches column p
+        for k, x in rows[p].items():
+            y = out.get(k, 0) - c * x
+            if y:
+                out[k] = y
+            else:
+                del out[k]
+    return out
+
+
+def _rref_add(rows, vec):
+    """Incremental Gauss-Jordan over any exact field, on sparse rows.
+
+    rows is a reduced row echelon form held as in ``_reduce_vec``; columns
+    are any mutually comparable keys.  vec is reduced against it; a nonzero
+    residual is scaled to 1 at its least column, which becomes its pivot,
+    cleared from the other rows and stored under that pivot.  Returns the
+    stored row, or None when vec lies in the row span.  The pivot rule is
+    that of the dense RREF, so for a fixed column order the result is the
+    unique RREF of the rows added.
+    """
+    vec = _reduce_vec(rows, vec)
+    if not vec:
         return None
+    piv = min(vec)
     inv = scalar_inverse(vec[piv])
-    vec = [c * inv if c else c for c in vec]
-    for row in rows:
-        c = row[piv]
+    vec = {k: c * inv for k, c in vec.items()}
+    for row in rows.values():
+        c = row.get(piv)
         if c:
-            for k, x in enumerate(vec):
-                if x:
-                    row[k] = row[k] - c * x
-    at = bisect(pivots, piv)
-    rows.insert(at, vec)
-    pivots.insert(at, piv)
+            for k, x in vec.items():
+                y = row.get(k, 0) - c * x
+                if y:
+                    row[k] = y
+                else:
+                    del row[k]
+    rows[piv] = vec
     return vec
 
 
 def _solve_linear(rows, rhs):
     """A particular solution of rows * x = rhs (free unknowns 0), or None."""
     n = len(rows[0])
-    reduced, pivots = [], []
+    reduced = {}
     for row, r in zip(rows, rhs):
-        _rref_add(reduced, pivots, list(row) + [r])
-    if pivots and pivots[-1] == n:
+        _rref_add(reduced, {**dict(enumerate(row)), n: r})
+    if n in reduced:
         return None  # inconsistent
     sol = [0] * n
-    for row, p in zip(reduced, pivots):
-        sol[p] = row[n]
+    for p, row in reduced.items():
+        sol[p] = row.get(n, 0)
     return sol
 
 

@@ -236,7 +236,7 @@ def test_criterion_07_mystic_quasi_bireflection():
     for d in range(1, 13):
         labels = trunc.bases[d]
         pos = {lab: k for k, lab in enumerate(labels)}
-        reduced, pivots = [], []
+        reduced = {}
         rank = 0
         for lab in labels:
             word = trunc.label_word(lab)
@@ -247,7 +247,7 @@ def test_criterion_07_mystic_quasi_bireflection():
             for lab2, c in cur.items():
                 dense[pos[lab2]] += Fraction(c)
             dense[pos[lab]] -= 1
-            if _rref_add(reduced, pivots, dense) is not None:
+            if _rref_add(reduced, dict(enumerate(dense))) is not None:
                 rank += 1
         assert len(labels) - rank == fixed_series[d]
     ok(7, "trace 1/((1+t)(1-t^2)) for g, g^2, g^3; quasi-bireflection; hdet 1; "

@@ -12,6 +12,9 @@ from gradedseries.exact import (
     RationalFunction,
     Series,
     ZeroDenominatorError,
+    _reduce_vec,
+    _rref_add,
+    _solve_linear,
     expand,
     multiplicity_at_one,
     normalize,
@@ -231,6 +234,78 @@ class TestReconstruct:
         s = Series([Fraction(1, 2) ** (k * k) for k in range(12)])
         with pytest.raises(NoSolutionError):
             reconstruct(s, 1, 1)
+
+
+def random_scalar(rng, field):
+    """A scalar of the field, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return 0
+    if field == "int":
+        return rng.randint(-3, 3)
+    if field == "fraction":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    z = CyclotomicNumber.zeta(12)
+    return sum(rng.randint(-2, 2) * z ** k for k in range(4))
+
+
+def combination(rng, field, vectors, ncols):
+    out = [0] * ncols
+    for vec in vectors:
+        c = random_scalar(rng, field)
+        for k, x in enumerate(vec):
+            out[k] = out[k] + c * x
+    return out
+
+
+class TestRref:
+    FIELDS = ("int", "fraction", "cyclotomic")
+
+    def random_matrix(self, rng, field):
+        """Rows of a random matrix, some of them combinations of the others."""
+        ncols = rng.randint(1, 6)
+        rows = [[random_scalar(rng, field) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randrange(len(rows) + 1),
+                        combination(rng, field, rows, ncols))
+        return rows, ncols
+
+    def test_sparse_rows_contract(self):
+        rng = random.Random(61)
+        for trial in range(60):
+            field = self.FIELDS[trial % 3]
+            matrix, ncols = self.random_matrix(rng, field)
+            rows, dropped = {}, {}
+            for vec in matrix:
+                got = _rref_add(rows, dict(enumerate(vec)))
+                sparse = {k: x for k, x in enumerate(vec) if x}
+                assert (got is None) == (_rref_add(dropped, sparse) is None)
+            # explicit zero entries change nothing
+            assert rows == dropped
+            for p, row in rows.items():
+                assert row[p] == 1 and min(row) == p
+                assert all(row.values())
+                assert not (set(row) & set(rows)) - {p}
+            for vec in matrix:
+                assert _reduce_vec(rows, dict(enumerate(vec))) == {}
+            before = {p: dict(row) for p, row in rows.items()}
+            in_span = combination(rng, field, matrix, ncols)
+            assert _rref_add(rows, dict(enumerate(in_span))) is None
+            assert rows == before
+
+    def test_solve_linear(self):
+        rng = random.Random(67)
+        for trial in range(45):
+            field = self.FIELDS[trial % 3]
+            matrix, ncols = self.random_matrix(rng, field)
+            x = [random_scalar(rng, field) for _ in range(ncols)]
+            rhs = [sum((a * b for a, b in zip(row, x)), 0) for row in matrix]
+            sol = _solve_linear(matrix, rhs)
+            assert sol is not None
+            for row, r in zip(matrix, rhs):
+                assert sum((a * b for a, b in zip(row, sol)), 0) == r
+            # the same left-hand side twice with two right-hand sides
+            assert _solve_linear(matrix + [matrix[0]], rhs + [rhs[0] + 1]) is None
 
 
 class TestSeries:
