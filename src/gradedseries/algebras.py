@@ -12,10 +12,12 @@ needed because each supported presentation multiplies by direct rules:
                       left multiplication, with normality and regularity
                       verified up to the cutoff (never as a global claim)
 
-Graded pieces are immutable once built.  The defining scalars (q parameters,
-normal-element coefficients, basis unit vectors) follow the rule of the exact
-types: an integral rational is an int, any other rational a Fraction, an
-irrational one a CyclotomicNumber.
+Graded pieces are immutable once built.  Every scalar here follows the one
+rule of the exact types: a rational value is an int when integral and a
+Fraction otherwise, and a CyclotomicNumber is never rational.  That covers the
+defining scalars (q parameters, normal-element coefficients, basis unit
+vectors), the entries of a group element and the coefficients of a
+brute-force trace, which come out of the arithmetic in that form.
 
 Betti numbers of the trivial module come from iterated graded syzygies,
 exact for internal degree <= the cutoff because Tor_{i,j} only depends on
@@ -461,8 +463,8 @@ def brute_force_trace(g, trunc, order=None):
     """Trace series of the multiplicative extension of g, degree by degree.
 
     g acts on the degree-1 generators; the precondition that it preserve the
-    relations is checked first.  Coefficients are rationals when possible and
-    cyclotomic numbers otherwise.
+    relations is checked first.  Coefficients follow the scalar rule: ints and
+    Fractions when rational, CyclotomicNumbers otherwise.
     """
     pres = trunc.presentation
     if any(d != 1 for d in pres.degrees):
@@ -493,8 +495,6 @@ def brute_force_trace(g, trunc, order=None):
             vec = _apply_to_word(trunc, gen_vectors, trunc.label_word(lab))
             if vec:
                 total = total + vec.get(lab, 0)
-        if isinstance(total, CyclotomicNumber) and total.is_rational():
-            total = total.as_fraction()
         coefficients.append(total)
     return Series(coefficients)
 

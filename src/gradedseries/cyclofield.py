@@ -1,18 +1,24 @@
 """Arithmetic in cyclotomic fields Q(zeta_N) and matrices over them.
 
-A ``CyclotomicNumber`` of order N is a residue modulo Phi_N in the power
-basis 1, z, ..., z^(phi(N)-1) with Fraction coordinates.  It is the one
-place where orders meet: a rational operand (an int, a Fraction or a
-rational number of any order) scales the coordinates or shifts the first
-one, and only two irrational operands of different orders are lifted into
-Q(zeta_lcm), where z_N becomes z_M^(M/N).  A number hashes as its
-normalized trace Tr(x)/phi(N), which lifting leaves unchanged, so equal
-numbers hash alike whatever orders they carry.
+The scalar rule: a rational value is an int when it is integral and a
+Fraction otherwise; a ``CyclotomicNumber`` is never rational.  Every
+constructor and every operation that can land in Q (a sum, a product, a
+power of zeta) returns an int or a Fraction there, so no caller converts.
 
-``CyclotomicMatrix`` holds numbers of any orders and leaves every order
-question to that arithmetic.  Rational functions with cyclotomic
-coefficients, such as the trace series 1/det(I - t g), are
-``exact.RationalFunction`` values; ``FieldFraction`` is another name for it.
+A ``CyclotomicNumber`` of order N is a residue modulo Phi_N in the power
+basis 1, z, ..., z^(phi(N)-1) with Fraction coordinates, some coordinate
+after the first nonzero.  It is the one place where orders meet: an int or
+Fraction operand scales the coordinates or shifts the first one, and only
+two numbers of different orders are lifted into Q(zeta_lcm), where z_N
+becomes z_M^(M/N).  A number hashes as its normalized trace Tr(x)/phi(N),
+which lifting leaves unchanged, so equal numbers hash alike whatever orders
+they carry.
+
+``CyclotomicMatrix`` holds ints, Fractions and numbers of any orders under
+the same rule, and leaves every order question to that arithmetic.
+Rational functions with cyclotomic coefficients, such as the trace series
+1/det(I - t g), are ``exact.RationalFunction`` values; ``FieldFraction`` is
+another name for it.
 """
 
 from __future__ import annotations
@@ -22,62 +28,39 @@ from functools import cache
 from math import gcd
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
-from .exact import Poly, RationalFunction, _rref_add
+from .exact import Poly, RationalFunction, _rref_add, _simplify
 
 
-def _as_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} into a cyclotomic number")
-
-
-def _rational_value(x):
-    """x as an int or a Fraction when it is a rational scalar, else None."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    if isinstance(x, CyclotomicNumber) and x.is_rational():
-        return x.coords[0]
-    return None
+def _number(order, coords):
+    """The value with these phi(order) Fraction coordinates: an int or a
+    Fraction when it is rational, otherwise a CyclotomicNumber."""
+    if any(coords[1:]):
+        return CyclotomicNumber._raw(order, coords)
+    return _simplify(coords[0])
 
 
 class CyclotomicNumber:
-    """Element of Q(zeta_order) in the power basis modulo Phi_order."""
+    """Irrational element of Q(zeta_order) in the power basis modulo Phi_order.
+
+    Constructing one from rational coordinates gives an int or a Fraction.
+    """
 
     __slots__ = ("order", "coords")
 
-    def __init__(self, order, coords):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
-        if len(self.coords) != cyclotomic_polynomial(order).degree:
+    def __new__(cls, order, coords):
+        coords = tuple(Fraction(c) for c in coords)
+        if len(coords) != cyclotomic_polynomial(order).degree:
             raise ValueError("coordinate length must be phi(order)")
+        return _number(order, coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
 
     @classmethod
-    def from_rational(cls, q, order=1):
-        coords = [Fraction(q)] + [Fraction(0)] * (cyclotomic_polynomial(order).degree - 1)
-        return cls(order, coords)
-
-    @classmethod
     def zeta(cls, order, power=1):
+        """zeta_order^power; an int (1 or -1) when that is rational."""
         coords = _reduce_mod_phi([0] * (power % order) + [1], order)
-        return cls(order, coords)
-
-    @property
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __bool__(self):
-        return any(bool(c) for c in self.coords)
-
-    def is_rational(self):
-        return not any(self.coords[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return _number(order, tuple(coords))
 
     def lift(self, order):
         """Rewrite in Q(zeta_order); requires self.order | order."""
@@ -89,7 +72,7 @@ class CyclotomicNumber:
         raised = [Fraction(0)] * ((len(self.coords) - 1) * k + 1)
         for i, c in enumerate(self.coords):
             raised[i * k] = c
-        return CyclotomicNumber(order, _reduce_mod_phi(raised, order))
+        return self._raw(order, tuple(_reduce_mod_phi(raised, order)))
 
     @classmethod
     def _raw(cls, order, coords):
@@ -100,22 +83,19 @@ class CyclotomicNumber:
         return self
 
     def _pair(self, other):
-        """Two irrational numbers in one order: the lcm order if theirs differ."""
+        """The two numbers in one order: the lcm order if theirs differ."""
         if self.order == other.order:
             return self, other
         m = self.order * other.order // gcd(self.order, other.order)
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
-        q = _rational_value(other)
-        if q is not None:
-            return self._raw(self.order, (self.coords[0] + q,) + self.coords[1:])
+        if isinstance(other, (int, Fraction)):
+            return self._raw(self.order, (self.coords[0] + other,) + self.coords[1:])
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        if self.is_rational():
-            return other + self.coords[0]
         a, b = self._pair(other)
-        return self._raw(a.order, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return _number(a.order, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     __radd__ = __add__
 
@@ -131,13 +111,12 @@ class CyclotomicNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        q = _rational_value(other)
-        if q is not None:
-            return self._raw(self.order, tuple(c * q for c in self.coords))
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return 0
+            return self._raw(self.order, tuple(c * other for c in self.coords))
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        if self.is_rational():
-            return other * self.coords[0]
         a, b = self._pair(other)
         prod = [Fraction(0)] * (len(a.coords) + len(b.coords) - 1)
         for i, x in enumerate(a.coords):
@@ -145,13 +124,11 @@ class CyclotomicNumber:
                 continue
             for j, y in enumerate(b.coords):
                 prod[i + j] += x * y
-        return self._raw(a.order, tuple(_reduce_mod_phi(prod, a.order)))
+        return _number(a.order, tuple(_reduce_mod_phi(prod, a.order)))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero:
-            raise ZeroDivisionError("cyclotomic zero has no inverse")
         phi = cyclotomic_polynomial(self.order)
         # extended Euclid over Q[z]: s * self + t * Phi = 1
         r0, r1 = Poly(self.coords), phi
@@ -165,7 +142,7 @@ class CyclotomicNumber:
             raise ArithmeticError("Phi_n is squarefree; gcd must be constant")
         s0 = s0 * inv_lead
         coords = list(s0.coeffs) + [Fraction(0)] * (phi.degree - len(s0.coeffs))
-        return CyclotomicNumber(self.order, _reduce_mod_phi(coords, self.order))
+        return self._raw(self.order, tuple(_reduce_mod_phi(coords, self.order)))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -180,7 +157,7 @@ class CyclotomicNumber:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CyclotomicNumber.from_rational(1, self.order)
+        result = 1
         base = self
         while n:
             if n & 1:
@@ -190,19 +167,16 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        q = _rational_value(other)
-        if q is not None:
-            return self.is_rational() and self.coords[0] == q
+        if isinstance(other, (int, Fraction)):
+            return False
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        if self.is_rational():
-            return False
         a, b = self._pair(other)
         return a.coords == b.coords
 
     def __hash__(self):
-        # Tr(x)/phi(N) is unchanged by lifting and equals x for rational x;
-        # it is summed as num/den in ints, which is faster than Fractions
+        # Tr(x)/phi(N) is unchanged by lifting; it is summed as num/den in
+        # ints, which is faster than Fractions
         weights = _trace_weights(self.order)
         num, den = 0, 1
         for c, w in zip(self.coords, weights):
@@ -213,7 +187,7 @@ class CyclotomicNumber:
         return hash(num // den if num % den == 0 else Fraction(num, den))
 
     def __str__(self):
-        return Poly(self.coords).to_str("z") if self else "0"
+        return Poly(self.coords).to_str("z")
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {self})"
@@ -244,12 +218,13 @@ def _reduce_mod_phi(coeffs, order):
     return work + [Fraction(0)] * (d - len(work))
 
 
-def cyclo_one(order=1):
-    return CyclotomicNumber.from_rational(1, order)
-
-
-def cyclo_zero(order=1):
-    return CyclotomicNumber.from_rational(0, order)
+def _entry(x):
+    """x as a matrix entry: an int, a Fraction or a CyclotomicNumber."""
+    if isinstance(x, CyclotomicNumber):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _simplify(x)
+    raise TypeError(f"a cyclotomic matrix entry cannot be a {type(x).__name__}")
 
 
 class CyclotomicMatrix:
@@ -257,13 +232,9 @@ class CyclotomicMatrix:
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows, order=1):
-        """``order`` is the field that int and Fraction entries become."""
-        rows = tuple(
-            tuple(x if isinstance(x, CyclotomicNumber)
-                  else CyclotomicNumber.from_rational(_as_fraction(x), order)
-                  for x in row)
-            for row in rows)
+    def __init__(self, rows, order=None):
+        """``order`` is unused; bench/workloads.py still passes it."""
+        rows = tuple(tuple(_entry(x) for x in row) for row in rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
@@ -272,8 +243,8 @@ class CyclotomicMatrix:
         raise AttributeError("CyclotomicMatrix is immutable")
 
     @classmethod
-    def identity(cls, dim, order=1):
-        return cls([[int(i == j) for j in range(dim)] for i in range(dim)], order)
+    def identity(cls, dim):
+        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
 
     @property
     def dim(self):
@@ -322,10 +293,8 @@ class CyclotomicMatrix:
 
     def reciprocal_charpoly(self):
         """Coefficients of det(I - t * g), ascending in t."""
-        zero = cyclo_zero()
-        one = cyclo_one()
         # the polynomial entries of I - t g
-        mat = [[Poly((one if i == j else zero, -x)) for j, x in enumerate(row)]
+        mat = [[Poly((int(i == j), -x)) for j, x in enumerate(row)]
                for i, row in enumerate(self.rows)]
         return _poly_det(mat).coeffs
 
@@ -359,6 +328,4 @@ __all__ = [
     "CyclotomicMatrix",
     "CyclotomicNumber",
     "FieldFraction",
-    "cyclo_one",
-    "cyclo_zero",
 ]

@@ -8,21 +8,24 @@ Representation conventions:
   ``Fraction``s, or ``CyclotomicNumber``s, which may carry different orders
   (their own arithmetic reconciles those).
 * ``RationalFunction``: pair ``num/den`` of ``Poly``s over Q or Q(zeta_N)
-  with ``gcd(num, den) = 1`` and ``den(0) = 1``, every rational coefficient
-  an int or a Fraction.  One reducer produces that form for every value.
-  Every Hilbert-type series of a connected graded algebra has this shape
-  (``H(0) = 1`` pins the constant term of the denominator), and so does a
-  trace series 1/det(I - t g) over Q(zeta_N), which makes identities
-  between series literal data comparisons.  ``normalize`` also checks that
-  the expansion is an integer series.
+  with ``gcd(num, den) = 1`` and ``den(0) = 1``.  One reducer produces
+  that form for every value.  Every Hilbert-type series of a connected
+  graded algebra has this shape (``H(0) = 1`` pins the constant term of the
+  denominator), and so does a trace series 1/det(I - t g) over Q(zeta_N),
+  which makes identities between series literal data comparisons.
+  ``normalize`` also checks that the expansion is an integer series.
 * ``Series``: coefficients ``0..order`` of the expansion at ``t = 0``.
 * Sparse rows for elimination: ``_rref_add`` keeps a reduced row echelon
   form as a dict from pivot column to row, each row a dict of column ->
   nonzero entry.
 
-An integral rational is stored as an int: in these types and in the scalars
-that define algebra truncations (q parameters, normal-element coefficients,
-basis unit vectors), so arithmetic over +-1 stays in ints.
+One scalar rule holds for every coefficient: a rational value is an int when
+it is integral and a Fraction otherwise, and a ``CyclotomicNumber`` is never
+rational (its arithmetic returns an int or a Fraction wherever the result
+lies in Q).  So nothing here converts scalars, a Poly whose coefficients are
+all rational is a Poly over Q, and arithmetic over +-1 stays in ints.  The
+scalars that define algebra truncations (q parameters, normal-element
+coefficients, basis unit vectors) follow the same rule.
 
 All values are immutable after construction; operations are pure functions.
 """
@@ -62,11 +65,6 @@ def _simplify(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
-
-
-def _zero_like(c):
-    # a zero of c's own type, so a Poly of CyclotomicNumbers holds no int
-    return c - c
 
 
 def scalar_inverse(x):
@@ -150,7 +148,7 @@ class Poly:
         if not self or not other:
             return Poly()
         size = len(self.coeffs) + len(other.coeffs) - 1
-        out = [_zero_like(other.leading)] * size
+        out = [0] * size
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -185,7 +183,7 @@ class Poly:
         rem = list(self.coeffs)
         d = other.degree
         inv = scalar_inverse(other.leading)
-        quot = [_zero_like(other.leading)] * max(0, len(rem) - d)
+        quot = [0] * max(0, len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i] * inv
             if c:
@@ -290,10 +288,8 @@ def poly_to_str(p, var="t"):
             continue
         var_part = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
         if not isinstance(c, (int, Fraction)):
-            if not c.is_rational():
-                parts.append((" + " if parts else "") + f"({c}){var_part}")
-                continue
-            c = _simplify(c.as_fraction())
+            parts.append((" + " if parts else "") + f"({c}){var_part}")
+            continue
         neg = c < 0
         mag = -c if neg else c
         if var_part and mag == 1:
@@ -376,14 +372,6 @@ def _as_poly(p):
     return p if isinstance(p, Poly) else Poly(p)
 
 
-def _rationals_as_fractions(p):
-    """p with each rational coefficient an int or a Fraction."""
-    if all(isinstance(c, (int, Fraction)) for c in p.coeffs):
-        return p
-    return Poly([c if isinstance(c, (int, Fraction)) or not c.is_rational()
-                 else c.as_fraction() for c in p.coeffs])
-
-
 def _field_gcd(p, q):
     """gcd over the coefficients' field: the integer subresultant PRS when
     every coefficient is rational, Euclid over Q(zeta_N) otherwise."""
@@ -422,9 +410,9 @@ class RationalFunction:
     gcd(num, den) = 1 and den(0) = 1.
 
     Coefficients are ints, Fractions and CyclotomicNumbers of any orders,
-    mixed freely; a rational coefficient is always stored as an int or a
-    Fraction.  That reduced form is unique, so two values are equal exactly
-    when their coefficients are, and equal values hash alike.
+    mixed freely, under the scalar rule of this module.  That reduced form
+    is unique, so two values are equal exactly when their coefficients are,
+    and equal values hash alike.
     """
 
     __slots__ = ("num", "den")
@@ -434,8 +422,8 @@ class RationalFunction:
         self._assign(*_lowest_terms(_as_poly(num), _as_poly(den)))
 
     def _assign(self, num, den):
-        object.__setattr__(self, "num", _rationals_as_fractions(num))
-        object.__setattr__(self, "den", _rationals_as_fractions(den))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         return self
 
     @classmethod

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .cyclofield import CyclotomicMatrix, CyclotomicNumber
+from .cyclofield import CyclotomicMatrix
 from .exact import RationalFunction, scalar_inverse
 
 
@@ -103,24 +103,24 @@ class MatrixGroup:
         return MatrixGroup([self.elements[0]] + non_identity, non_identity)
 
 
-def closure(generators, cap=1000, dim=None, order=1):
+def closure(generators, cap=1000, dim=None, order=None):
     """Breadth-first product closure of the generators.
 
     Raises CapExceededError once more than ``cap`` elements appear.  An empty
-    generator list yields the trivial group (``dim`` then required).  The
-    identity's entries are rationals of Q(zeta_order).
+    generator list yields the trivial group (``dim`` then required).
+    ``order`` is unused; bench/workloads.py still passes it.
     """
     gens = list(generators)
     if not gens:
         if dim is None:
             raise ValueError("dim is required for an empty generator list")
-        return MatrixGroup([CyclotomicMatrix.identity(dim, order)], [])
+        return MatrixGroup([CyclotomicMatrix.identity(dim)], [])
     dims = {g.dim for g in gens}
     if len(dims) != 1:
         raise ValueError("generators must share a dimension")
     for g in gens:
         g.inverse()  # raises if some generator is singular
-    identity = CyclotomicMatrix.identity(gens[0].dim, order)
+    identity = CyclotomicMatrix.identity(gens[0].dim)
     elements = [identity]
     seen = {identity}
     frontier = 0
@@ -224,11 +224,7 @@ def hdet(trace, gl_dim, as_index):
         raise IndexMismatchError(
             f"trace vanishes to order {order} at infinity, not {as_index}")
     h = trace.den.leading * scalar_inverse(trace.num.leading)
-    if gl_dim % 2:
-        h = -h
-    if isinstance(h, CyclotomicNumber) and h.is_rational():
-        return h.as_fraction()
-    return h
+    return -h if gl_dim % 2 else h
 
 
 @dataclass(frozen=True)

@@ -747,8 +747,7 @@ class _Runner:
         gens = [self.lookup(v, "matrix") for v in args.get("generators", [])]
         cap = args.get("cap", 1000)
         dim = args.get("dim")
-        group = closure(gens, cap=cap, dim=dim,
-                        order=self.scenario.zeta_order)
+        group = closure(gens, cap=cap, dim=dim)
         name = args.get("name")
         if isinstance(name, Ref):
             self.env[name.name] = ("group", group)

@@ -26,6 +26,7 @@ from gradedseries.groups import (
     PROVENANCE_BRUTE_FORCE,
     TraceAssignment,
     closure,
+    hdet,
     molien,
     reciprocal_charpoly_trace,
 )
@@ -153,9 +154,9 @@ class TestBruteForceTrace:
         g = CyclotomicMatrix([[lams[0], 0, 0], [0, lams[1], 0], [0, 0, lams[2]]])
         trunc = build_truncation(quantum_affine(skew_symmetric_q(3)), 10)
         got = brute_force_trace(g, trunc)
-        prod = [CyclotomicNumber.from_rational(1, 6)]
+        prod = [1]
         for lam in lams:
-            nxt = [CyclotomicNumber.from_rational(0, 6)] * (len(prod) + 1)
+            nxt = [0] * (len(prod) + 1)
             for i, c in enumerate(prod):
                 nxt[i] = nxt[i] + c
                 nxt[i + 1] = nxt[i + 1] - c * lam
@@ -203,6 +204,43 @@ class TestBruteForceTrace:
         assert list(brute_force_trace(neg, trunc)) == [1, -2, 1, 0]
 
 
+def obeys_scalar_rule(x):
+    """An int, a Fraction that is not integral, or an irrational number."""
+    if type(x) is int:
+        return True
+    if type(x) is Fraction:
+        return x.denominator != 1
+    return type(x) is CyclotomicNumber and any(x.coords[1:])
+
+
+class TestScalarRule:
+    def test_every_layer_returns_rationals_as_ints_and_fractions(self):
+        # diagonal and monomial 2x2 matrices with zeta_N entries, through
+        # matrix arithmetic, charpolys, trace series, hdet and brute force
+        rng = random.Random(29)
+        trunc = build_truncation(quantum_affine([[1, 1], [1, 1]]), 6)
+        for n in (2, 3, 4, 6, 12):
+            for monomial in (False, True) * 3:
+                a, b = (CyclotomicNumber.zeta(n, rng.randrange(n))
+                        for _ in range(2))
+                g = CyclotomicMatrix([[0, a], [b, 0]] if monomial
+                                     else [[a, 0], [0, b]])
+                for m in (g, g * g, g.inverse()):
+                    assert all(obeys_scalar_rule(x) for row in m.rows
+                               for x in row), m
+                assert all(obeys_scalar_rule(c)
+                           for c in g.reciprocal_charpoly()), g
+                trace = reciprocal_charpoly_trace(g)
+                assert all(obeys_scalar_rule(c) for c in
+                           trace.num.coeffs + trace.den.coeffs), trace
+                h = hdet(trace, 2, 2)
+                # hdet is det g on the commutative polynomial ring
+                assert obeys_scalar_rule(h) and h == (-a * b if monomial
+                                                      else a * b), g
+                assert all(obeys_scalar_rule(c)
+                           for c in brute_force_trace(g, trunc)), g
+
+
 class TestMolienWithBruteForce:
     def brute_assignment(self, group, trunc, den_bound):
         traces = tuple(
@@ -239,7 +277,7 @@ class TestMolienWithBruteForce:
             for j in range(3):
                 c = g.rows[j][i]
                 if c:
-                    col[trunc.generator_label(j)] = c.as_fraction()
+                    col[trunc.generator_label(j)] = c
             gen_vectors.append(col)
         assert series[0] == 1
         for d in range(1, 13):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gradedseries.cyclofield import CyclotomicNumber
+from gradedseries.cyclotomic import euler_phi
 from gradedseries.exact import (
     AmbiguousDataError,
     NonUnitConstantError,
@@ -166,7 +167,7 @@ class TestNormalize:
                 f = normalize(p, q)
 
                 def lifted(poly):
-                    return Poly([CyclotomicNumber.from_rational(c, n)
+                    return Poly([CyclotomicNumber(n, [c] + [0] * (euler_phi(n) - 1))
                                  for c in poly.coeffs])
 
                 h = RationalFunction(lifted(p * g), lifted(q * g))

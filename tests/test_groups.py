@@ -212,8 +212,7 @@ class TestMolien:
         neg = CyclotomicMatrix([[-1, 0], [0, -1]])
         group = closure([neg], cap=5)
         good = reciprocal_charpoly_trace(group.elements[0])
-        bad = FieldFraction.reciprocal(
-            [CyclotomicNumber.from_rational(1, 3), -z])
+        bad = FieldFraction.reciprocal([1, -z])
         assignment = TraceAssignment(group, (good, bad),
                                      (PROVENANCE_USER,) * 2)
         with pytest.raises(NonRationalResultError):
@@ -233,16 +232,16 @@ class TestHdet:
     def test_diagonal_eigenvalues(self):
         lams = [z, z ** 2, 1]
         # build prod (1 - lam t) directly
-        prod = [CyclotomicNumber.from_rational(1, 3)]
+        prod = [1]
         for lam in lams:
-            nxt = [CyclotomicNumber.from_rational(0, 3)] * (len(prod) + 1)
+            nxt = [0] * (len(prod) + 1)
             for i, c in enumerate(prod):
                 nxt[i] = nxt[i] + c
                 nxt[i + 1] = nxt[i + 1] - c * lam
             prod = nxt
         trace = FieldFraction.reciprocal(prod)
         det = lams[0] * lams[1] * lams[2]
-        assert hdet(trace, 3, 3) == det.as_fraction() == 1
+        assert hdet(trace, 3, 3) == det == 1
 
     def test_sklyanin_all_trivial(self):
         group = closure(list(sklyanin_generators()), cap=30)
@@ -372,4 +371,4 @@ class TestHdetDiagonalDeterminant:
             g = CyclotomicMatrix(rows)
             det = lams[0] * lams[1] * lams[2]
             h = hdet(reciprocal_charpoly_trace(g), 3, 3)
-            assert h == (det.as_fraction() if det.is_rational() else det)
+            assert h == det and type(h) is type(det)
