@@ -613,12 +613,7 @@ def euler_check(table, hilbert_series, order):
         else expand(hilbert_series, order)
     if h.order < order:
         raise ValueError("series truncation shorter than the check order")
-    residual = [0] * (order + 1)
-    for j, c in enumerate(signed):
-        if not c:
-            continue
-        for k in range(order + 1 - j):
-            residual[j + k] += c * h[k]
+    residual = list(Series(signed) * h)
     residual[0] -= 1
     return Series(residual)
 

@@ -5,14 +5,17 @@ Fraction otherwise; a ``CyclotomicNumber`` is never rational.  Every
 constructor and every operation that can land in Q (a sum, a product, a
 power of zeta) returns an int or a Fraction there, so no caller converts.
 
-A ``CyclotomicNumber`` of order N is a residue modulo Phi_N in the power
-basis 1, z, ..., z^(phi(N)-1) with Fraction coordinates, some coordinate
-after the first nonzero.  It is the one place where orders meet: an int or
-Fraction operand scales the coordinates or shifts the first one, and only
+A ``CyclotomicNumber`` of order N is an ``exact.Poly`` over Q, its residue
+modulo Phi_N, of degree between 1 and phi(N) - 1, and its arithmetic is
+Poly arithmetic: a sum adds residues, a product is their product mod Phi_N,
+and an inverse comes from the extended Euclid of the residue and Phi_N.
+The residue's coefficients, and so the ``coords`` padded to phi(N) entries,
+follow the scalar rule.  A number is the one place where orders meet: an int
+or Fraction operand scales the residue or shifts its constant term, and only
 two numbers of different orders are lifted into Q(zeta_lcm), where z_N
-becomes z_M^(M/N).  A number hashes as its normalized trace Tr(x)/phi(N),
-which lifting leaves unchanged, so equal numbers hash alike whatever orders
-they carry.
+becomes z_M^(M/N) (``Poly.inflated``, then mod Phi_M).  A number hashes as
+its normalized trace Tr(x)/phi(N), which lifting leaves unchanged, so equal
+numbers hash alike whatever orders they carry.
 
 ``CyclotomicMatrix`` holds ints, Fractions and numbers of any orders under
 the same rule, and leaves every order question to that arithmetic.
@@ -28,30 +31,32 @@ from functools import cache
 from math import gcd
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
-from .exact import Poly, RationalFunction, _rref_add, _simplify
+from .exact import (Poly, RationalFunction, _rref_add, _simplify,
+                    scalar_inverse)
 
 
-def _number(order, coords):
-    """The value with these phi(order) Fraction coordinates: an int or a
-    Fraction when it is rational, otherwise a CyclotomicNumber."""
-    if any(coords[1:]):
-        return CyclotomicNumber._raw(order, coords)
-    return _simplify(coords[0])
+def _number(order, residue):
+    """The value of this residue modulo Phi_order: its constant term (an int
+    or a Fraction) when the degree is at most 0, otherwise a
+    CyclotomicNumber."""
+    if residue.degree > 0:
+        return CyclotomicNumber._raw(order, residue)
+    return residue.constant_term
 
 
 class CyclotomicNumber:
-    """Irrational element of Q(zeta_order) in the power basis modulo Phi_order.
+    """Irrational element of Q(zeta_order): a Poly residue modulo Phi_order.
 
-    Constructing one from rational coordinates gives an int or a Fraction.
+    Its coordinates follow the scalar rule; constructing one from rational
+    coordinates gives an int or a Fraction.
     """
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "residue")
 
     def __new__(cls, order, coords):
-        coords = tuple(Fraction(c) for c in coords)
         if len(coords) != cyclotomic_polynomial(order).degree:
             raise ValueError("coordinate length must be phi(order)")
-        return _number(order, coords)
+        return _number(order, Poly(coords))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
@@ -59,8 +64,8 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, order, power=1):
         """zeta_order^power; an int (1 or -1) when that is rational."""
-        coords = _reduce_mod_phi([0] * (power % order) + [1], order)
-        return _number(order, tuple(coords))
+        return _number(order, Poly.monomial(power % order)
+                       % cyclotomic_polynomial(order))
 
     def lift(self, order):
         """Rewrite in Q(zeta_order); requires self.order | order."""
@@ -68,19 +73,22 @@ class CyclotomicNumber:
             return self
         if order % self.order:
             raise ValueError("can only lift into a larger cyclotomic field")
-        k = order // self.order
-        raised = [Fraction(0)] * ((len(self.coords) - 1) * k + 1)
-        for i, c in enumerate(self.coords):
-            raised[i * k] = c
-        return self._raw(order, tuple(_reduce_mod_phi(raised, order)))
+        return self._raw(order, self.residue.inflated(order // self.order)
+                         % cyclotomic_polynomial(order))
 
     @classmethod
-    def _raw(cls, order, coords):
-        """A number from a tuple of phi(order) Fraction coordinates."""
+    def _raw(cls, order, residue):
+        """A number from a residue of degree between 1 and phi(order) - 1."""
         self = object.__new__(cls)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "residue", residue)
         return self
+
+    @property
+    def coords(self):
+        """The phi(order) coordinates in the power basis 1, z, z^2, ..."""
+        c = self.residue.coeffs
+        return c + (0,) * (cyclotomic_polynomial(self.order).degree - len(c))
 
     def _pair(self, other):
         """The two numbers in one order: the lcm order if theirs differ."""
@@ -91,16 +99,16 @@ class CyclotomicNumber:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._raw(self.order, (self.coords[0] + other,) + self.coords[1:])
+            return self._raw(self.order, self.residue + other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
-        return _number(a.order, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return _number(a.order, a.residue + b.residue)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.order, tuple(-c for c in self.coords))
+        return self._raw(self.order, -self.residue)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -114,39 +122,30 @@ class CyclotomicNumber:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return 0
-            return self._raw(self.order, tuple(c * other for c in self.coords))
+            return self._raw(self.order, self.residue * other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
-        prod = [Fraction(0)] * (len(a.coords) + len(b.coords) - 1)
-        for i, x in enumerate(a.coords):
-            if not x:
-                continue
-            for j, y in enumerate(b.coords):
-                prod[i + j] += x * y
-        return _number(a.order, tuple(_reduce_mod_phi(prod, a.order)))
+        return _number(a.order, a.residue * b.residue
+                       % cyclotomic_polynomial(a.order))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        phi = cyclotomic_polynomial(self.order)
-        # extended Euclid over Q[z]: s * self + t * Phi = 1
-        r0, r1 = Poly(self.coords), phi
+        # extended Euclid over Q[z]: s * self + t * Phi = 1, with deg s < phi
+        r0, r1 = self.residue, cyclotomic_polynomial(self.order)
         s0, s1 = Poly((1,)), Poly()
         while r1:
             q, r = divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
-        inv_lead = Fraction(1) / Fraction(r0.leading)
         if r0.degree != 0:
             raise ArithmeticError("Phi_n is squarefree; gcd must be constant")
-        s0 = s0 * inv_lead
-        coords = list(s0.coeffs) + [Fraction(0)] * (phi.degree - len(s0.coeffs))
-        return self._raw(self.order, tuple(_reduce_mod_phi(coords, self.order)))
+        return self._raw(self.order, s0 * scalar_inverse(r0.leading))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / other)
+            return self * scalar_inverse(other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         return self * other.inverse()
@@ -172,14 +171,14 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coords == b.coords
+        return a.residue == b.residue
 
     def __hash__(self):
         # Tr(x)/phi(N) is unchanged by lifting; it is summed as num/den in
         # ints, which is faster than Fractions
         weights = _trace_weights(self.order)
         num, den = 0, 1
-        for c, w in zip(self.coords, weights):
+        for c, w in zip(self.residue.coeffs, weights):
             if c and w:
                 num = num * c.denominator + c.numerator * w * den
                 den *= c.denominator
@@ -187,7 +186,7 @@ class CyclotomicNumber:
         return hash(num // den if num % den == 0 else Fraction(num, den))
 
     def __str__(self):
-        return Poly(self.coords).to_str("z")
+        return self.residue.to_str("z")
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {self})"
@@ -201,21 +200,6 @@ def _trace_weights(order):
     """
     return tuple(sum(mobius(order // d) * d for d in _divisors(gcd(order, i)))
                  for i in range(cyclotomic_polynomial(order).degree))
-
-
-def _reduce_mod_phi(coeffs, order):
-    """Reduce a coefficient list modulo Phi_order; returns phi(order) coords."""
-    phi = cyclotomic_polynomial(order)
-    d = phi.degree
-    work = [Fraction(c) for c in coeffs]
-    for i in range(len(work) - 1, d - 1, -1):
-        c = work[i]
-        if c:
-            work[i] = Fraction(0)
-            for j, pc in enumerate(phi.coeffs[:-1]):
-                work[i - d + j] -= c * pc
-    work = work[:d]
-    return work + [Fraction(0)] * (d - len(work))
 
 
 def _entry(x):
@@ -257,7 +241,7 @@ class CyclotomicMatrix:
             raise ValueError("dimension mismatch")
         cols = list(zip(*other.rows))
         return CyclotomicMatrix(
-            [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            [[sum(x * y for x, y in zip(row, col) if x and y) for col in cols]
              for row in self.rows])
 
     def __eq__(self, other):

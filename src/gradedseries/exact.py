@@ -6,7 +6,9 @@ Representation conventions:
   ``t^k``.  Trailing zeros are stripped; the zero polynomial has ``coeffs
   == ()``.  Coefficients lie in one exact field: Python ints and
   ``Fraction``s, or ``CyclotomicNumber``s, which may carry different orders
-  (their own arithmetic reconciles those).
+  (their own arithmetic reconciles those).  A ``CyclotomicNumber`` is itself
+  a Poly over Q reduced modulo a cyclotomic polynomial, so this one Poly
+  arithmetic serves both levels.
 * ``RationalFunction``: pair ``num/den`` of ``Poly``s over Q or Q(zeta_N)
   with ``gcd(num, den) = 1`` and ``den(0) = 1``.  One reducer produces
   that form for every value.  Every Hilbert-type series of a connected
@@ -22,8 +24,9 @@ Representation conventions:
 One scalar rule holds for every coefficient: a rational value is an int when
 it is integral and a Fraction otherwise, and a ``CyclotomicNumber`` is never
 rational (its arithmetic returns an int or a Fraction wherever the result
-lies in Q).  So nothing here converts scalars, a Poly whose coefficients are
-all rational is a Poly over Q, and arithmetic over +-1 stays in ints.  The
+lies in Q, and its coordinates are ints or Fractions by the same rule).  So
+nothing here converts scalars, a Poly whose coefficients are all rational is
+a Poly over Q, and arithmetic over +-1 stays in ints.  The
 scalars that define algebra truncations (q parameters, normal-element
 coefficients, basis unit vectors) follow the same rule.
 
@@ -68,9 +71,9 @@ def _simplify(c):
 
 
 def scalar_inverse(x):
-    """1/x for a nonzero int, Fraction or CyclotomicNumber."""
+    """1/x for a nonzero int, Fraction or CyclotomicNumber; +-1 is its own."""
     if isinstance(x, (int, Fraction)):
-        return _simplify(Fraction(1) / x)
+        return x if x == 1 or x == -1 else _simplify(Fraction(1) / x)
     return x.inverse()
 
 
@@ -192,9 +195,6 @@ class Poly:
                     if oc:
                         rem[i - d + j] -= c * oc
         return Poly(quot), Poly(rem[:d])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -464,8 +464,8 @@ class RationalFunction:
         """other as a RationalFunction, or None for a foreign type."""
         if isinstance(other, RationalFunction):
             return other
-        # a scalar: an int, a Fraction or a CyclotomicNumber (known by its coords)
-        if isinstance(other, (int, Fraction)) or hasattr(other, "coords"):
+        # a scalar: an int, a Fraction or a CyclotomicNumber (it has a residue)
+        if isinstance(other, (int, Fraction)) or hasattr(other, "residue"):
             return RationalFunction._wrap(Poly((other,)), Poly((1,)))
         return None
 
@@ -746,10 +746,5 @@ def reconstruct(s, num_bound, den_bound):
         if any(rhs):
             raise NoSolutionError("no polynomial of the given degree matches")
         q = Poly((1,))
-    prod = [0] * (num_bound + 1)
-    for i, qc in enumerate(q.coeffs):
-        if not qc:
-            continue
-        for k in range(i, num_bound + 1):
-            prod[k] += qc * c[k - i]
-    return normalize(Poly(prod), q)
+    p = q * Poly(c[:num_bound + 1])
+    return normalize(Poly(p.coeffs[:num_bound + 1]), q)

@@ -408,6 +408,16 @@ class TestEulerCheck:
         h = quotient_series([1, 1], [2])
         assert not any(euler_check(table, h, 8))
 
+    def test_wrong_series_leaves_the_exact_residual(self):
+        # the free algebra on 2 generators has Betti polynomial 1 - 2t; the
+        # commutative plane's 1/(1 - t)^2 gives (1 - 2t) sum (k+1) t^k - 1,
+        # whose coefficient of t^k is -(k - 1) for k >= 1
+        table = betti_numbers(build_truncation(free_algebra(2), 6))
+        assert table.entries == {(0, 0): 1, (1, 1): 2}
+        want = Series([0, 0, -1, -2, -3, -4, -5])
+        assert euler_check(table, normalize(P(1), P(1, -1) ** 2), 6) == want
+        assert euler_check(table, Series(range(1, 10)), 6) == want
+
 
 class TestTorInequalities:
     def test_quantum_plane_and_hypersurface(self):

@@ -9,7 +9,8 @@ from gradedseries.cyclofield import (
     FieldFraction,
 )
 from gradedseries.cyclotomic import euler_phi
-from gradedseries.exact import Poly, expand, normalize, one_minus_power
+from gradedseries.exact import (Poly, expand, normalize, one_minus_power,
+                                scalar_inverse)
 
 
 def P(*coeffs):
@@ -18,6 +19,25 @@ def P(*coeffs):
 
 z3 = CyclotomicNumber.zeta(3)
 z4 = CyclotomicNumber.zeta(4)
+ORDERS = (3, 4, 5, 8, 9, 12, 15)
+
+
+def random_number(rng, n):
+    """A random element of Q(zeta_n), from coordinates with few nonzeros."""
+    return CyclotomicNumber(n, [Fraction(rng.choice((0, 0, 1, -2, 3)),
+                                         rng.randint(1, 2))
+                                for _ in range(euler_phi(n))])
+
+
+def assert_scalar_rule(x):
+    """x is an int, a non-integral Fraction, or a number whose coordinates
+    are each an int or a non-integral Fraction."""
+    values = (x,)
+    if isinstance(x, CyclotomicNumber):
+        values = x.coords
+        assert len(values) == euler_phi(x.order) and any(values[1:])
+    for c in values:
+        assert type(c) is (int if c.denominator == 1 else Fraction), (x, c)
 
 
 class TestCyclotomicNumber:
@@ -101,6 +121,37 @@ class TestCyclotomicNumber:
                     if n > 1:
                         y = CyclotomicNumber.zeta(n)
                         assert x * q == x * (y + q) - x * y
+
+    def test_coordinates_follow_the_scalar_rule(self):
+        rng = random.Random(3)
+        for n in ORDERS:
+            for k in range(n):
+                assert_scalar_rule(CyclotomicNumber.zeta(n, k))
+            for _ in range(15):
+                x, y = random_number(rng, n), random_number(rng, n)
+                assert_scalar_rule(x)
+                if not isinstance(x, CyclotomicNumber):
+                    continue  # a rational draw is Python's arithmetic
+                for value in (x + y, x - y, x * y, 2 * x, x * Fraction(1, 2),
+                              x.inverse()):
+                    assert_scalar_rule(value)
+                for m in (2 * n, 3 * n):
+                    assert_scalar_rule(x.lift(m))
+
+    def test_field_axioms_across_orders(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            x, y, w = (random_number(rng, rng.choice(ORDERS)) for _ in range(3))
+            assert (x * y) * w == x * (y * w)
+            assert (x + y) + w == x + (y + w)
+            assert x * (y + w) == x * y + x * w
+            if x:
+                assert x * scalar_inverse(x) == 1
+            # x again, carried in the order lcm(order of x, m)
+            zm = CyclotomicNumber.zeta(rng.choice(ORDERS))
+            again = (x + zm) - zm
+            assert again == x and hash(again) == hash(x)
+            assert hash(x * y + w) == hash(w + y * x)
 
     def test_power_basis_reduction(self):
         # zeta_9^6 reduces against Phi_9 = 1 + t^3 + t^6
