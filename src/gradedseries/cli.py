@@ -31,6 +31,7 @@ EXIT_EXPECTATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 # argparse reads a literal such as "-t" as an option; "--" or "--opt=TEXT" avoids it
+DASH_HINT = "hint: write a literal that starts with '-' after '--' or as --opt=TEXT"
 SERIES_HELP = ("series literal, e.g. '(1+t)^3/(1-t)^4'; "
                "put one that starts with '-' after '--'")
 MATRIX_HELP = ("matrix literal, e.g. '[[0,z,0],[0,0,z^2],[1,0,0]]'; "
@@ -145,8 +146,17 @@ def cmd_run(args):
     return EXIT_OK if passed else EXIT_EXPECTATION_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose bad-input report starts with an ``error:`` line, like
+    every other input error of this CLI; the exit code stays 2."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR,
+                  f"error: {message}\n{DASH_HINT}\n{self.format_usage()}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradedseries",
         description="Exact Hilbert-series computations: Veronese sections, "
                     "Molien sums, cyclotomic classification, Betti tables.")

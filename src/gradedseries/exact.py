@@ -197,7 +197,22 @@ class Poly:
         return Poly(quot), Poly(rem[:d])
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        """The remainder of ``divmod``, with no quotient built."""
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        d = other.degree
+        if self.degree < d:
+            return self
+        rem = list(self.coeffs)
+        inv = scalar_inverse(other.leading)
+        lower = other.coeffs[:-1]  # the leading term only clears rem[i]
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i] * inv
+            if c:
+                for j, oc in enumerate(lower, i - d):
+                    if oc:
+                        rem[j] -= c * oc
+        return Poly(rem[:d])
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -638,13 +653,9 @@ class Series:
         return f"Series({list(self.coeffs)!r})"
 
 
-def expand(f, n):
-    """Coefficients 0..n of the power-series expansion of f at t = 0.
-
-    f is a RationalFunction, whose den(0) = 1 makes the recursion
-    division-free.
-    """
-    num, den = f.num.coeffs, f.den.coeffs
+def _series_coeffs(num, den, n):
+    """Coefficients 0..n of num/den at t = 0, for coefficient tuples with
+    den[0] = 1, which makes the recursion division-free."""
     out = []
     for k in range(n + 1):
         acc = num[k] if k < len(num) else 0
@@ -652,7 +663,34 @@ def expand(f, n):
             if den[j]:
                 acc = acc - den[j] * out[k - j]
         out.append(acc)
-    return Series(out)
+    return out
+
+
+def expand(f, n):
+    """Coefficients 0..n of the power-series expansion of f at t = 0.
+
+    f is a RationalFunction, whose den(0) = 1 makes the recursion
+    division-free.
+    """
+    return Series(_series_coeffs(f.num.coeffs, f.den.coeffs, n))
+
+
+def series_quotient(p, d):
+    """p / d as a Poly when d divides p, else None; d(0) must be 1.
+
+    The quotient is the power series of p / d, so it needs no inverse of a
+    coefficient.  d divides p exactly when that series vanishes from degree
+    deg p - deg d + 1 through deg p.
+    """
+    if not p:
+        return p
+    k = p.degree - d.degree
+    if k < 0:
+        return None
+    out = _series_coeffs(p.coeffs, d.coeffs, p.degree)
+    if any(out[k + 1:]):
+        return None
+    return Poly(out[:k + 1])
 
 
 def _reduce_vec(rows, vec):

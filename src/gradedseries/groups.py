@@ -16,9 +16,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 from .cyclofield import CyclotomicMatrix
-from .exact import RationalFunction, scalar_inverse
+from .exact import (Poly, RationalFunction, normalize, one_minus_power,
+                    scalar_inverse, series_quotient)
 
 
 class CapExceededError(RuntimeError):
@@ -49,15 +51,21 @@ PROVENANCE_USER = "user-supplied"
 
 
 class MatrixGroup:
-    """A finite, closed set of matrices; elements[0] is the identity."""
+    """A finite, closed set of matrices; elements[0] is the identity.
 
-    __slots__ = ("elements", "generators", "_index", "_table")
+    The generators generate the elements.  A group made by ``subgroup``
+    remembers its parent and its members' indices there, so that its
+    multiplication table is read off the parent's.
+    """
 
-    def __init__(self, elements, generators):
+    __slots__ = ("elements", "generators", "_index", "_table", "_parent")
+
+    def __init__(self, elements, generators, _parent=None):
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(elements)})
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_parent", _parent)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGroup is immutable")
@@ -74,12 +82,49 @@ class MatrixGroup:
         return self._index[matrix]
 
     def multiplication_table(self):
+        """table[a][b] is the index of elements[a] * elements[b]."""
         if self._table is None:
-            table = tuple(
-                tuple(self._index[a * b] for b in self.elements)
-                for a in self.elements)
+            if self._parent is None:
+                table = self._table_from_generators()
+            else:
+                parent, members = self._parent
+                position = {p: i for i, p in enumerate(members)}
+                rows = parent.multiplication_table()
+                table = tuple(tuple(position[rows[a][b]] for b in members)
+                              for a in members)
             object.__setattr__(self, "_table", table)
         return self._table
+
+    def _table_from_generators(self):
+        # right multiplication by each generator as an index permutation;
+        # column b holds the index of a * b for every a, and if b = p * g
+        # then a * b = (a * p) * g, so b's column is p's through g's
+        # permutation.  Columns are filled breadth-first from the identity's.
+        perms = [tuple(self._index[m * g] for m in self.elements)
+                 for g in self.generators]
+        columns = {0: tuple(range(self.order))}
+        queue = [0]
+        for p in queue:
+            for perm in perms:
+                b = perm[p]
+                if b not in columns:
+                    columns[b] = tuple(perm[x] for x in columns[p])
+                    queue.append(b)
+        if len(columns) != self.order:
+            raise ValueError("the generators do not generate the elements")
+        return tuple(zip(*(columns[b] for b in range(self.order))))
+
+    def exponent(self):
+        """The lcm of the element orders, read by walking powers in the
+        multiplication table."""
+        table = self.multiplication_table()
+        e = 1
+        for a in range(1, self.order):
+            row, x, k = table[a], a, 1
+            while x:
+                x, k = row[x], k + 1
+            e = lcm(e, k)
+        return e
 
     def subset_closure(self, seed_indices):
         """Smallest closed subset (hence subgroup) containing the seeds."""
@@ -97,10 +142,11 @@ class MatrixGroup:
         return frozenset(closed)
 
     def subgroup(self, indices):
-        """The closed subset as a MatrixGroup of its own."""
-        members = [self.elements[i] for i in sorted(indices)]
-        non_identity = [m for m in members if m != self.elements[0]]
-        return MatrixGroup([self.elements[0]] + non_identity, non_identity)
+        """The closed subset as a MatrixGroup of its own, whose table is read
+        off this group's."""
+        members = sorted(set(indices) | {0})
+        elements = [self.elements[i] for i in members]
+        return MatrixGroup(elements, elements[1:], (self, members))
 
 
 def closure(generators, cap=1000, dim=None, order=None):
@@ -198,12 +244,37 @@ def assign_charpoly_traces(group):
 def molien(group, assignment):
     """Hilbert series of the invariants: (1/|G|) sum of the trace series.
 
-    The sum runs exactly over the cyclotomic field; distinct trace values are
-    summed once with multiplicity.  The result must land in Q.
+    Distinct trace values are summed once with multiplicity.  The sum is
+    taken over one common denominator, in the form of Molien's theorem
+    Stanley gives (Bull. AMS 1, 1979): every eigenvalue of g has order
+    dividing the exponent e of G, so det(I - t g) divides (1 - t^e)^n for
+    n = dim G, and each trace num/den becomes the polynomial
+    num (1 - t^e)^n / den.  Since den(0) = 1 that division runs up from the
+    constant term with no inverse, and no gcd over Q(zeta_N) is taken: the
+    polynomials are summed, and one integer reduction of
+    sum / (|G| (1 - t^e)^n) gives the series.  A trace whose denominator
+    does not divide (1 - t^e)^n (a brute-force trace can have one) sends
+    the whole sum back to adding the reduced traces pairwise.  Either way
+    the result must land in Q.
     """
     counts = {}
     for f in assignment.traces:
         counts[f] = counts.get(f, 0) + 1
+    common = one_minus_power(group.exponent()) ** group.dim
+    total = Poly()
+    for f, k in counts.items():
+        p = series_quotient(f.num * common, f.den)
+        if p is None:
+            return _pairwise_molien(group, counts)
+        total = total + p * k
+    if not all(isinstance(c, (int, Fraction)) for c in total.coeffs):
+        raise NonRationalResultError(
+            "Molien sum did not cancel to rational coefficients")
+    return normalize(total, common * group.order)
+
+
+def _pairwise_molien(group, counts):
+    """The Molien sum as reduced rational functions added pairwise."""
     total = reduce(operator.add, (f.scaled(Fraction(k, group.order))
                                   for f, k in counts.items()))
     result = total.to_rational_function()

@@ -23,6 +23,7 @@ from gradedseries.exact import (
     poly_gcd,
     poly_to_str,
     reconstruct,
+    series_quotient,
 )
 
 
@@ -68,6 +69,33 @@ class TestPoly:
         assert r == Poly()
         assert q == P(1, 0, 0, 1)
         assert num.exact_div(one_minus_power(2)) == P(1, 0, 1, 0, 1)
+
+    def test_mod_is_the_divmod_remainder(self):
+        rng = random.Random(17)
+        for field in ("int", "fraction", "cyclotomic"):
+            for _ in range(25):
+                p = Poly([random_scalar(rng, field)
+                          for _ in range(rng.randint(0, 7))])
+                q = Poly([random_scalar(rng, field)
+                          for _ in range(rng.randint(1, 4))])
+                if q:
+                    assert p % q == divmod(p, q)[1], (p, q)
+        with pytest.raises(ZeroDivisionError):
+            P(1, 2) % Poly()
+
+    def test_series_quotient(self):
+        assert series_quotient(one_minus_power(6), P(1, 0, 0, -1)) == \
+            P(1, 0, 0, 1)
+        assert series_quotient(Poly(), ONE_MINUS_T) == Poly()
+        # 1 - t does not divide 1 + t^2, nor anything of lower degree
+        assert series_quotient(P(1, 0, 1), ONE_MINUS_T) is None
+        assert series_quotient(P(1), ONE_MINUS_T) is None
+        rng = random.Random(19)
+        for _ in range(25):
+            q = Poly([random_scalar(rng, "cyclotomic") for _ in range(4)])
+            d = Poly([1] + [random_scalar(rng, "cyclotomic") for _ in range(3)])
+            if q:
+                assert series_quotient(q * d, d) == q
 
     def test_gcd_subresultant(self):
         a = one_minus_power(2) ** 3

@@ -1,15 +1,28 @@
+import operator
+import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import lcm
 
 import pytest
 
+from gradedseries import groups
+from gradedseries.algebras import (
+    brute_force_trace,
+    build_truncation,
+    quantum_affine,
+    skew_symmetric_q,
+)
 from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
 from gradedseries.cyclotomic import gorenstein_symmetry, is_cyclotomic
-from gradedseries.exact import Poly, expand, normalize, one_minus_power
+from gradedseries.exact import Poly, expand, normalize, one_minus_power, reconstruct
 from gradedseries.groups import (
     CapExceededError,
     IndexMismatchError,
+    MatrixGroup,
     NonRationalResultError,
+    PROVENANCE_BRUTE_FORCE,
     PROVENANCE_USER,
     TooLargeError,
     TraceAssignment,
@@ -217,6 +230,139 @@ class TestMolien:
                                      (PROVENANCE_USER,) * 2)
         with pytest.raises(NonRationalResultError):
             molien(group, assignment)
+
+
+def pairwise_molien(group, assignment):
+    """The Molien sum as reduced rational functions added pairwise over
+    Q(zeta_N), each with its gcd: the oracle for the common-denominator sum."""
+    counts = {}
+    for f in assignment.traces:
+        counts[f] = counts.get(f, 0) + 1
+    total = reduce(operator.add, (f.scaled(Fraction(k, group.order))
+                                  for f, k in counts.items()))
+    return total.to_rational_function()
+
+
+def random_monomial_group(rng, N, dim, cap=48):
+    """A closure of one or two random monomial matrices over Q(zeta_N) (a
+    permutation matrix times a diagonal of N-th roots of unity) with at
+    most ``cap`` elements."""
+    while True:
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            perm = rng.sample(range(dim), dim)
+            rows = [[0] * dim for _ in range(dim)]
+            for j in range(dim):
+                rows[perm[j]][j] = CyclotomicNumber.zeta(N, rng.randrange(N))
+            gens.append(CyclotomicMatrix(rows))
+        try:
+            return closure(gens, cap=cap)
+        except CapExceededError:
+            continue
+
+
+def brute_force_group(dim, matrix):
+    """The group of ``matrix`` on the (-1)-skew space in ``dim`` variables,
+    with brute-force traces reconstructed from a cutoff-12 truncation."""
+    trunc = build_truncation(quantum_affine(skew_symmetric_q(dim)), 12)
+    group = closure([CyclotomicMatrix(matrix)], cap=10)
+    traces = tuple(reconstruct(brute_force_trace(g, trunc), 0, dim)
+                   for g in group.elements)
+    return group, TraceAssignment(group, traces,
+                                  (PROVENANCE_BRUTE_FORCE,) * group.order)
+
+
+class TestMolienCommonDenominator:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The groups the pairwise fallback was called for."""
+        calls = []
+        original = groups._pairwise_molien
+
+        def spy(group, counts):
+            calls.append(group)
+            return original(group, counts)
+        monkeypatch.setattr(groups, "_pairwise_molien", spy)
+        return calls
+
+    def test_matches_pairwise_oracle_on_monomial_groups(self, fallbacks):
+        rng = random.Random(97)
+        for N in (2, 3, 4, 6):
+            for dim in (2, 3, 4):
+                group = random_monomial_group(rng, N, dim)
+                assignment = assign_charpoly_traces(group)
+                got = molien(group, assignment)
+                assert got == pairwise_molien(group, assignment), (N, dim)
+        assert fallbacks == []  # charpoly traces never leave the common sum
+
+    def test_brute_force_traces_divide_the_common_denominator(self, fallbacks):
+        # the mystic quasi-bireflection: every trace denominator divides
+        # (1 - t^4)^3
+        group, assignment = brute_force_group(
+            3, [[0, -1, 0], [1, 0, 0], [0, 0, -1]])
+        got = molien(group, assignment)
+        want = normalize(one_minus_power(6),
+                         one_minus_power(2) ** 3 * one_minus_power(3))
+        assert got == want == pairwise_molien(group, assignment)
+        assert fallbacks == []
+
+    def test_brute_force_trace_outside_the_common_denominator(self, fallbacks):
+        # the double swap has order 2, but its trace 1/(1 + t^2)^2 on the
+        # (-1)-skew space has poles at the 4th roots of unity, so it does not
+        # divide (1 - t^2)^4
+        group, assignment = brute_force_group(
+            4, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        got = molien(group, assignment)
+        want = normalize(P(1, -2, 4, -2, 1), P(1, -1) ** 4 * P(1, 0, 1) ** 2)
+        assert got == want == pairwise_molien(group, assignment)
+        assert fallbacks == [group]
+
+
+class TestMultiplicationTable:
+    def element_order(self, m):
+        identity = CyclotomicMatrix.identity(m.dim)
+        k, power = 1, m
+        while power != identity:
+            k, power = k + 1, power * m
+        return k
+
+    def check(self, group):
+        table = group.multiplication_table()
+        assert len(table) == group.order
+        for a, x in enumerate(group.elements):
+            assert table[a] == tuple(group.index_of(x * y)
+                                     for y in group.elements)
+        assert group.exponent() == lcm(*(self.element_order(m)
+                                         for m in group.elements))
+
+    def test_closure_built(self):
+        self.check(closure(list(sklyanin_generators()), cap=30))
+        self.check(closure([mystic_matrix()], cap=10))
+        # S_3 as permutation matrices: exponent 6, no element of order 6
+        swap = CyclotomicMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        _, cycle, _ = sklyanin_generators()
+        s3 = closure([swap, cycle], cap=10)
+        assert s3.order == 6 and s3.exponent() == 6
+        self.check(s3)
+        self.check(random_monomial_group(random.Random(5), 6, 3))
+
+    def test_subgroup_built(self):
+        group = closure(list(sklyanin_generators()), cap=30)
+        subs = subgroups(group)
+        for s in subs:
+            self.check(s)
+        nine = next(s for s in subs if s.order == 9)
+        self.check(nine.subgroup(nine.subset_closure({1})))
+
+    def test_trivial(self):
+        group = closure([], dim=3)
+        assert group.multiplication_table() == ((0,),)
+        assert group.exponent() == 1
+
+    def test_generators_must_generate(self):
+        group = closure([mystic_matrix()], cap=10)
+        with pytest.raises(ValueError):
+            MatrixGroup(group.elements, []).multiplication_table()
 
 
 class TestHdet:

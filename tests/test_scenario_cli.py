@@ -271,6 +271,16 @@ class TestCli:
         assert main(["betti", "--algebra=-x"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [["classify", "-t"],
+                                      ["betti", "--algebra", "-x"]])
+    def test_literal_read_as_an_option_gives_an_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'--'" in err and "--opt=TEXT" in err
+
 
 README = Path(__file__).parent.parent / "README.md"
 
