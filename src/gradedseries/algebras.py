@@ -463,8 +463,15 @@ def brute_force_trace(g, trunc, order=None):
     """Trace series of the multiplicative extension of g, degree by degree.
 
     g acts on the degree-1 generators; the precondition that it preserve the
-    relations is checked first.  Coefficients follow the scalar rule: ints and
-    Fractions when rational, CyclotomicNumbers otherwise.
+    relations is checked first, on every call.  The image of a word is the
+    image of its prefix times one generator image, so degree d's images are
+    products of degree d - 1's with the generator images, in the order
+    ``_apply_to_word`` multiplies.  The images are keyed by word, since a
+    prefix of a basis word need not be a basis label (a normal quotient's
+    basis is not prefix-closed): the words kept are the prefix closure of the
+    basis words up to ``order``, and only one degree's images are held at a
+    time.  Coefficients follow the scalar rule: ints and Fractions when
+    rational, CyclotomicNumbers otherwise.
     """
     pres = trunc.presentation
     if any(d != 1 for d in pres.degrees):
@@ -478,21 +485,35 @@ def brute_force_trace(g, trunc, order=None):
     check_automorphism(g, trunc)
     n = pres.ngens
     gen_vectors = []
-    images = [trunc.generator_vector(j)[1] for j in range(n)]
+    generators = [trunc.generator_vector(j)[1] for j in range(n)]
     for i in range(n):
         vec = {}
         for j in range(n):
             c = g.rows[j][i]
             if not c:
                 continue
-            for lab, s in images[j].items():
+            for lab, s in generators[j].items():
                 vec[lab] = vec.get(lab, 0) + c * s
         gen_vectors.append({k: v for k, v in vec.items() if v})
+    # words[d]: the basis words of degree d and the prefixes of longer ones
+    words = [None] * (order + 1)
+    prefixes = set()
+    for d in range(order, 0, -1):
+        words[d] = prefixes.union(trunc.label_word(lab) for lab in trunc.bases[d])
+        prefixes = {w[:-1] for w in words[d]}
     coefficients = [1]
     for d in range(1, order + 1):
+        if d == 1:
+            images = {w: gen_vectors[w[0]] for w in words[1]}
+        else:
+            previous, images = images, {}
+            for w in words[d]:
+                head = previous[w[:-1]]
+                images[w] = head and trunc.mul(d - 1, head, 1,
+                                               gen_vectors[w[-1]])
         total = 0
         for lab in trunc.bases[d]:
-            vec = _apply_to_word(trunc, gen_vectors, trunc.label_word(lab))
+            vec = images[trunc.label_word(lab)]
             if vec:
                 total = total + vec.get(lab, 0)
         coefficients.append(total)

@@ -55,17 +55,21 @@ class MatrixGroup:
 
     The generators generate the elements.  A group made by ``subgroup``
     remembers its parent and its members' indices there, so that its
-    multiplication table is read off the parent's.
+    multiplication table is read off the parent's.  A group made by
+    ``closure`` keeps the right action of each generator on the element
+    indices, found by closure's own products, for its table.
     """
 
-    __slots__ = ("elements", "generators", "_index", "_table", "_parent")
+    __slots__ = ("elements", "generators", "_index", "_table", "_parent",
+                 "_perms")
 
-    def __init__(self, elements, generators, _parent=None):
+    def __init__(self, elements, generators, _parent=None, _perms=None):
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(elements)})
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_parent", _parent)
+        object.__setattr__(self, "_perms", _perms)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGroup is immutable")
@@ -100,8 +104,10 @@ class MatrixGroup:
         # column b holds the index of a * b for every a, and if b = p * g
         # then a * b = (a * p) * g, so b's column is p's through g's
         # permutation.  Columns are filled breadth-first from the identity's.
-        perms = [tuple(self._index[m * g] for m in self.elements)
-                 for g in self.generators]
+        perms = self._perms
+        if perms is None:
+            perms = [tuple(self._index[m * g] for m in self.elements)
+                     for g in self.generators]
         columns = {0: tuple(range(self.order))}
         queue = [0]
         for p in queue:
@@ -152,9 +158,12 @@ class MatrixGroup:
 def closure(generators, cap=1000, dim=None, order=None):
     """Breadth-first product closure of the generators.
 
-    Raises CapExceededError once more than ``cap`` elements appear.  An empty
-    generator list yields the trivial group (``dim`` then required).
-    ``order`` is unused; bench/workloads.py still passes it.
+    Every product element * generator is computed once, and its index is
+    kept as that generator's right-action permutation for the group's
+    multiplication table.  Raises CapExceededError once more than ``cap``
+    elements appear.  An empty generator list yields the trivial group
+    (``dim`` then required).  ``order`` is unused; bench/workloads.py still
+    passes it.
     """
     gens = list(generators)
     if not gens:
@@ -168,20 +177,22 @@ def closure(generators, cap=1000, dim=None, order=None):
         g.inverse()  # raises if some generator is singular
     identity = CyclotomicMatrix.identity(gens[0].dim)
     elements = [identity]
-    seen = {identity}
+    index = {identity: 0}
+    perms = [[] for _ in gens]
     frontier = 0
     while frontier < len(elements):
         current = elements[frontier]
         frontier += 1
-        for g in gens:
+        for g, perm in zip(gens, perms):
             prod = current * g
-            if prod not in seen:
-                seen.add(prod)
+            if prod not in index:
+                index[prod] = len(elements)
                 elements.append(prod)
                 if len(elements) > cap:
                     raise CapExceededError(
                         f"closure exceeded cap {cap}; group may be infinite")
-    return MatrixGroup(elements, gens)
+            perm.append(index[prod])
+    return MatrixGroup(elements, gens, _perms=[tuple(p) for p in perms])
 
 
 def subgroups(group, max_order=64):

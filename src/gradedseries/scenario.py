@@ -664,6 +664,11 @@ class _Runner:
     def __init__(self, scenario):
         self.scenario = scenario
         self.env = dict(scenario.bindings)
+        # computed once per run: truncations by (presentation, cutoff) and
+        # (series, closed form) of brute-force traces by (presentation,
+        # cutoff, matrix, num_bound, den_bound)
+        self.truncations = {}
+        self.traces = {}
 
     def lookup(self, value, category):
         if isinstance(value, Ref):
@@ -772,17 +777,28 @@ class _Runner:
         raise ScenarioExecutionError(
             "traces must be charpoly or bruteforce")
 
+    def truncation(self, presentation, cutoff):
+        key = (presentation, cutoff)
+        if key not in self.truncations:
+            self.truncations[key] = build_truncation(presentation, cutoff)
+        return self.truncations[key]
+
     def brute_force_traces(self, args, matrices):
         """(series, closed form) of each matrix's trace on the algebra in
         ``args``, truncated at ``truncation`` and reconstructed within
-        ``num_bound``/``den_bound``."""
+        ``num_bound``/``den_bound``; each is computed once per run."""
         presentation = self.lookup(args["algebra"], "algebra")
-        trunc = build_truncation(presentation, args.get("truncation", 12))
+        cutoff = args.get("truncation", 12)
         num_bound = args.get("num_bound", 0)
         den_bound = args.get("den_bound", presentation.ngens)
         for g in matrices:
-            series = brute_force_trace(g, trunc)
-            yield series, reconstruct(series, num_bound, den_bound)
+            key = (presentation, cutoff, g, num_bound, den_bound)
+            if key not in self.traces:
+                series = brute_force_trace(g, self.truncation(presentation,
+                                                              cutoff))
+                self.traces[key] = (series,
+                                    reconstruct(series, num_bound, den_bound))
+            yield self.traces[key]
 
     def run_molien(self, args):
         group = self.lookup(args["group"], "group")
@@ -831,7 +847,7 @@ class _Runner:
     def run_betti(self, args):
         presentation = self.lookup(args["algebra"], "algebra")
         cutoff = args.get("truncation", 8)
-        trunc = build_truncation(presentation, cutoff)
+        trunc = self.truncation(presentation, cutoff)
         table = betti_numbers(trunc)
         residual = euler_check(table, trunc.hilbert_coefficients(), cutoff)
         growth = growth_estimate(table) if cutoff >= 6 else None

@@ -7,10 +7,12 @@ from gradedseries.algebras import (
     NotAnAutomorphismError,
     NotNormalError,
     NotRegularError,
+    _apply_to_word,
     _rref_add,
     betti_numbers,
     brute_force_trace,
     build_truncation,
+    check_automorphism,
     euler_check,
     free_algebra,
     growth_estimate,
@@ -202,6 +204,95 @@ class TestBruteForceTrace:
         assert got == Series([1, 2, 1, 0])
         neg = CyclotomicMatrix([[-1, 0], [0, -1]])
         assert list(brute_force_trace(neg, trunc)) == [1, -2, 1, 0]
+
+
+def word_by_word_trace(g, trunc, order):
+    """Oracle: each basis word's image built letter by letter with
+    _apply_to_word, and its own coefficient read off."""
+    n = trunc.presentation.ngens
+    gen_vectors = []
+    for i in range(n):
+        vec = {}
+        for j in range(n):
+            for lab, s in trunc.generator_vector(j)[1].items():
+                vec[lab] = vec.get(lab, 0) + g.rows[j][i] * s
+        gen_vectors.append({k: v for k, v in vec.items() if v})
+    coefficients = [1]
+    for d in range(1, order + 1):
+        total = 0
+        for lab in trunc.bases[d]:
+            image = _apply_to_word(trunc, gen_vectors, trunc.label_word(lab))
+            total = total + image.get(lab, 0)
+        coefficients.append(total)
+    return Series(coefficients)
+
+
+def seeded_matrices(rng, n, count=4):
+    """The identity, signed permutations and diagonal 12th roots of unity."""
+    matrices = [CyclotomicMatrix.identity(n)]
+    for _ in range(count):
+        perm = rng.sample(range(n), n)
+        matrices.append(CyclotomicMatrix(
+            [[rng.choice((1, -1)) if perm[j] == i else 0 for j in range(n)]
+             for i in range(n)]))
+        roots = [CyclotomicNumber.zeta(12, rng.randrange(12)) for _ in range(n)]
+        matrices.append(CyclotomicMatrix(
+            [[roots[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    return matrices
+
+
+class TestPrefixImages:
+    """brute_force_trace builds each word's image from its prefix's; the
+    oracle builds it from scratch, letter by letter."""
+
+    z12 = CyclotomicNumber.zeta(12)
+    CASES = {
+        "free": (free_algebra(3), 5),
+        "monomial, length-3 relations": (
+            monomial_quotient(["x", "y", "z"], [(0, 1, 0), (1, 0, 1)]), 6),
+        "quantum affine over Q": (quantum_affine(skew_symmetric_q(3)), 7),
+        "quantum affine over Q(zeta_12)": (quantum_affine(
+            [[1, z12, z12 ** 5], [z12 ** 11, 1, -1], [z12 ** 7, -1, 1]]), 6),
+        "normal quotient by x^2": (
+            normal_quotient(skew_symmetric_q(3), [{(2, 0, 0): 1}]), 6),
+        "normal quotient by x^2 + y^2 + z^2": (normal_quotient(
+            skew_symmetric_q(3), [{(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}]),
+            6),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_word_by_word_oracle(self, name):
+        pres, cutoff = self.CASES[name]
+        trunc = build_truncation(pres, cutoff)
+        rng = random.Random(sorted(self.CASES).index(name))
+        accepted = rejected = 0
+        for g in seeded_matrices(rng, pres.ngens):
+            try:
+                check_automorphism(g, trunc)
+            except NotAnAutomorphismError:
+                with pytest.raises(NotAnAutomorphismError):
+                    brute_force_trace(g, trunc)
+                rejected += 1
+                continue
+            accepted += 1
+            assert brute_force_trace(g, trunc) == \
+                word_by_word_trace(g, trunc, cutoff), g
+            # order < cutoff
+            assert brute_force_trace(g, trunc, cutoff - 2) == \
+                word_by_word_trace(g, trunc, cutoff - 2), g
+        assert accepted >= 3, (accepted, rejected)
+
+    def test_rejections_still_come_first(self):
+        trunc = build_truncation(quantum_affine([[1, 2], [Fraction(1, 2), 1]]), 4)
+        with pytest.raises(NotAnAutomorphismError):
+            brute_force_trace(CyclotomicMatrix([[1, 1], [0, 1]]), trunc)
+        trunc = build_truncation(*self.CASES["normal quotient by x^2"])
+        swap = CyclotomicMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        with pytest.raises(NotAnAutomorphismError):
+            brute_force_trace(swap, trunc)
+        with pytest.raises(ValueError):
+            brute_force_trace(CyclotomicMatrix.identity(3), trunc,
+                              trunc.cutoff + 1)
 
 
 def obeys_scalar_rule(x):

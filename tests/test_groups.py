@@ -346,6 +346,25 @@ class TestMultiplicationTable:
         self.check(s3)
         self.check(random_monomial_group(random.Random(5), 6, 3))
 
+    def test_closure_and_table_make_each_product_once(self, monkeypatch):
+        # closure computes every element * generator; the table reuses them
+        calls = []
+        product = CyclotomicMatrix.__mul__
+
+        def counting(a, b):
+            calls.append(None)
+            return product(a, b)
+
+        monkeypatch.setattr(CyclotomicMatrix, "__mul__", counting)
+        swap = CyclotomicMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        _, cycle, _ = sklyanin_generators()
+        for gens in (list(sklyanin_generators()), [mystic_matrix()],
+                     [swap, cycle]):
+            calls.clear()
+            group = closure(gens, cap=30)
+            group.multiplication_table()
+            assert len(calls) == group.order * len(gens)
+
     def test_subgroup_built(self):
         group = closure(list(sklyanin_generators()), cap=30)
         subs = subgroups(group)

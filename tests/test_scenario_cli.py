@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 import gradedseries as gs
+from gradedseries import scenario as scenario_module
 from gradedseries.cli import main
 from gradedseries.exact import Poly, normalize, one_minus_power
 from gradedseries.scenario import (
     ParseError,
+    ScenarioExecutionError,
     UndeclaredInputError,
     parse_matrix_literal,
     parse_scenario,
@@ -130,6 +132,64 @@ class TestRunScenarios:
         assert not passed
         assert reports[0]["passed"] is False
         assert reports[0]["failures"]
+
+
+class TestRunnerCache:
+    """A run computes each truncation and each brute-force trace once."""
+
+    SKEW4 = ('let B = algebra { kind: quantum_affine, degrees: [1, 1, 1, 1], '
+             'q: [[1, -1, -1, -1], [-1, 1, -1, -1], [-1, -1, 1, -1], '
+             '[-1, -1, -1, 1]] }\n'
+             'let g = matrix [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], '
+             '[0, 0, 1, 0]]\n')
+
+    def spy(self, monkeypatch):
+        calls = {"brute_force_trace": 0, "build_truncation": 0}
+        for name in calls:
+            def counting(*args, _name=name,
+                         _original=getattr(scenario_module, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(scenario_module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("name, traces", [
+        ("double_transposition.scn", 2),   # 5 without the cache
+        ("mystic_bireflection.scn", 4),    # 9 without the cache
+    ])
+    def test_bundled_call_counts(self, monkeypatch, name, traces):
+        calls = self.spy(monkeypatch)
+        _, passed = run_scenario(parse_scenario(gs.load_bundled_scenario(name)))
+        assert passed
+        assert calls == {"brute_force_trace": traces, "build_truncation": 1}
+
+    def run_alone(self, task):
+        [report], _ = run_scenario(parse_scenario(self.SKEW4 + task))
+        return report
+
+    def test_mixed_keys_match_each_task_run_alone(self, monkeypatch):
+        tasks = ["task trace algebra=B matrix=g truncation=12 den_bound=4",
+                 "task trace algebra=B matrix=g truncation=10 den_bound=4",
+                 "task betti algebra=B truncation=5",
+                 "task trace algebra=B matrix=g truncation=12 den_bound=5",
+                 "task trace algebra=B matrix=g truncation=10 den_bound=4"]
+        alone = [self.run_alone(task + "\n") for task in tasks]
+        calls = self.spy(monkeypatch)
+        reports, _ = run_scenario(parse_scenario(
+            self.SKEW4 + "\n".join(tasks) + "\n"))
+        for got, want in zip(reports, alone, strict=True):
+            del got["line"], want["line"]
+            assert got == want
+        assert calls == {"brute_force_trace": 3, "build_truncation": 3}
+        # too small a den_bound or truncation fails after a cached success,
+        # as it does alone
+        for bad in ("task trace algebra=B matrix=g truncation=12 den_bound=1",
+                    "task trace algebra=B matrix=g truncation=8 den_bound=4"):
+            with pytest.raises(ScenarioExecutionError):
+                self.run_alone(bad + "\n")
+            with pytest.raises(ScenarioExecutionError):
+                run_scenario(parse_scenario(
+                    self.SKEW4 + tasks[0] + "\n" + bad + "\n"))
 
 
 class TestCli:
