@@ -25,6 +25,12 @@ the algebra below degree j.  In each degree j the kernel K is complete, so
 it is a left submodule and (m K)_j = sum_i x_i K_{j - d_i} over the
 generators x_i of degree d_i: the minimal generators of K_j are the kernel
 vectors outside that span, found by sparse row reduction (``exact._rref_add``).
+That span lies inside K_j, so it stops as soon as it has as many rows as K_j
+has vectors: then it is all of K_j and degree j has no minimal generator
+(every degree above the row index, for a Koszul algebra).  Each basis product
+is computed once per ``betti_numbers`` call and kept only for that call, and
+a monomial product a * b tests a relation only in the windows across the
+join, since the basis words a and b avoid every relation already.
 """
 
 from __future__ import annotations
@@ -188,9 +194,14 @@ def _exponents_by_degree(degrees, cutoff):
     return [sorted(partial.get(d, [])) for d in range(cutoff + 1)]
 
 
-def _contains_factor(word, factor):
+def _contains_factor(word, factor, join=None):
+    """Whether factor occurs in word; given a join, only in windows that start
+    before that index and end after it."""
     span = len(factor)
-    return any(word[k:k + span] == factor for k in range(len(word) - span + 1))
+    lo, hi = 0, len(word) - span + 1
+    if join is not None:
+        lo, hi = max(lo, join - span + 1), min(hi, join)
+    return any(word[k:k + span] == factor for k in range(lo, hi))
 
 
 def _q_merge(q, left, right):
@@ -251,9 +262,12 @@ class Truncation:
         if kind == FREE:
             return {a + b: _ONE}
         if kind == MONOMIAL_QUOTIENT:
+            # a and b are basis words, so a relation in a + b must straddle
+            # the join
             word = a + b
+            join = len(a)
             for rel in pres.relations:
-                if _contains_factor(word, rel):
+                if _contains_factor(word, rel, join):
                     return {}
             return {word: _ONE}
         # normal quotient: multiply upstairs, then reduce
@@ -285,7 +299,11 @@ class Truncation:
     def generator_vector(self, i):
         """(degree, sparse vector) of the i-th generator's image."""
         deg = self.presentation.degrees[i]
-        return deg, self.project(deg, {self.generator_label(i): _ONE})
+        label = self.generator_label(i)
+        if (self.presentation.kind == MONOMIAL_QUOTIENT and deg <= self.cutoff
+                and label not in self.bases[deg]):
+            return deg, {}  # a one-letter relation kills the generator
+        return deg, self.project(deg, {label: _ONE})
 
     def label_word(self, label):
         if self.presentation.kind in (FREE, MONOMIAL_QUOTIENT):
@@ -556,7 +574,23 @@ def _nullspace(columns):
 
 
 def betti_numbers(trunc, cutoff=None):
-    """Bigraded Betti numbers of the trivial module over the truncation."""
+    """Bigraded Betti numbers of the trivial module over the truncation.
+
+    Resolves the trivial module by iterated graded syzygies: row i holds the
+    degrees of the minimal generators of the i-th kernel K, the vectors of
+    K_j outside (m K)_j = sum_k x_k K_{j - d_k}.  Three things keep the work
+    down without changing the table:
+
+    * each basis product a * b is computed once per call, in a dict keyed
+      by (a, b) (a label fixes its degree), and left multiplication reads
+      it entry by entry;
+    * the span of (m K)_j stops growing once it has dim K_j = len(K_j) rows:
+      it is then all of K_j, and degree j has no minimal generator;
+    * monomial quotients test a relation only across the join of a * b
+      (see ``Truncation.mul_basis``).
+
+    The products live only as long as the call.
+    """
     if cutoff is None:
         cutoff = trunc.cutoff
     if cutoff > trunc.cutoff:
@@ -566,16 +600,23 @@ def betti_numbers(trunc, cutoff=None):
     for i, d in enumerate(trunc.presentation.degrees):
         if d < cutoff:
             _, x = trunc.generator_vector(i)
-            if x:  # a generator killed by a normal element acts as zero
+            if x:  # a killed generator acts as zero
                 generators.append((d, x))
+    products = {}
 
-    def left_mul(e, a_vec, vec, vec_degree, gens):
+    def left_mul(e, a_vec, vec, vec_degree):
+        # a_vec (degree e) times vec, a vector of the free module on gens
         out = {}
         for (s, lab), c in vec.items():
-            prod = trunc.mul(e, a_vec, vec_degree - gens[s], {lab: c})
-            for lab2, c2 in prod.items():
-                key = (s, lab2)
-                out[key] = out.get(key, 0) + c2
+            d = vec_degree - gens[s]
+            for la, ca in a_vec.items():
+                prod = products.get((la, lab))
+                if prod is None:
+                    prod = products[la, lab] = trunc.mul_basis(e, la, d, lab)
+                c2 = ca * c
+                for lab2, c3 in prod.items():
+                    key = (s, lab2)
+                    out[key] = out.get(key, 0) + c2 * c3
         return out
 
     gens = [0]
@@ -589,14 +630,20 @@ def betti_numbers(trunc, cutoff=None):
             if not vectors:
                 continue
             # K is the whole kernel below the cutoff, so (m K)_j is the span
-            # of x_i K_{j - d_i} over the generators x_i
+            # of x_i K_{j - d_i} over the generators x_i.  It lies in K_j, so
+            # once it has len(vectors) rows it is K_j: no minimal generators
             rows = {}
-            for d, x in generators:
-                for v in kernel.get(j - d, []):
-                    _rref_add(rows, left_mul(d, x, v, j - d, gens))
-            for v in vectors:
-                if _rref_add(rows, v) is not None:
-                    mingens.append((j, v))
+            for w in (left_mul(d, x, v, j - d) for d, x in generators
+                      for v in kernel.get(j - d, [])):
+                _rref_add(rows, w)
+                if len(rows) == len(vectors):
+                    break
+            else:
+                for v in vectors:
+                    if len(rows) == len(vectors):
+                        break
+                    if _rref_add(rows, v) is not None:
+                        mingens.append((j, v))
         if not mingens:
             break
         for j, _ in mingens:
@@ -611,7 +658,7 @@ def betti_numbers(trunc, cutoff=None):
                 continue
             null = _nullspace([
                 left_mul(j - new_gens[s], {a_lab: _ONE}, columns_by_gen[s],
-                         new_gens[s], gens)
+                         new_gens[s])
                 for s, a_lab in domain])
             if null:
                 new_kernel[j] = [{domain[k]: c for k, c in vec.items()}

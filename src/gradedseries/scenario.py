@@ -660,6 +660,11 @@ def parse_scenario(text):
 
 # -------------------------------------------------------------------- runner
 
+def _report_value(value):
+    """A task result field as reported: series results as their text."""
+    return str(value) if isinstance(value, RationalFunction) else value
+
+
 class _Runner:
     def __init__(self, scenario):
         self.scenario = scenario
@@ -699,7 +704,7 @@ class _Runner:
                 raise ScenarioExecutionError(
                     f"task {task.kind!r}{where}: {exc}") from exc
             report = {"task": task.kind, "line": task.line}
-            report.update(result)
+            report.update((k, _report_value(v)) for k, v in result.items())
             if task.expect:
                 failures = self.compare(task.expect, result)
                 report["expected"] = {
@@ -728,13 +733,16 @@ class _Runner:
                 continue
             got = result[key]
             if isinstance(want, Lit):
-                # expected series compare exactly after normalization
+                # expected series compare exactly after normalization; a
+                # series result is compared as computed, not re-parsed
                 want_series = parse_series_literal(
                     want.text, self.scenario.zeta_order, want.line)
-                got_series = parse_series_literal(got, self.scenario.zeta_order)
+                got_series = got if isinstance(got, RationalFunction) else \
+                    parse_series_literal(got, self.scenario.zeta_order)
                 if want_series != got_series:
                     failures.append(f"{key}: expected {want_series}, got {got}")
                 continue
+            got = _report_value(got)
             if isinstance(want, Ref):
                 # bare identifiers stand for enum-like strings
                 if got not in (want.name, want.name.replace("_", "-")):
@@ -804,7 +812,7 @@ class _Runner:
         group = self.lookup(args["group"], "group")
         assignment = self.assignment_for(args, group)
         series = molien(group, assignment)
-        return {"series": str(series), "group_order": group.order}
+        return {"series": series, "group_order": group.order}
 
     def run_classify(self, args):
         if "series" in args:
@@ -814,7 +822,8 @@ class _Runner:
             assignment = self.assignment_for(args, group)
             gk = args.get("gk", group.dim)
             report = classify_group(group, assignment, gk)
-        return report_payload(report)
+        # the series stays a RationalFunction until the report prints it
+        return {**report_payload(report), "series": report.hilbert_series}
 
     def run_veronese(self, args):
         f = self.resolve_series(args["series"])
@@ -822,8 +831,8 @@ class _Runner:
         section = veronese_section(f, r, args.get("num_bound"),
                                    args.get("den_bound"))
         return {
-            "section": str(section),
-            "ambient_section": str(section.inflated(r)),
+            "section": section,
+            "ambient_section": section.inflated(r),
             "cyclotomic": is_cyclotomic(section),
         }
 
@@ -836,7 +845,7 @@ class _Runner:
         result = {
             "coefficients": [c if isinstance(c, int) else str(c)
                              for c in series],
-            "closed_form": str(closed),
+            "closed_form": closed,
             "pole_order": pole.pole_order,
             "verdict": pole.verdict,
         }

@@ -53,6 +53,58 @@ def double_swap_g():
                              [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
+def random_monomial_quotient(rng, n):
+    """k<x_1..x_n> modulo 2 to 6 random relation words of length 2 to 4."""
+    pool = [w for length in (2, 3, 4) for w in _words(n, length)]
+    relations = rng.sample(pool, rng.randint(2, 6))
+    return monomial_quotient([f"x{k}" for k in range(n)], relations), relations
+
+
+def _words(n, length):
+    if length == 0:
+        return [()]
+    return [w + (i,) for w in _words(n, length - 1) for i in range(n)]
+
+
+def _occurs(word, factor):
+    return any(word[k:k + len(factor)] == factor
+               for k in range(len(word) - len(factor) + 1))
+
+
+def anick_chain_betti(n, relations, cutoff):
+    """Betti numbers of k<x_1..x_n>/(relations), all generators in degree 1,
+    counted as Anick chains (Anick, Trans. AMS 296, 1986), whose resolution
+    is minimal for a monomial algebra: b(0, 0) = 1, b(1, 1) = n for the
+    0-chains x_i, and b(k + 1, j) counts the k-chains of length j.  In the
+    tail form (Ufnarovski): a k-chain extends a (k - 1)-chain with tail t by
+    a word s such that an obstruction (a relation with no other relation as
+    a factor) starting inside t ends t + s, and t + s less its last letter
+    contains none; s is the new tail."""
+    obstructions = [r for r in set(relations)
+                    if not any(o != r and _occurs(r, o) for o in relations)]
+    counts = {(0, 0): 1, (1, 1): n}
+    layer = [((a,), (a,)) for a in range(n)]
+    index = 1
+    while layer:
+        index += 1
+        grown = []
+        for chain, tail in layer:
+            for r in obstructions:
+                for start in range(len(tail)):
+                    overlap = tail[start:]
+                    s = r[len(overlap):]
+                    if (r[:len(overlap)] != overlap or not s
+                            or len(chain) + len(s) > cutoff
+                            or any(_occurs(tail + s[:-1], o)
+                                   for o in obstructions)):
+                        continue
+                    grown.append((chain + s, s))
+        for chain, _ in grown:
+            counts[index, len(chain)] = counts.get((index, len(chain)), 0) + 1
+        layer = grown
+    return counts
+
+
 class TestBuildTruncation:
     def test_skew_three_space_dims(self):
         trunc = build_truncation(quantum_affine(skew_symmetric_q(3)), 3)
@@ -129,6 +181,23 @@ class TestBuildTruncation:
             left = trunc.mul(d1 + d2, trunc.mul(d1, u, d2, v), d3, w)
             right = trunc.mul(d1, u, d2 + d3, trunc.mul(d2, v, d3, w))
             assert left == right
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monomial_product_tests_only_the_join(self, seed):
+        # basis words avoid every relation, so testing the windows across
+        # the join must agree with scanning the whole product word
+        rng = random.Random(seed)
+        for n, cutoff in ((2, 6), (3, 5)):
+            pres, relations = random_monomial_quotient(rng, n)
+            trunc = build_truncation(pres, cutoff)
+            for d1 in range(cutoff + 1):
+                for d2 in range(cutoff + 1 - d1):
+                    for a in trunc.bases[d1]:
+                        for b in trunc.bases[d2]:
+                            whole = any(_occurs(a + b, r) for r in relations)
+                            want = {} if whole else {a + b: 1}
+                            assert trunc.mul_basis(d1, a, d2, b) == want, \
+                                (relations, a, b)
 
 
 class TestBruteForceTrace:
@@ -447,6 +516,33 @@ class TestBetti:
                                      sorted(relations))
             table = betti_numbers(build_truncation(pres, cutoff))
             assert table.entries == want, sorted(relations)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_letter_relation_kills_its_generator(self, seed):
+        # k<x0, x1, x2>/(x0, W) is k<x1, x2>/(W): x0 is no basis word and acts
+        # as zero, so it adds nothing to any (m K)_j
+        _, relations = random_monomial_quotient(random.Random(seed), 2)
+        for rels in (relations, [(0, 1), (0, 0, 0)]):
+            killed = monomial_quotient(
+                ["x0", "x1", "x2"],
+                [(0,)] + [tuple(i + 1 for i in r) for r in rels])
+            trunc = build_truncation(killed, 6)
+            assert trunc.generator_vector(0) == (1, {})
+            want = betti_numbers(build_truncation(
+                monomial_quotient(["x1", "x2"], rels), 6))
+            assert betti_numbers(trunc).entries == want.entries, rels
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monomial_quotient_matches_anick_chains_in_every_row(self, seed):
+        # relations up to length 4 put entries off the diagonal, in rows
+        # where the (m K)_j span fills K_j early and where products test a
+        # relation across the join
+        rng = random.Random(seed)
+        for n, cutoff in ((2, 7), (3, 6), (2, 7), (3, 6)):
+            pres, relations = random_monomial_quotient(rng, n)
+            table = betti_numbers(build_truncation(pres, cutoff))
+            assert table.entries == anick_chain_betti(n, relations, cutoff), \
+                relations
 
     def test_weighted_quantum_affine_is_koszul_complex(self):
         # any quantum affine space is resolved by its Koszul complex: b(i, j)

@@ -133,6 +133,24 @@ class TestRunScenarios:
         assert reports[0]["passed"] is False
         assert reports[0]["failures"]
 
+    def test_series_expectations_compare_the_computed_series(self):
+        # a series result is compared as computed and reported as its text;
+        # a text result under a series expectation is still parsed
+        text = ('task veronese series="1/(1-t)^3" r=2\n'
+                '  expect section="1/(1-t)" ambient_section="(1 + 3t^2) / (1 - t^2)^3"\n'
+                'let B = algebra { kind: quantum_affine, degrees: [1, 1], '
+                'q: [[1, -1], [-1, 1]] }\n'
+                'let g = matrix [[0, 1], [1, 0]]\n'
+                'task trace algebra=B matrix=g truncation=6 den_bound=2\n'
+                '  expect closed_form="1 / (1 + t^2)" hdet="1"\n')
+        reports, passed = run_scenario(parse_scenario(text))
+        assert not passed
+        assert reports[0]["section"] == "(1 + 3t) / (1 - 3t + 3t^2 - t^3)"
+        assert reports[0]["failures"] == [
+            "section: expected (1) / (1 - t), got (1 + 3t) / (1 - 3t + 3t^2 - t^3)"]
+        assert reports[1]["closed_form"] == "(1) / (1 + t^2)"
+        assert reports[1]["hdet"] == "1" and reports[1]["passed"] is True
+
 
 class TestRunnerCache:
     """A run computes each truncation and each brute-force trace once."""
