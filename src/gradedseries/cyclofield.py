@@ -1,7 +1,8 @@
 """Arithmetic in cyclotomic fields Q(zeta_N) and matrices over them.
 
 The scalar rule: a rational value is an int when it is integral and a
-Fraction otherwise; a ``CyclotomicNumber`` is never rational.  Every
+Fraction otherwise; a ``CyclotomicNumber`` is never rational.  Operands are
+told apart by exact type (``exact._RATIONAL``), as in ``exact``.  Every
 constructor and every operation that can land in Q (a sum, a product, a
 power of zeta) returns an int or a Fraction there, so no caller converts.
 
@@ -31,8 +32,8 @@ from functools import cache
 from math import gcd
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
-from .exact import (Poly, RationalFunction, _rref_add, _simplify,
-                    scalar_inverse)
+from .exact import (_RATIONAL, Poly, RationalFunction, _rref_add,
+                    _simplify, scalar_inverse)
 
 
 def _number(order, residue):
@@ -98,7 +99,7 @@ class CyclotomicNumber:
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONAL:
             return self._raw(self.order, self.residue + other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
@@ -111,7 +112,8 @@ class CyclotomicNumber:
         return self._raw(self.order, -self.residue)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, CyclotomicNumber)):
+        if not (type(other) in _RATIONAL
+                or isinstance(other, CyclotomicNumber)):
             return NotImplemented
         return self + (-other)
 
@@ -119,7 +121,7 @@ class CyclotomicNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONAL:
             if not other:
                 return 0
             return self._raw(self.order, self.residue * other)
@@ -144,7 +146,7 @@ class CyclotomicNumber:
         return self._raw(self.order, s0 * scalar_inverse(r0.leading))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONAL:
             return self * scalar_inverse(other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
@@ -166,7 +168,7 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONAL:
             return False
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
@@ -206,7 +208,7 @@ def _entry(x):
     """x as a matrix entry: an int, a Fraction or a CyclotomicNumber."""
     if isinstance(x, CyclotomicNumber):
         return x
-    if isinstance(x, (int, Fraction)):
+    if type(x) in _RATIONAL:
         return _simplify(x)
     raise TypeError(f"a cyclotomic matrix entry cannot be a {type(x).__name__}")
 

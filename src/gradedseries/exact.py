@@ -28,7 +28,11 @@ lies in Q, and its coordinates are ints or Fractions by the same rule).  So
 nothing here converts scalars, a Poly whose coefficients are all rational is
 a Poly over Q, and arithmetic over +-1 stays in ints.  The
 scalars that define algebra truncations (q parameters, normal-element
-coefficients, basis unit vectors) follow the same rule.
+coefficients, basis unit vectors) follow the same rule.  The rule is tested
+by exact type against one set, ``_RATIONAL`` (int, bool and Fraction), here
+and in ``cyclofield`` and ``groups``; a bool counts as an int, as it always
+has.  Only a Fraction can need simplifying, so ``Poly`` and ``Series`` look
+at each coefficient only when a Fraction is among them.
 
 All values are immutable after construction; operations are pure functions.
 """
@@ -63,16 +67,21 @@ def _strip(coeffs):
     return tuple(coeffs[:n])
 
 
+# the rational scalar types, tested by exact type: an instance check on
+# Fraction goes through ABCMeta in Python, and bool stays an int here
+_RATIONAL = frozenset((int, bool, Fraction))
+
+
 def _simplify(c):
     # Fractions with denominator 1 become ints so printing and hashing stay tidy
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
 
 def scalar_inverse(x):
     """1/x for a nonzero int, Fraction or CyclotomicNumber; +-1 is its own."""
-    if isinstance(x, (int, Fraction)):
+    if type(x) in _RATIONAL:
         return x if x == 1 or x == -1 else _simplify(Fraction(1) / x)
     return x.inverse()
 
@@ -83,7 +92,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _strip(tuple(_simplify(c) for c in coeffs)))
+        coeffs = tuple(coeffs)
+        if Fraction in map(type, coeffs):
+            coeffs = tuple(map(_simplify, coeffs))
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -111,7 +123,7 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONAL:
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
@@ -124,7 +136,7 @@ class Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONAL:
             other = Poly((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -137,7 +149,7 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONAL:
             other = Poly((other,))
         return self + (-other)
 
@@ -302,14 +314,14 @@ def poly_to_str(p, var="t"):
         if not c:
             continue
         var_part = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-        if not isinstance(c, (int, Fraction)):
+        if type(c) not in _RATIONAL:
             parts.append((" + " if parts else "") + f"({c}){var_part}")
             continue
         neg = c < 0
         mag = -c if neg else c
         if var_part and mag == 1:
             body = var_part
-        elif var_part and isinstance(mag, Fraction):
+        elif var_part and type(mag) is Fraction:
             body = f"({mag}){var_part}"
         else:
             body = f"{mag}{var_part}"
@@ -391,11 +403,11 @@ def _field_gcd(p, q):
     """gcd over the coefficients' field: the integer subresultant PRS when
     every coefficient is rational, Euclid over Q(zeta_N) otherwise."""
     coeffs = p.coeffs + q.coeffs
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+    if not all(type(c) in _RATIONAL for c in coeffs):
         return monic_gcd(p, q)
     lam = 1
     for c in coeffs:
-        if isinstance(c, Fraction):
+        if type(c) is Fraction:
             lam = lam * c.denominator // _int_gcd(lam, c.denominator)
     if lam != 1:
         p, q = p * lam, q * lam
@@ -408,9 +420,10 @@ def _lowest_terms(num, den):
         raise ZeroDenominatorError("denominator is zero")
     if not num:
         return Poly(), Poly((1,))
-    g = _field_gcd(num, den)
-    if g.degree > 0:
-        num, den = num.exact_div(g), den.exact_div(g)
+    if num.degree > 0 and den.degree > 0:  # a constant's gcd is a unit
+        g = _field_gcd(num, den)
+        if g.degree > 0:
+            num, den = num.exact_div(g), den.exact_div(g)
     d0 = den.constant_term
     if not d0:
         raise NonUnitConstantError("denominator vanishes at t = 0")
@@ -466,7 +479,7 @@ class RationalFunction:
         return bool(self.num)
 
     def is_rational(self):
-        return all(isinstance(c, (int, Fraction))
+        return all(type(c) in _RATIONAL
                    for c in self.num.coeffs + self.den.coeffs)
 
     def to_rational_function(self):
@@ -480,7 +493,7 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         # a scalar: an int, a Fraction or a CyclotomicNumber (it has a residue)
-        if isinstance(other, (int, Fraction)) or hasattr(other, "residue"):
+        if type(other) in _RATIONAL or hasattr(other, "residue"):
             return RationalFunction._wrap(Poly((other,)), Poly((1,)))
         return None
 
@@ -599,8 +612,10 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs",
-                           tuple(_simplify(c) for c in coeffs))
+        coeffs = tuple(coeffs)
+        if Fraction in map(type, coeffs):
+            coeffs = tuple(map(_simplify, coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         if not self.coeffs:
             raise ValueError("a series truncation needs at least degree 0")
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 
 from .cyclofield import CyclotomicMatrix
-from .exact import (Poly, RationalFunction, normalize, one_minus_power,
-                    scalar_inverse, series_quotient)
+from .exact import (_RATIONAL, Poly, RationalFunction, normalize,
+                    one_minus_power, scalar_inverse, series_quotient)
 
 
 class CapExceededError(RuntimeError):
@@ -133,18 +133,24 @@ class MatrixGroup:
         return e
 
     def subset_closure(self, seed_indices):
-        """Smallest closed subset (hence subgroup) containing the seeds."""
+        """Smallest closed subset (hence subgroup) containing the seeds.
+
+        A breadth-first walk from the identity that right-multiplies by the
+        seeds.  It reaches every product of seeds, and in a finite group
+        those already form the subgroup they generate (each inverse is a
+        power), so a call costs |H| * |seeds| table reads, not |H|^2.
+        """
         table = self.multiplication_table()
+        seeds = tuple(set(seed_indices) - {0})
         closed = {0}
-        closed.update(seed_indices)
-        queue = list(closed)
-        while queue:
-            i = queue.pop()
-            for j in tuple(closed):
-                for k in (table[i][j], table[j][i]):
-                    if k not in closed:
-                        closed.add(k)
-                        queue.append(k)
+        queue = [0]
+        for i in queue:
+            row = table[i]
+            for s in seeds:
+                k = row[s]
+                if k not in closed:
+                    closed.add(k)
+                    queue.append(k)
         return frozenset(closed)
 
     def subgroup(self, indices):
@@ -226,7 +232,11 @@ def subgroups(group, max_order=64):
 
 @dataclass(frozen=True)
 class TraceAssignment:
-    """Trace series per group element, with the provenance of each value."""
+    """Trace series per group element, with the provenance of each value.
+
+    The Molien sum of the assignment is kept on it once ``molien`` has
+    taken it, so every caller that holds the assignment shares one sum.
+    """
 
     group: MatrixGroup
     traces: tuple
@@ -238,6 +248,10 @@ class TraceAssignment:
 
     def __getitem__(self, i):
         return self.traces[i]
+
+    @cached_property
+    def molien_series(self):
+        return _molien_sum(self.group, self.traces)
 
 
 def reciprocal_charpoly_trace(g):
@@ -267,9 +281,20 @@ def molien(group, assignment):
     does not divide (1 - t^e)^n (a brute-force trace can have one) sends
     the whole sum back to adding the reduced traces pairwise.  Either way
     the result must land in Q.
+
+    The sum is taken once per assignment: it is kept on the assignment
+    (``TraceAssignment.molien_series``) and read from there when ``group``
+    is the assignment's own group object, as in ``reports.classify_group``.
+    For any other group it is summed afresh and not kept.
     """
+    if group is assignment.group:
+        return assignment.molien_series
+    return _molien_sum(group, assignment.traces)
+
+
+def _molien_sum(group, traces):
     counts = {}
-    for f in assignment.traces:
+    for f in traces:
         counts[f] = counts.get(f, 0) + 1
     common = one_minus_power(group.exponent()) ** group.dim
     total = Poly()
@@ -278,7 +303,7 @@ def molien(group, assignment):
         if p is None:
             return _pairwise_molien(group, counts)
         total = total + p * k
-    if not all(isinstance(c, (int, Fraction)) for c in total.coeffs):
+    if not all(type(c) in _RATIONAL for c in total.coeffs):
         raise NonRationalResultError(
             "Molien sum did not cancel to rational coefficients")
     return normalize(total, common * group.order)

@@ -49,7 +49,11 @@ def classify_series(f):
 
 def classify_group(group, assignment, gk_dim):
     """Verdicts for a fixed ring: Molien series classification plus the
-    quasi-bireflection generation test."""
+    quasi-bireflection generation test.
+
+    The Molien series comes from ``molien``, so an assignment whose sum was
+    already taken (a ``molien`` task on the same group) is not summed again.
+    """
     series = molien(group, assignment)
     base = classify_series(series)
     verdict, witnesses = generated_by_quasi_bireflections(

@@ -669,11 +669,15 @@ class _Runner:
     def __init__(self, scenario):
         self.scenario = scenario
         self.env = dict(scenario.bindings)
-        # computed once per run: truncations by (presentation, cutoff) and
+        # computed once per run: truncations by (presentation, cutoff),
         # (series, closed form) of brute-force traces by (presentation,
-        # cutoff, matrix, num_bound, den_bound)
+        # cutoff, matrix, num_bound, den_bound), and trace assignments by
+        # (group, mode) plus, for brute force, those trace arguments but the
+        # matrix.  An assignment keeps its Molien sum, so the molien and
+        # classify tasks of one group and mode share it.
         self.truncations = {}
         self.traces = {}
+        self.assignments = {}
 
     def lookup(self, value, category):
         if isinstance(value, Ref):
@@ -737,8 +741,15 @@ class _Runner:
                 # series result is compared as computed, not re-parsed
                 want_series = parse_series_literal(
                     want.text, self.scenario.zeta_order, want.line)
-                got_series = got if isinstance(got, RationalFunction) else \
-                    parse_series_literal(got, self.scenario.zeta_order)
+                if isinstance(got, RationalFunction):
+                    got_series = got
+                elif isinstance(got, str):
+                    got_series = parse_series_literal(
+                        got, self.scenario.zeta_order)
+                else:
+                    raise ScenarioExecutionError(
+                        f"line {want.line}: expect {key}=\"{want.text}\": "
+                        f"the {key!r} field is {got!r}, not a series")
                 if want_series != got_series:
                     failures.append(f"{key}: expected {want_series}, got {got}")
                 continue
@@ -776,14 +787,22 @@ class _Runner:
         mode = args.get("traces", Ref("charpoly"))
         mode = mode.name if isinstance(mode, Ref) else mode
         if mode == "charpoly":
-            return assign_charpoly_traces(group)
-        if mode == "bruteforce":
-            traces = tuple(closed for _, closed in
-                           self.brute_force_traces(args, group.elements))
-            return TraceAssignment(group, traces,
-                                   (PROVENANCE_BRUTE_FORCE,) * group.order)
-        raise ScenarioExecutionError(
-            "traces must be charpoly or bruteforce")
+            key = (group, mode)
+        elif mode == "bruteforce":
+            key = (group, mode) + self.trace_args(args)
+        else:
+            raise ScenarioExecutionError(
+                "traces must be charpoly or bruteforce")
+        if key not in self.assignments:
+            if mode == "charpoly":
+                assignment = assign_charpoly_traces(group)
+            else:
+                traces = tuple(closed for _, closed in
+                               self.brute_force_traces(args, group.elements))
+                assignment = TraceAssignment(
+                    group, traces, (PROVENANCE_BRUTE_FORCE,) * group.order)
+            self.assignments[key] = assignment
+        return self.assignments[key]
 
     def truncation(self, presentation, cutoff):
         key = (presentation, cutoff)
@@ -791,14 +810,19 @@ class _Runner:
             self.truncations[key] = build_truncation(presentation, cutoff)
         return self.truncations[key]
 
+    def trace_args(self, args):
+        """(presentation, cutoff, num_bound, den_bound) of a brute-force
+        trace task, with their defaults."""
+        presentation = self.lookup(args["algebra"], "algebra")
+        return (presentation, args.get("truncation", 12),
+                args.get("num_bound", 0),
+                args.get("den_bound", presentation.ngens))
+
     def brute_force_traces(self, args, matrices):
         """(series, closed form) of each matrix's trace on the algebra in
         ``args``, truncated at ``truncation`` and reconstructed within
         ``num_bound``/``den_bound``; each is computed once per run."""
-        presentation = self.lookup(args["algebra"], "algebra")
-        cutoff = args.get("truncation", 12)
-        num_bound = args.get("num_bound", 0)
-        den_bound = args.get("den_bound", presentation.ngens)
+        presentation, cutoff, num_bound, den_bound = self.trace_args(args)
         for g in matrices:
             key = (presentation, cutoff, g, num_bound, den_bound)
             if key not in self.traces:

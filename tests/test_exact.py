@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedseries.cyclofield import CyclotomicNumber
+from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber
 from gradedseries.cyclotomic import euler_phi
 from gradedseries.exact import (
     AmbiguousDataError,
@@ -23,6 +23,7 @@ from gradedseries.exact import (
     poly_gcd,
     poly_to_str,
     reconstruct,
+    scalar_inverse,
     series_quotient,
 )
 
@@ -349,3 +350,84 @@ class TestSeries:
         assert (f / f).is_one
         assert f ** 2 == f * f
         assert f.inflated(2) == normalize(P(1, 0, 1), one_minus_power(2))
+
+
+def types(values):
+    return tuple(type(c) for c in values)
+
+
+class TestScalarRuleAtConstructors:
+    """Poly and Series simplify only Fractions; a bool stays an int, and is
+    kept as it was given, as before the rule was tested by exact type."""
+
+    @pytest.mark.parametrize("cls", [Poly, Series])
+    def test_integral_fraction_becomes_int(self, cls):
+        value = cls((Fraction(4, 2), Fraction(1, 2), 3, Fraction(-6, 3)))
+        assert value.coeffs == (2, Fraction(1, 2), 3, -2)
+        assert types(value.coeffs) == (int, Fraction, int, int)
+
+    @pytest.mark.parametrize("cls", [Poly, Series])
+    def test_cyclotomic_coefficients_pass_unchanged(self, cls):
+        z = CyclotomicNumber.zeta(12)
+        w = 1 + z ** 5
+        for coeffs in ((z, w), (Fraction(4, 2), z, Fraction(1, 2), w)):
+            value = cls(coeffs)
+            kept = [c for c in value.coeffs if isinstance(c, CyclotomicNumber)]
+            assert kept[0] is z and kept[1] is w
+
+    def test_bool_coefficients(self):
+        # the values and types the arithmetic gave before this rule
+        p = Poly((True, False, True))
+        assert p.coeffs == (True, False, True)
+        assert types(p.coeffs) == (bool, bool, bool)
+        assert Poly((True, False)).coeffs == (True,)
+        assert Poly((False,)).coeffs == ()
+        assert types((p + True).coeffs) == (int, bool, bool)
+        assert (p + True).coeffs == (2, False, True)
+        assert (p * True).coeffs == (1, False, 1)
+        assert types((p * True).coeffs) == (int, bool, int)
+        assert p != True and Poly((1,)) == True
+        assert scalar_inverse(True) is True
+        assert str(p) == "True + t^2" and p.is_integral()
+        s = Series((True, Fraction(4, 2), 0))
+        assert types(s.coeffs) == (bool, int, int)
+        f = RationalFunction((True,), (True, -1))
+        assert types(f.num.coeffs + f.den.coeffs) == (bool, bool, int)
+        assert f.is_rational()
+        assert RationalFunction((1,), (1,)) == True
+        assert RationalFunction((1,), (1, -1)) + True == \
+            RationalFunction((2, -1), (1, -1))
+        z = CyclotomicNumber.zeta(3)
+        assert z * True == z and z / True == z and z * False == 0
+        assert z + True == z + 1 and z != True
+        assert types(CyclotomicMatrix([[True, 0], [0, True]]).diagonal()) \
+            == (bool, bool)
+
+    @pytest.mark.parametrize("field", ["int", "fraction", "cyclotomic"])
+    def test_constant_num_or_den_matches_the_gcd_path(self, field):
+        # both sides times a nonconstant h with h(0) = 1 have a nontrivial
+        # gcd, so the reduction of (num h) / (den h) takes it; the reduced
+        # form is unique, so it must give the same coefficients
+        rng = random.Random(31)
+
+        def scalar():
+            while True:
+                c = random_scalar(rng, field)
+                if c:
+                    return c
+
+        def poly(degree):
+            return Poly([scalar() for _ in range(degree + 1)])
+
+        for _ in range(40):
+            constant = Poly((scalar(),))
+            other = poly(rng.randint(1, 4))
+            h = Poly([1] + [random_scalar(rng, field)
+                            for _ in range(rng.randint(0, 2))] + [scalar()])
+            for num, den in ((constant, other), (other, constant)):
+                got = RationalFunction(num, den)
+                want = RationalFunction(num * h, den * h)
+                assert got.num.coeffs == want.num.coeffs
+                assert got.den.coeffs == want.den.coeffs
+                assert types(got.num.coeffs) == types(want.num.coeffs)
+                assert types(got.den.coeffs) == types(want.den.coeffs)

@@ -39,6 +39,7 @@ from gradedseries.groups import (
     reciprocal_charpoly_trace,
     subgroups,
 )
+from gradedseries.reports import classify_group
 
 z = CyclotomicNumber.zeta(3)
 
@@ -382,6 +383,99 @@ class TestMultiplicationTable:
         group = closure([mystic_matrix()], cap=10)
         with pytest.raises(ValueError):
             MatrixGroup(group.elements, []).multiplication_table()
+
+
+def matrix_closure(group, seeds):
+    """The indices of the subgroup the seed elements generate, found by
+    multiplying the matrices in pairs until the set is closed: an oracle
+    for ``subset_closure`` that reads no multiplication table."""
+    members = {group.elements[0]} | {group.elements[i] for i in seeds}
+    new = set(members)
+    while new:
+        products = {x for a in new for b in members for x in (a * b, b * a)}
+        new = products - members
+        members |= new
+    return frozenset(group.index_of(m) for m in members)
+
+
+class TestSubsetClosure:
+    def groups(self):
+        # seed 44 gives orders 24, 18, 3 and 6; the first two are not abelian
+        rng = random.Random(44)
+        yield closure(list(sklyanin_generators()), cap=30)
+        for N, dim in ((2, 3), (3, 2), (4, 3), (6, 2)):
+            yield random_monomial_group(rng, N, dim, cap=24)
+
+    def test_against_matrix_products_oracle(self):
+        rng = random.Random(43)
+        for group in self.groups():
+            seeds = [{i} for i in range(group.order)]
+            for size in (2, 3):
+                seeds += [set(rng.sample(range(group.order), size))
+                          for _ in range(6) if group.order >= size]
+            for seed in seeds:
+                got = group.subset_closure(seed)
+                assert got == matrix_closure(group, seed), (group.order, seed)
+                assert got == group.subset_closure(seed | {0})
+
+    def test_subgroup_of_a_subgroup(self):
+        group = closure(list(sklyanin_generators()), cap=30)
+        nine = next(s for s in subgroups(group) if s.order == 9)
+        for i in range(nine.order):
+            assert nine.subset_closure({i}) == matrix_closure(nine, {i})
+
+
+class TestMolienOncePerAssignment:
+    """molien keeps its sum on the assignment; classify_group reads it."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """The number of series_quotient calls, one per distinct trace of
+        each common-denominator sum."""
+        calls = []
+        original = groups.series_quotient
+
+        def spy(p, d):
+            calls.append(None)
+            return original(p, d)
+        monkeypatch.setattr(groups, "series_quotient", spy)
+        return calls
+
+    def test_classify_group_after_molien_sums_once(self, sums):
+        group = closure(list(sklyanin_generators()), cap=30)
+        assignment = assign_charpoly_traces(group)
+        series = molien(group, assignment)
+        once = len(sums)
+        assert once == len(set(assignment.traces))
+        report = classify_group(group, assignment, 3)
+        assert len(sums) == once
+        assert report.hilbert_series == series
+        # a fresh assignment of the same traces is summed again
+        fresh = assign_charpoly_traces(group)
+        assert classify_group(group, fresh, 3).hilbert_series == series
+        assert len(sums) == 2 * once
+
+    def test_another_group_object_is_summed_afresh(self, sums):
+        group = closure(list(sklyanin_generators()), cap=30)
+        twin = closure(list(sklyanin_generators()), cap=30)
+        assignment = assign_charpoly_traces(group)
+        series = molien(twin, assignment)
+        once = len(sums)
+        assert molien(group, assignment) == series
+        assert molien(twin, assignment) == series
+        assert molien(group, assignment) == series
+        assert len(sums) == 3 * once
+
+    def test_a_failed_sum_is_not_kept(self):
+        neg = CyclotomicMatrix([[-1, 0], [0, -1]])
+        group = closure([neg], cap=5)
+        good = reciprocal_charpoly_trace(group.elements[0])
+        bad = FieldFraction.reciprocal([1, -z])
+        assignment = TraceAssignment(group, (good, bad),
+                                     (PROVENANCE_USER,) * 2)
+        for _ in range(2):
+            with pytest.raises(NonRationalResultError):
+                molien(group, assignment)
 
 
 class TestHdet:

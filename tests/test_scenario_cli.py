@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import gradedseries as gs
+from gradedseries import groups as groups_module
 from gradedseries import scenario as scenario_module
 from gradedseries.cli import main
 from gradedseries.exact import Poly, normalize, one_minus_power
@@ -210,6 +211,79 @@ class TestRunnerCache:
                     self.SKEW4 + tasks[0] + "\n" + bad + "\n"))
 
 
+class TestAssignmentCache:
+    """A run builds one trace assignment per group, trace mode and
+    brute-force arguments, and its molien and classify tasks share it."""
+
+    MYSTIC = ('let B = algebra { kind: quantum_affine, degrees: [1, 1, 1], '
+              'q: [[1, -1, -1], [-1, 1, -1], [-1, -1, 1]] }\n'
+              'let g = matrix [[0, -1, 0], [1, 0, 0], [0, 0, -1]]\n')
+    CLOSURE = "task closure name=cg generators=[g] cap=10"
+    BRUTE = "traces=bruteforce algebra=B truncation=10 den_bound=3"
+
+    def spy(self, monkeypatch, name):
+        calls = []
+        original = getattr(scenario_module, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(scenario_module, name, counting)
+        return calls
+
+    def test_sklyanin_one_charpoly_assignment_per_group(self, monkeypatch):
+        calls = self.spy(monkeypatch, "assign_charpoly_traces")
+        text = gs.load_bundled_scenario("sklyanin.scn")
+        _, passed = run_scenario(parse_scenario(text))
+        assert passed
+        # molien on c3, diag9, sl and scalars; classify on sl and scalars
+        assert len(calls) == len({id(group) for group, in calls}) == 4
+
+    def run_alone(self, task):
+        """task's report in a fresh runner, after the closure it needs."""
+        prefix = "" if task.startswith(("task trace", self.CLOSURE)) \
+            else self.CLOSURE + "\n"
+        reports, _ = run_scenario(parse_scenario(
+            self.MYSTIC + prefix + task + "\n"))
+        report = reports[-1]
+        del report["line"]
+        return report
+
+    @pytest.mark.parametrize("tasks, assignments", [
+        # the generated scenario files' shape: one brute-force assignment
+        (["task trace algebra=B matrix=g truncation=10 den_bound=3",
+          CLOSURE,
+          f"task molien group=cg {BRUTE}",
+          f"task classify group=cg {BRUTE} gk=3"], 1),
+        # the mode and each brute-force argument are part of the key
+        ([CLOSURE,
+          "task molien group=cg",
+          f"task molien group=cg {BRUTE}",
+          "task classify group=cg gk=3",
+          f"task classify group=cg {BRUTE} gk=3",
+          f"task molien group=cg {BRUTE.replace('=10', '=11')}",
+          f"task molien group=cg {BRUTE.replace('=3', '=4')}",
+          f"task molien group=cg {BRUTE} num_bound=1",
+          f"task classify group=cg {BRUTE.replace('=3', '=4')} gk=3"], 5),
+    ])
+    def test_reports_match_each_task_run_alone(self, monkeypatch, tasks,
+                                               assignments):
+        alone = [self.run_alone(task) for task in tasks]
+        built = self.spy(monkeypatch, "TraceAssignment")
+        charpoly = self.spy(monkeypatch, "assign_charpoly_traces")
+        sums = []
+        molien_sum = groups_module._molien_sum
+        monkeypatch.setattr(groups_module, "_molien_sum",
+                            lambda *args: sums.append(args) or molien_sum(*args))
+        reports, _ = run_scenario(parse_scenario(
+            self.MYSTIC + "\n".join(tasks) + "\n"))
+        for got, want in zip(reports, alone, strict=True):
+            del got["line"]
+            assert got == want
+        assert len(built) + len(charpoly) == assignments
+        assert len(sums) == assignments  # one Molien sum per assignment
+
+
 class TestCli:
     def test_run_bundled(self, tmp_path, capsys):
         path = tmp_path / "stanley.scn"
@@ -243,6 +317,22 @@ class TestCli:
         path.write_text(text)
         assert main(["run", str(path)]) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, field", [
+        ("task molien group=G", "group_order"),
+        ("task subgroups group=G", "orders"),
+    ])
+    def test_series_expectation_on_a_field_that_is_no_series(
+            self, tmp_path, capsys, task, field):
+        path = tmp_path / "mismatch.scn"
+        path.write_text("let g = matrix [[-1, 0], [0, -1]]\n"
+                        "task closure name=G generators=[g]\n"
+                        f"{task}\n"
+                        f'  expect {field}="1/(1-t)"\n')
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: ")
+        assert f"{field!r}" in err and err.count("\n") == 1
 
     def test_classify_json(self, capsys):
         assert main(["classify", "(1+t)^3/(1-t)^4", "--json"]) == 0
