@@ -21,16 +21,21 @@ brute-force trace, which come out of the arithmetic in that form.
 
 Betti numbers of the trivial module come from iterated graded syzygies,
 exact for internal degree <= the cutoff because Tor_{i,j} only depends on
-the algebra below degree j.  In each degree j the kernel K is complete, so
-it is a left submodule and (m K)_j = sum_i x_i K_{j - d_i} over the
-generators x_i of degree d_i: the minimal generators of K_j are the kernel
-vectors outside that span, found by sparse row reduction (``exact._rref_add``).
-That span lies inside K_j, so it stops as soon as it has as many rows as K_j
-has vectors: then it is all of K_j and degree j has no minimal generator
-(every degree above the row index, for a Koszul algebra).  Each basis product
-is computed once per ``betti_numbers`` call and kept only for that call, and
-a monomial product a * b tests a relation only in the windows across the
-join, since the basis words a and b avoid every relation already.
+the algebra below degree j.  Every supported algebra is graded by letter
+counts, finer than the degree (a quotient by a normal element that is not a
+single monomial only by the degree), and the resolution splits into one block
+per weight, each eliminated on its own by sparse row reduction
+(``exact._rref_add``).  In each block alpha the kernel K is complete, so it is
+a left submodule and (m K)_alpha = sum_i x_i K_{alpha - wt(x_i)}: the minimal
+generators of K_alpha are the kernel vectors outside that span.  K_alpha is
+held in the coordinates of its free columns, where each kernel vector is a
+unit vector, so the span is read there and the minimal generators are the
+kernel vectors whose free column is no pivot of it.  The span stops as soon
+as it has as many rows as K_alpha has vectors (every degree above the row
+index, for a Koszul algebra).  Each basis product is computed once per
+``betti_numbers`` call and kept only for that call.  A monomial quotient's
+basis grows a word by one letter when no relation is a suffix of the result,
+and a product a * b is the word a + b when that is a basis word, else zero.
 """
 
 from __future__ import annotations
@@ -171,17 +176,6 @@ def normal_quotient(q, normals, names=None, degrees=None):
                         normals=tuple(packed))
 
 
-def _words_by_degree(degrees, cutoff):
-    words = [[()]]
-    for d in range(1, cutoff + 1):
-        layer = []
-        for i, gdeg in enumerate(degrees):
-            if gdeg <= d:
-                layer.extend((i,) + rest for rest in words[d - gdeg])
-        words.append(layer)
-    return words
-
-
 def _exponents_by_degree(degrees, cutoff):
     partial = {0: [()]}
     for gdeg in degrees:
@@ -192,16 +186,6 @@ def _exponents_by_degree(degrees, cutoff):
                     tup + (e,) for tup in tuples)
         partial = merged
     return [sorted(partial.get(d, [])) for d in range(cutoff + 1)]
-
-
-def _contains_factor(word, factor, join=None):
-    """Whether factor occurs in word; given a join, only in windows that start
-    before that index and end after it."""
-    span = len(factor)
-    lo, hi = 0, len(word) - span + 1
-    if join is not None:
-        lo, hi = max(lo, join - span + 1), min(hi, join)
-    return any(word[k:k + span] == factor for k in range(lo, hi))
 
 
 def _q_merge(q, left, right):
@@ -225,7 +209,8 @@ _ONE = 1
 class Truncation:
     """Per-degree bases and multiplication of a graded algebra up to a cutoff."""
 
-    __slots__ = ("presentation", "cutoff", "bases", "ambient", "projections")
+    __slots__ = ("presentation", "cutoff", "bases", "ambient", "projections",
+                 "words")
 
     def __init__(self, presentation, cutoff, bases, ambient=None, projections=None):
         object.__setattr__(self, "presentation", presentation)
@@ -233,6 +218,9 @@ class Truncation:
         object.__setattr__(self, "bases", tuple(tuple(b) for b in bases))
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "projections", projections)
+        # a monomial quotient's basis words, for membership tests of products
+        object.__setattr__(self, "words", frozenset().union(*self.bases)
+                           if presentation.kind == MONOMIAL_QUOTIENT else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Truncation is immutable")
@@ -262,14 +250,8 @@ class Truncation:
         if kind == FREE:
             return {a + b: _ONE}
         if kind == MONOMIAL_QUOTIENT:
-            # a and b are basis words, so a relation in a + b must straddle
-            # the join
             word = a + b
-            join = len(a)
-            for rel in pres.relations:
-                if _contains_factor(word, rel, join):
-                    return {}
-            return {word: _ONE}
+            return {word: _ONE} if word in self.words else {}
         # normal quotient: multiply upstairs, then reduce
         raw = self.ambient.mul_basis(d1, a, d2, b)
         return self.project(d1 + d2, raw)
@@ -301,7 +283,7 @@ class Truncation:
         deg = self.presentation.degrees[i]
         label = self.generator_label(i)
         if (self.presentation.kind == MONOMIAL_QUOTIENT and deg <= self.cutoff
-                and label not in self.bases[deg]):
+                and label not in self.words):
             return deg, {}  # a one-letter relation kills the generator
         return deg, self.project(deg, {label: _ONE})
 
@@ -320,12 +302,17 @@ def build_truncation(presentation, cutoff):
         raise ValueError("cutoff must be nonnegative")
     kind = presentation.kind
     if kind in (FREE, MONOMIAL_QUOTIENT):
-        words = _words_by_degree(presentation.degrees, cutoff)
-        if kind == MONOMIAL_QUOTIENT:
-            words = [[w for w in layer
-                      if not any(_contains_factor(w, rel)
-                                 for rel in presentation.relations)]
-                     for layer in words]
+        # a basis word plus one letter avoids every relation unless one is
+        # its suffix
+        relations = set(presentation.relations or ())
+        lengths = {len(rel) for rel in relations}
+        words = [[()]]
+        for d in range(1, cutoff + 1):
+            layer = [w for i, gdeg in enumerate(presentation.degrees)
+                     if gdeg <= d for w in (v + (i,) for v in words[d - gdeg])
+                     if not any(w[-k:] in relations for k in lengths)]
+            layer.sort()
+            words.append(layer)
         return Truncation(presentation, cutoff, words)
     if kind == QUANTUM_AFFINE:
         return Truncation(presentation, cutoff,
@@ -557,7 +544,9 @@ class BettiTable:
 
 def _nullspace(columns):
     """Kernel basis of the matrix with these sparse columns (dicts of row key
-    -> entry), one sparse vector per free column, read off the RREF."""
+    -> entry), read off the RREF: a dict from each free column to its kernel
+    vector.  The vector of free column c is 1 at c and 0 at every other free
+    column, so a kernel vector is fixed by its entries at the free columns."""
     by_row = {}
     for c, column in enumerate(columns):
         for r, x in column.items():
@@ -570,7 +559,7 @@ def _nullspace(columns):
         for c, x in row.items():
             if c != p:
                 basis[c][p] = -x
-    return list(basis.values())
+    return basis
 
 
 def betti_numbers(trunc, cutoff=None):
@@ -578,34 +567,53 @@ def betti_numbers(trunc, cutoff=None):
 
     Resolves the trivial module by iterated graded syzygies: row i holds the
     degrees of the minimal generators of the i-th kernel K, the vectors of
-    K_j outside (m K)_j = sum_k x_k K_{j - d_k}.  Three things keep the work
-    down without changing the table:
+    K_alpha outside (m K)_alpha = sum_k x_k K_{alpha - wt(x_k)}.  The
+    weight alpha is finer than the degree, and each weight block is
+    eliminated on its own:
 
+    * a label's weight is its letter counts, read as the digits of one int
+      in base cutoff + 1, and a generator's weight is its label's.  A
+      normal quotient by an element that is not a single monomial is
+      graded by the degree alone, so its blocks are the degrees.  A block
+      keeps its degree beside its weight: alpha - wt(x_k) can borrow across
+      digits and land on a block of another degree;
+    * each block of K is held in its own coordinates.  ``_nullspace`` gives
+      one kernel vector per free column, 1 there and 0 at the other free
+      columns, so a vector of K_alpha is fixed by its entries at those
+      keys.  The span of (m K)_alpha and the next differential are read
+      there only, and the minimal generators are the kernel vectors whose
+      free key is no pivot of the span;
+    * the span of (m K)_alpha stops growing once it has dim K_alpha rows:
+      it is then all of K_alpha, and alpha has no minimal generator;
     * each basis product a * b is computed once per call, in a dict keyed
       by (a, b) (a label fixes its degree), and left multiplication reads
-      it entry by entry;
-    * the span of (m K)_j stops growing once it has dim K_j = len(K_j) rows:
-      it is then all of K_j, and degree j has no minimal generator;
-    * monomial quotients test a relation only across the join of a * b
-      (see ``Truncation.mul_basis``).
-
-    The products live only as long as the call.
+      it entry by entry.  The products live only as long as the call.
     """
     if cutoff is None:
         cutoff = trunc.cutoff
     if cutoff > trunc.cutoff:
         raise ValueError("cutoff exceeds the truncation")
-    entries = {(0, 0): 1}
+    pres = trunc.presentation
+    if any(len(items) > 1 for _, items in pres.normals or ()):
+        digits = pres.degrees
+    else:
+        digits = [(cutoff + 1) ** i for i in range(pres.ngens)]
+    blocks = {}  # weight -> (degree, basis labels of that weight)
+    for j in range(cutoff + 1):
+        for lab in trunc.bases[j]:
+            weight = sum(digits[i] for i in trunc.label_word(lab))
+            blocks.setdefault(weight, (j, []))[1].append(lab)
     generators = []
-    for i, d in enumerate(trunc.presentation.degrees):
+    for i, d in enumerate(pres.degrees):
         if d < cutoff:
             _, x = trunc.generator_vector(i)
             if x:  # a killed generator acts as zero
-                generators.append((d, x))
+                generators.append((digits[i], d, x))
     products = {}
 
-    def left_mul(e, a_vec, vec, vec_degree):
-        # a_vec (degree e) times vec, a vector of the free module on gens
+    def left_mul(e, a_vec, vec, vec_degree, keep):
+        # a_vec (degree e) times vec, a vector of the free module on gens,
+        # read at the keys in keep
         out = {}
         for (s, lab), c in vec.items():
             d = vec_degree - gens[s]
@@ -616,55 +624,62 @@ def betti_numbers(trunc, cutoff=None):
                 c2 = ca * c
                 for lab2, c3 in prod.items():
                     key = (s, lab2)
-                    out[key] = out.get(key, 0) + c2 * c3
+                    if key in keep:
+                        out[key] = out.get(key, 0) + c2 * c3
         return out
 
+    entries = {(0, 0): 1}
     gens = [0]
-    kernel = {j: [{(0, lab): _ONE} for lab in trunc.bases[j]]
-              for j in range(1, cutoff + 1)}
-    index = 1
-    while index <= cutoff:
+    # weight -> (degree, {free key: kernel vector}); first the ideal A_+
+    kernel = {w: (j, {(0, lab): {(0, lab): _ONE} for lab in labels})
+              for w, (j, labels) in blocks.items() if j}
+    for index in range(1, cutoff + 1):
         mingens = []
-        for j in range(1, cutoff + 1):
-            vectors = kernel.get(j, [])
-            if not vectors:
-                continue
-            # K is the whole kernel below the cutoff, so (m K)_j is the span
-            # of x_i K_{j - d_i} over the generators x_i.  It lies in K_j, so
-            # once it has len(vectors) rows it is K_j: no minimal generators
+        for alpha, (j, basis) in kernel.items():
+            # K is the whole kernel below the cutoff, so (m K)_alpha is the
+            # span of x_k K_{alpha - wt(x_k)}.  It lies in K_alpha, so once
+            # it has len(basis) rows it is K_alpha: no minimal generators
             rows = {}
-            for w in (left_mul(d, x, v, j - d) for d, x in generators
-                      for v in kernel.get(j - d, [])):
-                _rref_add(rows, w)
-                if len(rows) == len(vectors):
-                    break
-            else:
-                for v in vectors:
-                    if len(rows) == len(vectors):
+            for w, d, x in generators:
+                below = kernel.get(alpha - w)
+                if below is None or below[0] != j - d:
+                    continue
+                for v in below[1].values():
+                    _rref_add(rows, left_mul(d, x, v, j - d, basis))
+                    if len(rows) == len(basis):
                         break
-                    if _rref_add(rows, v) is not None:
-                        mingens.append((j, v))
+                if len(rows) == len(basis):
+                    break
+            mingens.extend((alpha, j, v) for key, v in basis.items()
+                           if key not in rows)
         if not mingens:
             break
-        for j, _ in mingens:
-            entries[(index, j)] = entries.get((index, j), 0) + 1
-        new_gens = [j for j, _ in mingens]
-        columns_by_gen = [v for _, v in mingens]
+        for _, j, _ in mingens:
+            entries[index, j] = entries.get((index, j), 0) + 1
+        # the next kernel, block by block: the pairs (s, a) with
+        # wt(g_s) + wt(a) = alpha, mapped to a * g_s in K_alpha's coordinates.
+        # The map is onto K_alpha, so its rows there are independent; and a
+        # sum of weights of degree <= cutoff carries no digit, so alpha needs
+        # no degree check
+        domains = {}
+        for s, (ws, ds, _) in enumerate(mingens):
+            for w, (jb, labels) in blocks.items():
+                if ds + jb <= cutoff:
+                    domains.setdefault(ws + w, (ds + jb, []))[1].extend(
+                        (s, lab) for lab in labels)
         new_kernel = {}
-        for j in range(1, cutoff + 1):
-            domain = [(s, a_lab) for s, ds in enumerate(new_gens) if ds <= j
-                      for a_lab in trunc.bases[j - ds]]
-            if not domain:
-                continue
+        for alpha, (j, domain) in domains.items():
+            keep = kernel[alpha][1] if alpha in kernel else {}
             null = _nullspace([
-                left_mul(j - new_gens[s], {a_lab: _ONE}, columns_by_gen[s],
-                         new_gens[s])
-                for s, a_lab in domain])
+                left_mul(j - mingens[s][1], {lab: _ONE}, mingens[s][2],
+                         mingens[s][1], keep)
+                for s, lab in domain])
             if null:
-                new_kernel[j] = [{domain[k]: c for k, c in vec.items()}
-                                 for vec in null]
-        gens, kernel = new_gens, new_kernel
-        index += 1
+                new_kernel[alpha] = (j, {
+                    domain[c]: {domain[k]: x for k, x in vec.items()}
+                    for c, vec in null.items()})
+        gens = [d for _, d, _ in mingens]
+        kernel = new_kernel
     return BettiTable(entries, cutoff)
 
 

@@ -741,12 +741,14 @@ class _Runner:
                 # series result is compared as computed, not re-parsed
                 want_series = parse_series_literal(
                     want.text, self.scenario.zeta_order, want.line)
-                if isinstance(got, RationalFunction):
-                    got_series = got
-                elif isinstance(got, str):
-                    got_series = parse_series_literal(
-                        got, self.scenario.zeta_order)
-                else:
+                got_series = got if isinstance(got, RationalFunction) else None
+                if isinstance(got, str):
+                    try:
+                        got_series = parse_series_literal(
+                            got, self.scenario.zeta_order)
+                    except ParseError:
+                        pass
+                if got_series is None:
                     raise ScenarioExecutionError(
                         f"line {want.line}: expect {key}=\"{want.text}\": "
                         f"the {key!r} field is {got!r}, not a series")

@@ -71,18 +71,27 @@ def _occurs(word, factor):
                for k in range(len(word) - len(factor) + 1))
 
 
-def anick_chain_betti(n, relations, cutoff):
-    """Betti numbers of k<x_1..x_n>/(relations), all generators in degree 1,
-    counted as Anick chains (Anick, Trans. AMS 296, 1986), whose resolution
-    is minimal for a monomial algebra: b(0, 0) = 1, b(1, 1) = n for the
-    0-chains x_i, and b(k + 1, j) counts the k-chains of length j.  In the
-    tail form (Ufnarovski): a k-chain extends a (k - 1)-chain with tail t by
-    a word s such that an obstruction (a relation with no other relation as
-    a factor) starting inside t ends t + s, and t + s less its last letter
+def anick_chain_betti(n, relations, cutoff, degrees=None):
+    """Betti numbers of k<x_1..x_n>/(relations), generator i in degree
+    degrees[i] (all 1 by default), counted as Anick chains (Anick, Trans. AMS
+    296, 1986), whose resolution is minimal for a monomial algebra:
+    b(0, 0) = 1, b(1, d_i) counts the 0-chains x_i, and b(k + 1, j) counts
+    the k-chains of internal degree j, the sum of their letters' degrees.  In
+    the tail form (Ufnarovski): a k-chain extends a (k - 1)-chain with tail t
+    by a word s such that an obstruction (a relation with no other relation
+    as a factor) starting inside t ends t + s, and t + s less its last letter
     contains none; s is the new tail."""
+    degrees = degrees or (1,) * n
+
+    def degree(word):
+        return sum(degrees[a] for a in word)
+
     obstructions = [r for r in set(relations)
                     if not any(o != r and _occurs(r, o) for o in relations)]
-    counts = {(0, 0): 1, (1, 1): n}
+    counts = {(0, 0): 1}
+    for a in range(n):
+        if degrees[a] <= cutoff:
+            counts[1, degrees[a]] = counts.get((1, degrees[a]), 0) + 1
     layer = [((a,), (a,)) for a in range(n)]
     index = 1
     while layer:
@@ -94,13 +103,14 @@ def anick_chain_betti(n, relations, cutoff):
                     overlap = tail[start:]
                     s = r[len(overlap):]
                     if (r[:len(overlap)] != overlap or not s
-                            or len(chain) + len(s) > cutoff
+                            or degree(chain) + degree(s) > cutoff
                             or any(_occurs(tail + s[:-1], o)
                                    for o in obstructions)):
                         continue
                     grown.append((chain + s, s))
         for chain, _ in grown:
-            counts[index, len(chain)] = counts.get((index, len(chain)), 0) + 1
+            key = (index, degree(chain))
+            counts[key] = counts.get(key, 0) + 1
         layer = grown
     return counts
 
@@ -198,6 +208,36 @@ class TestBuildTruncation:
                             want = {} if whole else {a + b: 1}
                             assert trunc.mul_basis(d1, a, d2, b) == want, \
                                 (relations, a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monomial_basis_is_every_word_avoiding_the_relations(self, seed):
+        # the basis grows a word by one letter and tests the relations as
+        # suffixes; a whole-word scan of every word must give the same basis,
+        # with one-letter relations and generators of degree 2 among them
+        rng = random.Random(seed)
+        for n, cutoff in ((2, 7), (3, 5), (2, 7), (3, 5)):
+            degrees = [rng.choice((1, 2)) for _ in range(n)]
+            pool = [w for length in (1, 2, 3, 4) for w in _words(n, length)]
+            relations = rng.sample(pool, rng.randint(1, 6))
+            trunc = build_truncation(monomial_quotient(
+                [f"x{k}" for k in range(n)], relations, degrees), cutoff)
+            by_degree = [[] for _ in range(cutoff + 1)]
+            for length in range(cutoff + 1):
+                for w in _words(n, length):
+                    d = sum(degrees[a] for a in w)
+                    if d <= cutoff and not any(_occurs(w, r)
+                                               for r in relations):
+                        by_degree[d].append(w)
+            assert [sorted(b) for b in trunc.bases] == \
+                [sorted(b) for b in by_degree], \
+                (degrees, relations)
+            for d1 in range(cutoff + 1):
+                for a in by_degree[d1]:
+                    for d2 in range(cutoff + 1 - d1):
+                        for b in by_degree[d2]:
+                            want = {a + b: 1} if a + b in by_degree[d1 + d2] \
+                                else {}
+                            assert trunc.mul_basis(d1, a, d2, b) == want
 
 
 class TestBruteForceTrace:
@@ -573,6 +613,77 @@ class TestBetti:
         table = betti_numbers(trunc)
         assert table.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
         assert not any(euler_check(table, trunc.hilbert_coefficients(), 6))
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_weighted_monomial_quotient_matches_anick_chains(self, seed):
+        # generators of degree 2 give chains whose internal degree is not
+        # their length, and weight blocks that share a degree
+        rng = random.Random(seed)
+        for n, cutoff in ((2, 8), (3, 6), (2, 8), (3, 6)):
+            degrees = [rng.choice((1, 2)) for _ in range(n)]
+            _, relations = random_monomial_quotient(rng, n)
+            pres = monomial_quotient([f"x{k}" for k in range(n)], relations,
+                                     degrees)
+            table = betti_numbers(build_truncation(pres, cutoff))
+            assert table.entries == anick_chain_betti(n, relations, cutoff,
+                                                      degrees), \
+                (degrees, relations)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_weighted_quantum_affine_is_koszul_complex(self, seed):
+        # b(i, j) counts the i-subsets of the generator degrees with sum j,
+        # and the window runs past the top of the Koszul complex
+        rng = random.Random(seed)
+        values = [1, -1, 2, Fraction(-1, 3), Fraction(3, 2)]
+        for n in (2, 3, 4):
+            degrees = [rng.choice((1, 2)) for _ in range(n)]
+            q = [[1] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    q[i][j] = rng.choice(values)
+                    q[j][i] = 1 / Fraction(q[i][j])
+            cutoff = sum(degrees) + 1
+            want = {}
+            for mask in range(1 << n):
+                subset = [d for k, d in enumerate(degrees) if mask >> k & 1]
+                key = (len(subset), sum(subset))
+                want[key] = want.get(key, 0) + 1
+            trunc = build_truncation(quantum_affine(q, degrees=degrees),
+                                     cutoff)
+            assert betti_numbers(trunc).entries == want, (degrees, q)
+
+    @pytest.mark.parametrize("normal, degrees, cutoff, want", [
+        # a monomial: graded by letter counts, with x2 in degree 2
+        ({(0, 2, 0): 1}, (1, 2, 1), 8,
+         {(0, 0): 1, (1, 1): 2, (1, 2): 1, (2, 2): 1, (2, 3): 2, (2, 4): 1,
+          (3, 4): 1, (3, 5): 2, (3, 6): 1, (4, 6): 1, (4, 7): 2, (4, 8): 1,
+          (5, 8): 1}),
+        # a central element that is no monomial: graded by the degree alone
+        ({(2, 0, 0): 1, (0, 2, 0): Fraction(1, 2), (0, 0, 2): 1},
+         (1, 1, 1), 7,
+         {(0, 0): 1, (1, 1): 3, (2, 2): 4, (3, 3): 4, (4, 4): 4, (5, 5): 4,
+          (6, 6): 4, (7, 7): 4}),
+    ])
+    def test_normal_quotient_tables(self, normal, degrees, cutoff, want):
+        pres = normal_quotient(skew_symmetric_q(3), [normal], degrees=degrees)
+        trunc = build_truncation(pres, cutoff)
+        table = betti_numbers(trunc)
+        assert table.entries == want
+        assert not any(euler_check(table, trunc.hilbert_coefficients(),
+                                   cutoff))
+
+    def test_block_lookups_check_the_degree(self):
+        # with three letters, the weight of x3 less that of x2 is the weight
+        # of x2^cutoff, of another degree: a lookup by weight alone takes
+        # that block, and the normal quotient's projection at the degree
+        # the lookup assumed does not hold its labels
+        pres = normal_quotient(skew_symmetric_q(3), [{(0, 0, 2): 1}])
+        trunc = build_truncation(pres, 5)
+        table = betti_numbers(trunc)
+        assert table.entries == {(0, 0): 1, (1, 1): 3, (2, 2): 4, (3, 3): 4,
+                                 (4, 4): 4, (5, 5): 4}
+        assert not any(euler_check(table, trunc.hilbert_coefficients(), 5))
 
 
 class TestEulerCheck:

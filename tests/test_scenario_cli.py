@@ -334,6 +334,25 @@ class TestCli:
         assert err.startswith("error: line 4: ")
         assert f"{field!r}" in err and err.count("\n") == 1
 
+    def test_series_expectation_on_a_text_that_is_no_series(self, tmp_path,
+                                                            capsys):
+        # the text result is named at the expectation's line, not located
+        # inside the result as if it were the file
+        path = tmp_path / "verdict.scn"
+        path.write_text(
+            "let B = algebra { kind: quantum_affine, degrees: [1, 1, 1], "
+            "q: [[1, -1, -1], [-1, 1, -1], [-1, -1, 1]] }\n"
+            "let g = matrix [[0, -1, 0], [1, 0, 0], [0, 0, -1]]\n"
+            "\n"
+            "task trace algebra=B matrix=g truncation=8 den_bound=3\n"
+            '  expect hdet="1"\n'
+            "task trace algebra=B matrix=g truncation=8 den_bound=3\n"
+            '  expect verdict="1"\n')
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            'error: line 7: expect verdict="1": the \'verdict\' field is '
+            "'quasi-bireflection', not a series\n")
+
     def test_classify_json(self, capsys):
         assert main(["classify", "(1+t)^3/(1-t)^4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
