@@ -422,6 +422,9 @@ def _parse_normal_element(cur, name_index, ngens):
             power = 1
             if cur.take_symbol("^"):
                 power = cur.expect_int()
+                if power < 1:
+                    raise ParseError("powers in monomials must be positive",
+                                     name_tok.line, name_tok.col)
             exponents[idx] += power
             saw_name = True
         if not saw_name and tok is not None and tok.kind != "int":

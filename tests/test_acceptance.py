@@ -229,7 +229,7 @@ def test_criterion_07_mystic_quasi_bireflection():
         for j in range(3):
             c = g.rows[j][i]
             if c:
-                col[trunc.generator_label(j)] = c
+                col[(j,)] = c
         gen_vectors.append(col)
     from gradedseries.algebras import _rref_add
     assert fixed_series[0] == 1
@@ -239,7 +239,7 @@ def test_criterion_07_mystic_quasi_bireflection():
         reduced = {}
         rank = 0
         for lab in labels:
-            word = trunc.label_word(lab)
+            word = lab
             cur = dict(gen_vectors[word[0]])
             for deg, letter in enumerate(word[1:], start=1):
                 cur = trunc.mul(deg, cur, 1, gen_vectors[letter])

@@ -240,6 +240,86 @@ class TestBuildTruncation:
                             assert trunc.mul_basis(d1, a, d2, b) == want
 
 
+def exponent_q_merge(q, left, right):
+    """Oracle: the product of x^left and x^right, exponent tuples, in PBW
+    normal form: x_j x_i = q_ij x_i x_j for i < j, so each x_i of right
+    passes each x_j (j > i) of left at the factor q_ij."""
+    n = len(q)
+    scalar = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            scalar = scalar * q[i][j] ** (left[j] * right[i])
+    return scalar, tuple(a + b for a, b in zip(left, right))
+
+
+def exponents(word, n):
+    return tuple(word.count(i) for i in range(n))
+
+
+class TestWordLabels:
+    """Every truncation labels its basis by words of generator indices."""
+
+    z12 = CyclotomicNumber.zeta(12)
+    # (presentation, cutoff, dims)
+    CASES = {
+        "free": (free_algebra(2), 6, [1, 2, 4, 8, 16, 32, 64]),
+        "monomial with a one-letter relation": (monomial_quotient(
+            ["x", "y", "z"], [(1,), (0, 0), (2, 0, 2)]), 6,
+            [1, 2, 3, 4, 4, 4, 4]),
+        "weighted quantum affine": (quantum_affine(
+            [[1, 2, -1], [Fraction(1, 2), 1, Fraction(-3, 2)],
+             [-1, Fraction(-2, 3), 1]], degrees=(1, 2, 1)), 8,
+            [1, 2, 4, 6, 9, 12, 16, 20, 25]),
+        "normal quotient by x^2 and yz": (normal_quotient(
+            skew_symmetric_q(3), [{(2, 0, 0): 1}, {(0, 1, 1): 1}]), 6,
+            [1, 3, 4, 4, 4, 4, 4]),
+        "weighted normal quotient by x^2 + y^2 - z": (normal_quotient(
+            [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+            [{(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 1): -1}], degrees=(1, 1, 2)),
+            8, [1, 2, 3, 4, 5, 6, 7, 8, 9]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_labels_are_words_of_the_right_degree(self, name):
+        pres, cutoff, dims = self.CASES[name]
+        trunc = build_truncation(pres, cutoff)
+        assert trunc.dims() == dims
+        for d, basis in enumerate(trunc.bases):
+            for lab in basis:
+                assert type(lab) is tuple
+                assert all(type(i) is int and 0 <= i < pres.ngens
+                           for i in lab), lab
+                assert sum(pres.degrees[i] for i in lab) == d, lab
+                if pres.q is not None:
+                    assert list(lab) == sorted(lab), lab
+
+    @pytest.mark.parametrize("q, degrees", [
+        (CASES["weighted quantum affine"][0].q, (1, 2, 1)),
+        (((1, z12, z12 ** 5), (z12 ** 11, 1, -1), (z12 ** 7, -1, 1)),
+         (1, 1, 1)),
+    ])
+    def test_q_merge_of_words_matches_the_exponent_rule(self, q, degrees):
+        cutoff = 6
+        trunc = build_truncation(quantum_affine(q, degrees=degrees), cutoff)
+        n = len(q)
+        for d1 in range(cutoff + 1):
+            for d2 in range(cutoff + 1 - d1):
+                for a in trunc.bases[d1]:
+                    for b in trunc.bases[d2]:
+                        scalar, exp = exponent_q_merge(
+                            q, exponents(a, n), exponents(b, n))
+                        word = tuple(i for i in range(n)
+                                     for _ in range(exp[i]))
+                        assert trunc.mul_basis(d1, a, d2, b) == \
+                            {word: scalar}, (a, b)
+
+    def test_negative_exponents_are_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            normal_quotient([[1, 1], [1, 1]], [{(3, -1): 1, (1, 1): 1}])
+        with pytest.raises(ValueError, match="nonnegative"):
+            normal_quotient([[1, 1], [1, 1]], [{(2, 0): 1, (0, -1): 0}])
+
+
 class TestBruteForceTrace:
     def test_identity_gives_hilbert_series(self):
         trunc = build_truncation(quantum_affine(skew_symmetric_q(3)), 8)
@@ -307,6 +387,15 @@ class TestBruteForceTrace:
                       if a + b == d) for d in range(7)]
         assert list(got) == manual
 
+    def test_cutoff_zero(self):
+        # no generator lies within the cutoff, so the trace is 1
+        g = CyclotomicMatrix([[1, 0], [0, -1]])
+        for pres in (normal_quotient(skew_symmetric_q(2), [{(2, 0): 1}]),
+                     koszul_dual_square_zero(), free_algebra(2)):
+            trunc = build_truncation(pres, 0)
+            assert trunc.generator_vector(0) == (1, {})
+            assert brute_force_trace(g, trunc) == Series([1])
+
     def test_monomial_quotient_identity_and_negation(self):
         trunc = build_truncation(koszul_dual_square_zero(), 3)
         got = brute_force_trace(CyclotomicMatrix.identity(2), trunc)
@@ -330,7 +419,7 @@ def word_by_word_trace(g, trunc, order):
     for d in range(1, order + 1):
         total = 0
         for lab in trunc.bases[d]:
-            image = _apply_to_word(trunc, gen_vectors, trunc.label_word(lab))
+            image = _apply_to_word(trunc, gen_vectors, lab)
             total = total + image.get(lab, 0)
         coefficients.append(total)
     return Series(coefficients)
@@ -367,7 +456,13 @@ class TestPrefixImages:
         "normal quotient by x^2 + y^2 + z^2": (normal_quotient(
             skew_symmetric_q(3), [{(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}]),
             6),
+        # each preserved by the shear x -> x, y -> x + y
+        "shear-fixed monomial quotient by x^2, yxy": (
+            monomial_quotient(["x", "y"], [(0, 0), (1, 0, 1)]), 6),
+        "shear-fixed normal quotient by x^2": (
+            normal_quotient(skew_symmetric_q(2), [{(2, 0): 1}]), 6),
     }
+    shear = CyclotomicMatrix([[1, 1], [0, 1]])
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_word_by_word_oracle(self, name):
@@ -390,6 +485,50 @@ class TestPrefixImages:
             assert brute_force_trace(g, trunc, cutoff - 2) == \
                 word_by_word_trace(g, trunc, cutoff - 2), g
         assert accepted >= 3, (accepted, rejected)
+
+    @pytest.mark.parametrize("name", [
+        "shear-fixed monomial quotient by x^2, yxy",
+        "shear-fixed normal quotient by x^2"])
+    def test_shear_is_an_automorphism(self, name):
+        pres, cutoff = self.CASES[name]
+        trunc = build_truncation(pres, cutoff)
+        check_automorphism(self.shear, trunc)
+        # the shear is unipotent: its trace on A_d is dim A_d
+        assert brute_force_trace(self.shear, trunc) == Series(trunc.dims())
+        assert word_by_word_trace(self.shear, trunc, cutoff) == \
+            Series(trunc.dims())
+
+    def test_shear_maps_the_monomial_ideal_into_itself(self):
+        # independent of the algebra's product: in the free algebra, each
+        # word of length <= 6 with a factor x^2 or yxy goes to a sum of
+        # such words
+        relations = [(0, 0), (1, 0, 1)]
+        images = {0: [(0,)], 1: [(0,), (1,)]}  # x -> x, y -> x + y
+        for length in range(2, 7):
+            for word in _words(2, length):
+                if not any(_occurs(word, r) for r in relations):
+                    continue
+                image = [()]
+                for letter in word:
+                    image = [w + v for w in image for v in images[letter]]
+                assert all(any(_occurs(w, r) for r in relations)
+                           for w in image), word
+
+    def test_shear_on_the_skew_plane_is_rejected(self):
+        # (x + y) x + x (x + y) = 2 x^2 is not zero in k_{-1}[x, y]
+        trunc = build_truncation(quantum_affine(skew_symmetric_q(2)), 6)
+        with pytest.raises(NotAnAutomorphismError, match="commutation"):
+            check_automorphism(self.shear, trunc)
+        with pytest.raises(NotAnAutomorphismError):
+            brute_force_trace(self.shear, trunc)
+
+    def test_relations_beyond_the_cutoff_are_checked(self):
+        # the relation word xyx has length 3 > cutoff 2, and the swap sends
+        # it to yxy, which is no relation
+        pres = monomial_quotient(["x", "y"], [(0, 1, 0)])
+        swap = CyclotomicMatrix([[0, 1], [1, 0]])
+        with pytest.raises(NotAnAutomorphismError, match="relation x y x"):
+            check_automorphism(swap, build_truncation(pres, 2))
 
     def test_rejections_still_come_first(self):
         trunc = build_truncation(quantum_affine([[1, 2], [Fraction(1, 2), 1]]), 4)
@@ -477,7 +616,7 @@ class TestMolienWithBruteForce:
             for j in range(3):
                 c = g.rows[j][i]
                 if c:
-                    col[trunc.generator_label(j)] = c
+                    col[(j,)] = c
             gen_vectors.append(col)
         assert series[0] == 1
         for d in range(1, 13):
@@ -486,7 +625,7 @@ class TestMolienWithBruteForce:
             rank = 0
             reduced = {}
             for lab in labels:
-                word = trunc.label_word(lab)
+                word = lab
                 cur = dict(gen_vectors[word[0]])
                 for deg, letter in enumerate(word[1:], start=1):
                     cur = trunc.mul(deg, cur, 1, gen_vectors[letter])

@@ -452,6 +452,17 @@ class TestCli:
         assert main(["betti", "--algebra", "{ kind: nope }"]) == 2
         assert "line 1, col 1: unknown algebra kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("element, col", [("x1^3 x2^-1 + x1 x2", 58),
+                                              ("x1^0 x2^2", 53)])
+    def test_normal_element_powers_below_one_are_located(self, capsys,
+                                                         element, col):
+        literal = ("{ kind: normal_quotient, q: [[1,1],[1,1]], "
+                   f"normal: [{element}] }}")
+        assert main(["betti", "--algebra", literal]) == 2
+        err = capsys.readouterr().err
+        assert f"line 1, col {col}: powers in monomials must be positive" \
+            in err, err
+
     def test_literal_starting_with_a_dash(self, capsys):
         assert main(["classify", "--json", "--", "-t"]) == 0
         assert json.loads(capsys.readouterr().out)["series"] == "-t"
