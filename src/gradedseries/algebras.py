@@ -279,20 +279,43 @@ def build_truncation(presentation, cutoff):
 
     A basis word plus one letter avoids every relation word, the descents
     (j, i), j > i, among them when there are q parameters, unless one is its
-    suffix.  The normal elements then cut the basis down degree by degree."""
+    suffix.  Whether a letter may follow a word depends only on the word's
+    last m letters, m one less than the longest relation, so the letters
+    that may follow are worked out once per such suffix and only the kept
+    words are built.  The normal elements then cut the basis down degree by
+    degree."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     relations = set(presentation.relations or ())
     if presentation.q is not None:
         relations.update((j, i) for j in range(presentation.ngens)
                          for i in range(j))
-    lengths = {len(rel) for rel in relations}
+    banned = {}  # a relation word's first letters -> the last letters it bans
+    for rel in relations:
+        banned.setdefault(rel[:-1], set()).add(rel[-1])
+    m = max(map(len, relations), default=1) - 1
+    by_degree = {}  # generator degree -> its letters, ascending
+    for i, gdeg in enumerate(presentation.degrees):
+        by_degree.setdefault(gdeg, []).append(i)
+    # generator degree -> {suffix: the letters of that degree allowed after it}
+    follow = {gdeg: {} for gdeg in by_degree}
     words = [[()]]
     for d in range(1, cutoff + 1):
-        layer = [v + (i,) for i, gdeg in enumerate(presentation.degrees)
-                 if gdeg <= d for v in words[d - gdeg]]
-        for k in lengths:
-            layer = [w for w in layer if w[-k:] not in relations]
+        layer = []
+        for gdeg, letters in by_degree.items():
+            if gdeg > d:
+                continue
+            table = follow[gdeg]
+            for v in words[d - gdeg]:
+                suffix = v[-m:] if m else ()
+                allowed = table.get(suffix)
+                if allowed is None:
+                    ban = set().union(*(banned.get(suffix[k:], ())
+                                        for k in range(len(suffix) + 1)))
+                    allowed = table[suffix] = [i for i in letters
+                                               if i not in ban]
+                for i in allowed:
+                    layer.append(v + (i,))
         layer.sort()
         words.append(layer)
     if presentation.normals:
@@ -381,9 +404,12 @@ def _apply_to_word(trunc, gen_vectors, word):
 
 
 def check_automorphism(g, trunc):
-    """Raise NotAnAutomorphismError unless g respects the defining relations.
+    """Raise NotAnAutomorphismError unless g is invertible and respects the
+    defining relations.
 
-    g sends x_i to sum_j g[j][i] x_j.  Every defining relation must vanish
+    g sends x_i to sum_j g[j][i] x_j, and det g must not be 0: a singular g
+    that respects the relations is an endomorphism, not an automorphism, and
+    has no trace series to report.  Every defining relation must vanish
     when it is evaluated on these images with the algebra's own product:
     each relation word, each x_j x_i - q_ij x_i x_j (i < j) and each normal
     element of degree up to the cutoff.  A relation longer than the cutoff
@@ -395,6 +421,8 @@ def check_automorphism(g, trunc):
         raise ValueError("matrix dimension must match the generator count")
     if any(d != 1 for d in pres.degrees):
         raise ValueError("a degree-1 matrix action needs degree-1 generators")
+    if not g.det():
+        raise NotAnAutomorphismError("the matrix is singular")
     names = pres.names
     relations = [(f"relation {' '.join(names[i] for i in word)}",
                   {word: _ONE}) for word in pres.relations or ()]

@@ -6,11 +6,20 @@ and ``--algebra`` literals, runs one task (``molien`` and ``subgroups`` run a
 so its output keys are those of the same-named scenario task.  ``run``
 executes a scenario file.  Exit codes: 0 ok, 1 an embedded expected result
 failed (``run``), 2 bad input.
+
+``main`` parses with one parser, built on the first call and shared by every
+later call in the process (``build_parser`` is cached): building it costs
+more than most scenario files take to run.  Sharing is safe because
+``parse_args`` never changes the parser.  Each call gets a fresh
+``Namespace``; an ``append`` option starts from its default, not from the
+last call's list; a subcommand parses into its own fresh namespace and copies
+it over; and ``_Parser.error`` looks up ``sys.stderr`` when it reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -155,7 +164,9 @@ class _Parser(argparse.ArgumentParser):
                   f"error: {message}\n{DASH_HINT}\n{self.format_usage()}")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process; callers must not change it."""
     parser = _Parser(
         prog="gradedseries",
         description="Exact Hilbert-series computations: Veronese sections, "

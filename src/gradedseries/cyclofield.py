@@ -282,7 +282,12 @@ class CyclotomicMatrix:
         # the polynomial entries of I - t g
         mat = [[Poly((int(i == j), -x)) for j, x in enumerate(row)]
                for i, row in enumerate(self.rows)]
-        return _poly_det(mat).coeffs
+        return _det(mat, Poly()).coeffs
+
+    def det(self):
+        """The determinant, under the scalar rule: the int 0 exactly when the
+        matrix is singular."""
+        return _det(self.rows)
 
     def __str__(self):
         return "[" + ", ".join(
@@ -291,18 +296,20 @@ class CyclotomicMatrix:
     __repr__ = __str__
 
 
-def _poly_det(mat):
-    """Cofactor determinant of a matrix of Polys."""
+def _det(mat, zero=0):
+    """Cofactor determinant of a square matrix over a commutative ring, whose
+    zero is ``zero``: scalars, or Polys with ``zero=Poly()``.  Zero entries
+    are skipped, so a monomial matrix costs one product per level."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
-    acc = Poly()
+    acc = zero
     for j in range(n):
         entry = mat[0][j]
         if not entry:
             continue
         minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        term = entry * _poly_det(minor)
+        term = entry * _det(minor, zero)
         acc = acc - term if j % 2 else acc + term
     return acc
 

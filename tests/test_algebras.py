@@ -213,7 +213,8 @@ class TestBuildTruncation:
     def test_monomial_basis_is_every_word_avoiding_the_relations(self, seed):
         # the basis grows a word by one letter and tests the relations as
         # suffixes; a whole-word scan of every word must give the same basis,
-        # with one-letter relations and generators of degree 2 among them
+        # with one-letter relations and generators of degree 2 among them,
+        # and each degree's basis in sorted order
         rng = random.Random(seed)
         for n, cutoff in ((2, 7), (3, 5), (2, 7), (3, 5)):
             degrees = [rng.choice((1, 2)) for _ in range(n)]
@@ -228,7 +229,7 @@ class TestBuildTruncation:
                     if d <= cutoff and not any(_occurs(w, r)
                                                for r in relations):
                         by_degree[d].append(w)
-            assert [sorted(b) for b in trunc.bases] == \
+            assert [list(b) for b in trunc.bases] == \
                 [sorted(b) for b in by_degree], \
                 (degrees, relations)
             for d1 in range(cutoff + 1):
@@ -370,6 +371,14 @@ class TestBruteForceTrace:
         shear = CyclotomicMatrix([[1, 1], [0, 1]])
         with pytest.raises(NotAnAutomorphismError):
             brute_force_trace(shear, trunc)
+
+    @pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[1, 0], [0, 0]]])
+    def test_rejects_singular_matrix(self, rows):
+        # both respect x y + y x = 0, so only det g = 0 rules them out; their
+        # "traces" would read 1 and 1 + t + t^2 + ...
+        trunc = build_truncation(quantum_affine(skew_symmetric_q(2)), 4)
+        with pytest.raises(NotAnAutomorphismError, match="singular"):
+            brute_force_trace(CyclotomicMatrix(rows), trunc)
 
     def test_quotient_automorphism_check(self):
         pres = normal_quotient(skew_symmetric_q(2), [{(2, 0): 1}])

@@ -177,6 +177,22 @@ class TestCyclotomicMatrix:
         with pytest.raises(ZeroDivisionError):
             CyclotomicMatrix([[1, 1], [1, 1]]).inverse()
 
+    def test_det(self):
+        z6 = CyclotomicNumber.zeta(6)
+        assert CyclotomicMatrix([[z6, 0], [0, z6 ** 5]]).det() == 1
+        assert CyclotomicMatrix([[0, 1], [1, 0]]).det() == -1
+        assert CyclotomicMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == 1
+        singular = CyclotomicMatrix([[1, z3], [z3 ** 2, 1]]).det()
+        assert type(singular) is int and singular == 0
+        rng = random.Random(7)
+        for _ in range(10):
+            a, b = (CyclotomicMatrix([[random_number(rng, 12) for _ in range(3)]
+                                      for _ in range(3)]) for _ in range(2))
+            assert (a * b).det() == a.det() * b.det()
+            # det(I - t a) ends in (-t)^3 det a
+            cp = list(a.reciprocal_charpoly()) + [0] * 4
+            assert cp[3] == -a.det()
+
     def test_rank_of_difference(self):
         swap2 = CyclotomicMatrix([[0, 1, 0, 0], [1, 0, 0, 0],
                                   [0, 0, 0, 1], [0, 0, 1, 0]])

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import gradedseries as gs
+from gradedseries import cli as cli_module
 from gradedseries import groups as groups_module
 from gradedseries import scenario as scenario_module
 from gradedseries.cli import main
@@ -434,6 +435,8 @@ class TestCli:
         ["molien", "--matrix", ""],
         ["classify", ""],
         ["veronese", "", "-r", "2"],
+        ["trace", "--algebra", "{ kind: quantum_affine, degrees: [1,1], "
+         "q: [[1,-1],[-1,1]] }", "--matrix", "[[1,0],[0,0]]"],
     ])
     def test_bad_input_exits_2_with_an_error_line(self, capsys, argv):
         assert main(argv) == 2
@@ -478,6 +481,60 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "'--'" in err and "--opt=TEXT" in err
+
+    def test_repeated_calls_build_the_parser_at_most_once(self, monkeypatch,
+                                                         capsys):
+        built = []
+        init = cli_module._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module._Parser, "__init__", counting)
+        assert main(["cyc", "1 + t"]) == 0
+        first = len(built)
+        for argv in (["cyc", "1 + t"], ["classify", "1/(1-t)", "--json"],
+                     ["betti", "--algebra", "{ kind: nope }"]):
+            main(argv)
+        assert len(built) == first
+        assert built.count("gradedseries") <= 1
+
+    def test_molien_generators_do_not_carry_over(self, capsys):
+        swap = ["--matrix", "[[0,1],[1,0]]", "--json"]
+        assert main(["molien", *swap]) == 0
+        alone = capsys.readouterr().out
+        assert main(["molien", "--matrix", "[[-1,0],[0,1]]",
+                     "--matrix", "[[1,0],[0,-1]]", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["group_order"] == 4
+        assert main(["molien", *swap]) == 0
+        after = capsys.readouterr().out
+        assert after == alone
+        assert json.loads(after)["group_order"] == 2
+
+    def test_json_flag_does_not_carry_over(self, capsys):
+        assert main(["cyc", "1 + 2t + t^2"]) == 0
+        text = capsys.readouterr().out
+        assert main(["cyc", "1 + 2t + t^2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cyc"] == 2
+        assert main(["cyc", "1 + 2t + t^2"]) == 0
+        assert capsys.readouterr().out == text
+        assert text.startswith("cyc: 2\n")
+
+    @pytest.mark.parametrize("bad", [["veronese", "1/(1-t)^2"],
+                                     ["veronese", "1/(1-t", "-r", "2"]])
+    def test_a_bad_call_leaves_the_next_call_alone(self, capsys, bad):
+        good = ["veronese", "1/(1-t)^2", "-r", "3"]
+        assert main(good) == 0
+        usual = capsys.readouterr()
+        try:
+            code = main(bad)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(good) == 0
+        assert capsys.readouterr() == usual
 
 
 README = Path(__file__).parent.parent / "README.md"
