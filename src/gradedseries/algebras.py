@@ -11,8 +11,10 @@ Every basis label is a word, a tuple of generator indices:
 * quantum_affine:     the nondecreasing words, i.e. the PBW monomials; a
                       product is the sorted concatenation times a q-scalar
 * normal_quotient:    a quantum affine space modulo a sequence of normal
-                      elements, computed degree by degree as the cokernel of
-                      left multiplication, with normality and regularity
+                      elements: per degree, one reduced echelon form of the
+                      ideal they generate, over the nondecreasing words; the
+                      basis is the words that are no pivot, a product is
+                      reduced against it, and normality and regularity are
                       verified up to the cutoff (never as a global claim)
 
 One builder grows every basis a letter at a time, keeping a word when no
@@ -20,8 +22,8 @@ relation word is a suffix of it.  A quantum affine space adds the descents
 x_j x_i (j > i), the leading words of its commutation relations, and the
 words avoiding them are the nondecreasing ones (Bergman's diamond lemma).
 The product is read off the presentation's fields, with no dispatch on a
-kind: q-merge if there are q parameters, else concatenate; then project
-modulo the normal elements, if any.
+kind: q-merge if there are q parameters, else concatenate; then reduce
+modulo the ideal, if any.
 
 Graded pieces are immutable once built.  Every scalar here follows the one
 rule of the exact types: a rational value is an int when integral and a
@@ -32,19 +34,20 @@ brute-force trace, which come out of the arithmetic in that form.
 
 Betti numbers of the trivial module come from iterated graded syzygies,
 exact for internal degree <= the cutoff because Tor_{i,j} only depends on
-the algebra below degree j.  Every supported algebra is graded by letter
-counts, finer than the degree (a quotient by a normal element that is not a
-single monomial only by the degree), and the resolution splits into one block
-per weight, each eliminated on its own by sparse row reduction
-(``exact._rref_add``).  In each block alpha the kernel K is complete, so it is
-a left submodule and (m K)_alpha = sum_i x_i K_{alpha - wt(x_i)}: the minimal
-generators of K_alpha are the kernel vectors outside that span.  K_alpha is
-held in the coordinates of its free columns, where each kernel vector is a
-unit vector, so the span is read there and the minimal generators are the
-kernel vectors whose free column is no pivot of it.  The span stops as soon
-as it has as many rows as K_alpha has vectors (every degree above the row
-index, for a Koszul algebra).  Each basis product is computed once per
-``betti_numbers`` call and kept only for that call.
+the algebra below degree j.  The truncation grades itself: by letter counts,
+finer than the degree, unless its ideal is not spanned by words (as for a
+normal element that is no monomial), then by the degree alone.  The
+resolution splits into one block per weight, each eliminated on its own by
+sparse row reduction (``exact._rref_add``).  In each block alpha the kernel
+K is complete, so it is a left submodule and (m K)_alpha = sum_i x_i
+K_{alpha - wt(x_i)}: the minimal generators of K_alpha are the kernel
+vectors outside that span.  K_alpha is held in the coordinates of its free
+columns, where each kernel vector is a unit vector, so the span is read
+there and the minimal generators are the kernel vectors whose free column is
+no pivot of it.  The span stops as soon as it has as many rows as K_alpha
+has vectors (every degree above the row index, for a Koszul algebra).  Each
+basis product is computed once per ``betti_numbers`` call and kept only for
+that call.
 """
 
 from __future__ import annotations
@@ -211,16 +214,18 @@ class Truncation:
 
     Basis labels are words.  ``words``, the set of basis words, is kept only
     when there are relation words, to test products by membership.  A normal
-    quotient's ``projections`` map, per degree, each nondecreasing word to
-    its reduction modulo the normal elements."""
+    quotient's ``ideal`` holds, per degree d, the reduced row echelon form of
+    I_d = sum_k omega_k A_{d - |omega_k|} over the nondecreasing words; its
+    basis words are the words that are no pivot, and a product is reduced
+    against it.  The truncation also grades itself for ``betti_numbers``."""
 
-    __slots__ = ("presentation", "cutoff", "bases", "projections", "words")
+    __slots__ = ("presentation", "cutoff", "bases", "ideal", "words")
 
-    def __init__(self, presentation, cutoff, bases, projections=None):
+    def __init__(self, presentation, cutoff, bases, ideal=None):
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "bases", tuple(tuple(b) for b in bases))
-        object.__setattr__(self, "projections", projections)
+        object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "words", frozenset().union(*self.bases)
                            if presentation.relations else None)
 
@@ -234,14 +239,9 @@ class Truncation:
         return Series(self.dims())
 
     def project(self, degree, vec):
-        if self.projections is None:
+        if self.ideal is None:
             return dict(vec)
-        table = self.projections[degree]
-        out = {}
-        for lab, c in vec.items():
-            for lab2, c2 in table[lab].items():
-                out[lab2] = out.get(lab2, 0) + c * c2
-        return {k: v for k, v in out.items() if v}
+        return _reduce_vec(self.ideal[degree], vec)
 
     def mul_basis(self, d1, a, d2, b):
         q = self.presentation.q
@@ -272,6 +272,22 @@ class Truncation:
         if deg > self.cutoff or (self.words and (i,) not in self.words):
             return deg, {}  # above the cutoff, or killed by a relation
         return deg, self.project(deg, {(i,): _ONE})
+
+    def grading(self):
+        """(digits, generators) for ``betti_numbers``.  A label's weight is the
+        sum of its letters' digits: powers of cutoff + 1, so that it reads the
+        letter counts, or the generator degrees when a row of the ideal has
+        two words and so letter counts do not grade it (a nondecreasing word
+        is fixed by its letter counts).  The generators are the (weight,
+        degree, vector) triples of the nonzero ones."""
+        ngens = self.presentation.ngens
+        if any(len(row) > 1
+               for rows in self.ideal or () for row in rows.values()):
+            digits = self.presentation.degrees
+        else:
+            digits = [(self.cutoff + 1) ** i for i in range(ngens)]
+        vectors = map(self.generator_vector, range(ngens))
+        return digits, [(w, d, x) for w, (d, x) in zip(digits, vectors) if x]
 
 
 def build_truncation(presentation, cutoff):
@@ -323,9 +339,16 @@ def build_truncation(presentation, cutoff):
     return Truncation(presentation, cutoff, words)
 
 
-def _build_normal_quotient(presentation, cutoff, bases):
-    projections = [{lab: {lab: _ONE} for lab in layer} for layer in bases]
-    current = Truncation(presentation, cutoff, bases, projections)
+def _build_normal_quotient(presentation, cutoff, words):
+    """Stage k adds the rows omega_k w, w a basis word of the quotient by the
+    earlier elements, to the echelon form of each degree.  omega_k must not
+    vanish modulo those, each x_i omega_k must reduce to zero once the rows
+    are added (normality), and the rows must be independent (regularity).
+    The pivots and reductions are those of the ideal's unique RREF, whatever
+    the stages."""
+    ideal = [{} for _ in words]
+    current = Truncation(presentation, cutoff, words, ideal)  # ideal grows
+    bases = words
     for stage, (omega_degree, items) in enumerate(presentation.normals):
         if omega_degree > cutoff:
             continue
@@ -337,42 +360,28 @@ def _build_normal_quotient(presentation, cutoff, bases):
         gens_at = {}
         for i, gdeg in enumerate(presentation.degrees):
             gens_at.setdefault(omega_degree + gdeg, []).append(i)
-        stage_rows = {}
         for d in range(omega_degree, cutoff + 1):
+            # bases still holds the quotient by the earlier elements
             source = bases[d - omega_degree]
-            rows = {}
             independent = 0
             for lab in source:
                 image = current.mul(omega_degree, omega,
                                     d - omega_degree, {lab: _ONE})
-                if _rref_add(rows, image) is not None:
+                if _rref_add(ideal[d], image) is not None:
                     independent += 1
-            stage_rows[d] = rows
             # two-sidedness first: x_i * omega must be a right multiple of omega
             for i in gens_at.get(d, ()):
                 _, x_vec = current.generator_vector(i)
-                moved = current.mul(presentation.degrees[i], x_vec,
-                                    omega_degree, omega)
-                if _reduce_vec(rows, moved):
+                if current.mul(presentation.degrees[i], x_vec,
+                               omega_degree, omega):
                     raise NotNormalError(
                         f"{presentation.names[i]} * element {stage} is not a "
                         f"right multiple of it (degree {d}); two-sidedness fails")
             if independent < len(source):
                 raise NotRegularError(f"regularity violated at degree {d}")
-        # shrink bases and compose the reduction into the projections
-        for d in range(omega_degree, cutoff + 1):
-            rows = stage_rows[d]
-            delta = {lab: _reduce_vec(rows, {lab: _ONE}) for lab in bases[d]}
-            table = projections[d]
-            for amb_lab, vec in table.items():
-                merged = {}
-                for lab, c in vec.items():
-                    for lab2, c2 in delta[lab].items():
-                        merged[lab2] = merged.get(lab2, 0) + c * c2
-                table[amb_lab] = {k2: v for k2, v in merged.items() if v}
-            bases[d] = [lab for lab in bases[d] if lab not in rows]
-        current = Truncation(presentation, cutoff, bases, projections)
-    return current
+        bases = [[lab for lab in layer if lab not in rows]
+                 for layer, rows in zip(words, ideal)]
+    return Truncation(presentation, cutoff, bases, ideal)
 
 
 def _generator_images(g, trunc):
@@ -412,8 +421,8 @@ def check_automorphism(g, trunc):
     has no trace series to report.  Every defining relation must vanish
     when it is evaluated on these images with the algebra's own product:
     each relation word, each x_j x_i - q_ij x_i x_j (i < j) and each normal
-    element of degree up to the cutoff.  A relation longer than the cutoff
-    is evaluated in a truncation built up to its length.
+    element, whatever its degree.  A relation or normal element longer than
+    the cutoff is evaluated in a truncation built up to its length.
     """
     pres = trunc.presentation
     n = pres.ngens
@@ -431,13 +440,12 @@ def check_automorphism(g, trunc):
             (f"commutation relation of {names[i]} and {names[j]}",
              {(j, i): _ONE, (i, j): -pres.q[i][j]})
             for i in range(n) for j in range(i + 1, n))
+    relations.extend((f"normal element {k}", dict(items))
+                     for k, (_, items) in enumerate(pres.normals or ()))
     longest = max((len(word) for _, rel in relations for word in rel),
                   default=0)
     if longest > trunc.cutoff:
         trunc = build_truncation(pres, longest)
-    relations.extend((f"normal element {k}", dict(items))
-                     for k, (degree, items) in enumerate(pres.normals or ())
-                     if degree <= trunc.cutoff)
     images = _generator_images(g, trunc)
     for name, relation in relations:
         total = {}
@@ -543,12 +551,12 @@ def betti_numbers(trunc, cutoff=None):
     weight alpha is finer than the degree, and each weight block is
     eliminated on its own:
 
-    * a label's weight is its letter counts, read as the digits of one int
-      in base cutoff + 1, and a generator's weight is its label's.  A
-      normal quotient by an element that is not a single monomial is
-      graded by the degree alone, so its blocks are the degrees.  A block
-      keeps its degree beside its weight: alpha - wt(x_k) can borrow across
-      digits and land on a block of another degree;
+    * the weights come from ``Truncation.grading``: a label's weight is the
+      sum of its letters' digits, its letter counts read as one int in base
+      cutoff + 1 or, when the ideal is not spanned by words, its degree;
+      the generators come with theirs.  A block keeps its degree beside its
+      weight: alpha - wt(x_k) can borrow across digits and land on a block
+      of another degree;
     * each block of K is held in its own coordinates.  ``_nullspace`` gives
       one kernel vector per free column, 1 there and 0 at the other free
       columns, so a vector of K_alpha is fixed by its entries at those
@@ -565,22 +573,12 @@ def betti_numbers(trunc, cutoff=None):
         cutoff = trunc.cutoff
     if cutoff > trunc.cutoff:
         raise ValueError("cutoff exceeds the truncation")
-    pres = trunc.presentation
-    if any(len(items) > 1 for _, items in pres.normals or ()):
-        digits = pres.degrees
-    else:
-        digits = [(cutoff + 1) ** i for i in range(pres.ngens)]
+    digits, generators = trunc.grading()
     blocks = {}  # weight -> (degree, basis labels of that weight)
     for j in range(cutoff + 1):
         for lab in trunc.bases[j]:
             weight = sum(digits[i] for i in lab)
             blocks.setdefault(weight, (j, []))[1].append(lab)
-    generators = []
-    for i, d in enumerate(pres.degrees):
-        if d < cutoff:
-            _, x = trunc.generator_vector(i)
-            if x:  # a killed generator acts as zero
-                generators.append((digits[i], d, x))
     products = {}
 
     def left_mul(e, a_vec, vec, vec_degree, keep):

@@ -775,10 +775,12 @@ def reconstruct(s, num_bound, den_bound):
     """Recover the rational function matching a truncated series.
 
     Solves q * s = p (mod t^(order+1)) with q(0) = 1, deg p <= num_bound and
-    deg q <= den_bound, exactly over the rationals.  By the usual Pade
-    uniqueness argument any solution of the linear system gives the same
-    rational function, so a particular solution suffices.
+    deg q <= den_bound, both bounds nonnegative, exactly over the rationals.
+    By the usual Pade uniqueness argument any solution of the linear system
+    gives the same rational function, so a particular solution suffices.
     """
+    if num_bound < 0 or den_bound < 0:
+        raise ValueError("degree bounds must be nonnegative")
     n = s.order
     if n < num_bound + 2 * den_bound + 2:
         raise AmbiguousDataError(

@@ -241,6 +241,71 @@ class TestBuildTruncation:
                             assert trunc.mul_basis(d1, a, d2, b) == want
 
 
+class TestNormalSequences:
+    """Normal sequences of other shapes and orders.  A quotient holds one
+    echelon form of its ideal per degree, so its basis, its products and its
+    Betti table depend on the ideal, not on the order of the sequence."""
+
+    X2, Y2 = {(2, 0, 0): 1}, {(0, 2, 0): 1}
+
+    @pytest.mark.parametrize("sequence", [
+        (X2, Y2), (Y2, X2),
+        # x^2 + y^2 is central, and it is y^2 modulo x^2
+        (X2, {(2, 0, 0): 1, (0, 2, 0): 1}),
+    ])
+    def test_one_ideal_in_any_order(self, sequence):
+        # k_{-1}[x, y, z] / (x^2, y^2): the words with at most one x and at
+        # most one y, and Poincare series (1 + st)^3 / (1 - s^2 t^2)^2, so
+        # b(i, i) = 2i + 1 and nothing off the diagonal
+        cutoff = 7
+        q = skew_symmetric_q(3)
+        ambient = build_truncation(quantum_affine(q), cutoff)
+        trunc = build_truncation(normal_quotient(q, list(sequence)), cutoff)
+        for d in range(cutoff + 1):
+            assert trunc.bases[d] == tuple(w for w in ambient.bases[d]
+                                           if w.count(0) < 2 and w.count(1) < 2)
+            # the pivots of the ideal are the words outside the basis
+            assert set(trunc.ideal[d]) == \
+                set(ambient.bases[d]) - set(trunc.bases[d])
+        assert trunc.hilbert_coefficients() == expand(
+            quotient_series([1, 1, 1], [2, 2]), cutoff)
+        # the ideal is spanned by words, so letter counts grade it
+        assert trunc.grading()[0] == [1, cutoff + 1, (cutoff + 1) ** 2]
+        assert betti_numbers(trunc).entries == {
+            (i, i): 2 * i + 1 for i in range(cutoff + 1)}
+
+    def test_two_binomials(self):
+        # commutative k[x, y, z, w] / (x^2 + y^2, z^2 + w^2), a complete
+        # intersection with series (1 - t^2)^2 / (1 - t)^4 and Poincare series
+        # (1 + st)^4 / (1 - s^2 t^2)^2, so b(i, i) = 4i for i >= 1
+        cutoff = 6
+        ones = [[1] * 4 for _ in range(4)]
+        sequence = [{(2, 0, 0, 0): 1, (0, 2, 0, 0): 1},
+                    {(0, 0, 2, 0): 1, (0, 0, 0, 2): 1}]
+        trunc = build_truncation(normal_quotient(ones, sequence), cutoff)
+        assert trunc.hilbert_coefficients() == expand(
+            quotient_series([1] * 4, [2, 2]), cutoff)
+        # x^2 + y^2 is a row of two words: the grading is the degree
+        digits, generators = trunc.grading()
+        assert digits == (1, 1, 1, 1)
+        assert generators == [(1, 1, {(i,): 1}) for i in range(4)]
+        assert betti_numbers(trunc).entries == {
+            (0, 0): 1, **{(i, i): 4 * i for i in range(1, cutoff + 1)}}
+        rng = random.Random(16)
+
+        def rand_vec(d):
+            return {lab: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for lab in trunc.bases[d]}
+
+        for _ in range(40):
+            d1, d2, d3 = rng.choice([(1, 1, 1), (1, 2, 1), (2, 1, 2),
+                                     (1, 1, 3), (2, 2, 2), (1, 3, 2)])
+            u, v, w = rand_vec(d1), rand_vec(d2), rand_vec(d3)
+            left = trunc.mul(d1 + d2, trunc.mul(d1, u, d2, v), d3, w)
+            right = trunc.mul(d1, u, d2 + d3, trunc.mul(d2, v, d3, w))
+            assert left == right
+
+
 def exponent_q_merge(q, left, right):
     """Oracle: the product of x^left and x^right, exponent tuples, in PBW
     normal form: x_j x_i = q_ij x_i x_j for i < j, so each x_i of right
@@ -395,6 +460,18 @@ class TestBruteForceTrace:
         manual = [sum(2 ** a for a in range(2) for b in range(d + 1)
                       if a + b == d) for d in range(7)]
         assert list(got) == manual
+
+    def test_normal_element_above_the_cutoff(self):
+        # the swap does not preserve (x^7) in k[x, y], and a truncation below
+        # degree 7 does not see x^7: the check builds one that does
+        pres = normal_quotient([[1, 1], [1, 1]], [{(7, 0): 1}])
+        trunc = build_truncation(pres, 6)
+        swap = CyclotomicMatrix([[0, 1], [1, 0]])
+        with pytest.raises(NotAnAutomorphismError, match="normal element 0"):
+            check_automorphism(swap, trunc)
+        minus = CyclotomicMatrix([[-1, 0], [0, -1]])
+        assert brute_force_trace(minus, trunc) == \
+            Series([(-1) ** d * (d + 1) for d in range(7)])
 
     def test_cutoff_zero(self):
         # no generator lies within the cutoff, so the trace is 1
@@ -824,8 +901,8 @@ class TestBetti:
     def test_block_lookups_check_the_degree(self):
         # with three letters, the weight of x3 less that of x2 is the weight
         # of x2^cutoff, of another degree: a lookup by weight alone takes
-        # that block, and the normal quotient's projection at the degree
-        # the lookup assumed does not hold its labels
+        # that block, whose products lie above the cutoff and outside the
+        # keys read, so the degree check saves that work
         pres = normal_quotient(skew_symmetric_q(3), [{(0, 0, 2): 1}])
         trunc = build_truncation(pres, 5)
         table = betti_numbers(trunc)

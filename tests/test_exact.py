@@ -257,6 +257,14 @@ class TestReconstruct:
             s = expand(f, f.num.degree + 2 * f.den.degree + 4)
             assert reconstruct(s, max(f.num.degree, 0), f.den.degree) == f
 
+    @pytest.mark.parametrize("bounds", [(2, -2), (0, -1), (-1, 1)])
+    def test_negative_bound_is_bad_input(self, bounds):
+        # 1/(1 - t) fits these data, so "no solution" would be false
+        with pytest.raises(ValueError, match="degree bounds must be "
+                           "nonnegative") as err:
+            reconstruct(Series([1] * 9), *bounds)
+        assert type(err.value) is ValueError
+
     def test_failure_modes(self):
         with pytest.raises(AmbiguousDataError):
             reconstruct(Series([1, 1, 1]), 0, 3)

@@ -444,6 +444,20 @@ class TestCli:
         assert err.startswith("error:")
         assert "(line" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "--algebra", "{ kind: quantum_affine, q: [[1,-1],[-1,1]] }",
+          "--matrix", "[[0,1],[1,0]]", "--den-bound", "-1"],
+         "degree bounds must be nonnegative"),
+        # the swap does not preserve (x1^7), which lies above the cutoff
+        (["trace", "--algebra", "{ kind: normal_quotient, q: [[1,1],[1,1]], "
+          "normal: [x1^7] }", "--matrix", "[[0,1],[1,0]]",
+          "--truncation", "6"],
+         "the image of the normal element 0 is not zero in the algebra"),
+    ])
+    def test_trace_input_errors_name_their_cause(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: task 'trace': {message}\n"
+
     def test_algebra_literal_sees_zeta_order(self, capsys):
         code = main(["trace", "--zeta-order", "4", "--algebra",
                      "{ kind: quantum_affine, degrees: [1,1], "
