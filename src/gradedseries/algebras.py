@@ -38,16 +38,18 @@ the algebra below degree j.  The truncation grades itself: by letter counts,
 finer than the degree, unless its ideal is not spanned by words (as for a
 normal element that is no monomial), then by the degree alone.  The
 resolution splits into one block per weight, each eliminated on its own by
-sparse row reduction (``exact._rref_add``).  In each block alpha the kernel
-K is complete, so it is a left submodule and (m K)_alpha = sum_i x_i
-K_{alpha - wt(x_i)}: the minimal generators of K_alpha are the kernel
-vectors outside that span.  K_alpha is held in the coordinates of its free
-columns, where each kernel vector is a unit vector, so the span is read
-there and the minimal generators are the kernel vectors whose free column is
-no pivot of it.  The span stops as soon as it has as many rows as K_alpha
-has vectors (every degree above the row index, for a Koszul algebra).  Each
-basis product is computed once per ``betti_numbers`` call and kept only for
-that call.
+sparse row reduction (``exact._rref_add``), in one pass per homological
+degree over the blocks in increasing degree.  The differential d_i maps
+F_{i,alpha} onto the kernel K_{i-1,alpha} one step down, so dim K_{i,alpha}
+= dim F_{i,alpha} - dim K_{i-1,alpha} is known before any elimination, and
+a block of dimension 0 costs nothing.  K_i is complete below the cutoff, so
+it is a left submodule and (m K_i)_alpha = sum_k x_k K_{i,alpha - wt(x_k)}
+lies in it: that span, held as a reduced echelon form, fills K_{i,alpha}
+from below (every degree above the row index, for a Koszul algebra).  Only
+where it falls short is the nullspace of d_i taken, its images read at the
+pivot keys of K_{i-1,alpha}'s echelon form, and the nullspace vectors that
+enlarge the span are the minimal generators.  Each basis product is
+computed once per ``betti_numbers`` call and kept only for that call.
 """
 
 from __future__ import annotations
@@ -524,9 +526,8 @@ class BettiTable:
 
 def _nullspace(columns):
     """Kernel basis of the matrix with these sparse columns (dicts of row key
-    -> entry), read off the RREF: a dict from each free column to its kernel
-    vector.  The vector of free column c is 1 at c and 0 at every other free
-    column, so a kernel vector is fixed by its entries at the free columns."""
+    -> entry), read off the RREF: one vector per free column c, keyed by
+    column index, 1 at c and 0 at every other free column."""
     by_row = {}
     for c, column in enumerate(columns):
         for r, x in column.items():
@@ -539,117 +540,141 @@ def _nullspace(columns):
         for c, x in row.items():
             if c != p:
                 basis[c][p] = -x
-    return basis
+    return list(basis.values())
 
 
 def betti_numbers(trunc, cutoff=None):
     """Bigraded Betti numbers of the trivial module over the truncation.
 
-    Resolves the trivial module by iterated graded syzygies: row i holds the
-    degrees of the minimal generators of the i-th kernel K, the vectors of
-    K_alpha outside (m K)_alpha = sum_k x_k K_{alpha - wt(x_k)}.  The
-    weight alpha is finer than the degree, and each weight block is
-    eliminated on its own:
+    Resolves the trivial module by iterated graded syzygies.  F_0 = A maps
+    onto k; F_{i+1} is free on the minimal generators of K_i, the kernel of
+    d_i: F_i -> F_{i-1}, and row i + 1 holds their degrees.  The weight alpha
+    is finer than the degree, and each level is one pass over the weight
+    blocks of F_i in increasing degree:
 
     * the weights come from ``Truncation.grading``: a label's weight is the
       sum of its letters' digits, its letter counts read as one int in base
       cutoff + 1 or, when the ideal is not spanned by words, its degree;
       the generators come with theirs.  A block keeps its degree beside its
       weight: alpha - wt(x_k) can borrow across digits and land on a block
-      of another degree;
-    * each block of K is held in its own coordinates.  ``_nullspace`` gives
-      one kernel vector per free column, 1 there and 0 at the other free
-      columns, so a vector of K_alpha is fixed by its entries at those
-      keys.  The span of (m K)_alpha and the next differential are read
-      there only, and the minimal generators are the kernel vectors whose
-      free key is no pivot of the span;
-    * the span of (m K)_alpha stops growing once it has dim K_alpha rows:
-      it is then all of K_alpha, and alpha has no minimal generator;
+      of another degree, already built when that degree is alpha's;
+    * the dimension of each block of K_i is known before any elimination.
+      d_i maps F_{i,alpha} onto K_{i-1,alpha}, since F_i is generated by
+      the minimal generators of K_{i-1} and these generate it in every
+      degree up to the cutoff, so dim K_{i,alpha} = dim F_{i,alpha} -
+      dim K_{i-1,alpha}.  A block of dimension 0 costs nothing;
+    * K_{i,alpha} is first filled from below: K_i is the whole kernel below
+      the cutoff, so it is a left submodule and (m K_i)_alpha = sum_k x_k
+      K_{i,alpha - wt(x_k)} lies in it.  The span is held as a reduced
+      echelon form in the coordinates of F_i and stops growing once it has
+      dim K_{i,alpha} rows: it is then all of K_{i,alpha}, and alpha has no
+      minimal generator;
+    * only a span that falls short takes the nullspace of d_i on
+      F_{i,alpha}.  The images lie in K_{i-1,alpha}, whose echelon rows are
+      1 at their own pivot and 0 at the other pivots, so an image is fixed
+      by its entries at those pivot keys and is read there only; if
+      K_{i-1,alpha} is 0 the nullspace is all of F_{i,alpha}.  Its size must
+      equal the predicted dimension, which checks that d_i is onto wherever
+      it is evaluated.  The nullspace vectors that enlarge the span are the
+      minimal generators at alpha;
     * each basis product a * b is computed once per call, in a dict keyed
       by (a, b) (a label fixes its degree), and left multiplication reads
       it entry by entry.  The products live only as long as the call.
+
+    A negative cutoff, or one above the truncation's, is a ValueError.
     """
     if cutoff is None:
         cutoff = trunc.cutoff
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     if cutoff > trunc.cutoff:
         raise ValueError("cutoff exceeds the truncation")
     digits, generators = trunc.grading()
     blocks = {}  # weight -> (degree, basis labels of that weight)
+    degree_of = {}
     for j in range(cutoff + 1):
         for lab in trunc.bases[j]:
+            degree_of[lab] = j
             weight = sum(digits[i] for i in lab)
             blocks.setdefault(weight, (j, []))[1].append(lab)
     products = {}
 
-    def left_mul(e, a_vec, vec, vec_degree, keep):
-        # a_vec (degree e) times vec, a vector of the free module on gens,
-        # read at the keys in keep
+    def left_mul(e, a_vec, vec, keep=None):
+        # a_vec (degree e) times vec, a vector of a free module keyed by
+        # (generator, label); read at the keys in keep, if given
         out = {}
         for (s, lab), c in vec.items():
-            d = vec_degree - gens[s]
             for la, ca in a_vec.items():
                 prod = products.get((la, lab))
                 if prod is None:
-                    prod = products[la, lab] = trunc.mul_basis(e, la, d, lab)
+                    prod = products[la, lab] = trunc.mul_basis(
+                        e, la, degree_of[lab], lab)
                 c2 = ca * c
                 for lab2, c3 in prod.items():
                     key = (s, lab2)
-                    if key in keep:
+                    if keep is None or key in keep:
                         out[key] = out.get(key, 0) + c2 * c3
         return out
 
     entries = {(0, 0): 1}
-    gens = [0]
-    # weight -> (degree, {free key: kernel vector}); first the ideal A_+
-    kernel = {w: (j, {(0, lab): {(0, lab): _ONE} for lab in labels})
-              for w, (j, labels) in blocks.items() if j}
-    for index in range(1, cutoff + 1):
-        mingens = []
-        for alpha, (j, basis) in kernel.items():
-            # K is the whole kernel below the cutoff, so (m K)_alpha is the
-            # span of x_k K_{alpha - wt(x_k)}.  It lies in K_alpha, so once
-            # it has len(basis) rows it is K_alpha: no minimal generators
-            rows = {}
-            for w, d, x in generators:
-                below = kernel.get(alpha - w)
-                if below is None or below[0] != j - d:
-                    continue
-                for v in below[1].values():
-                    _rref_add(rows, left_mul(d, x, v, j - d, basis))
-                    if len(rows) == len(basis):
-                        break
-                if len(rows) == len(basis):
-                    break
-            mingens.extend((alpha, j, v) for key, v in basis.items()
-                           if key not in rows)
-        if not mingens:
-            break
-        for _, j, _ in mingens:
-            entries[index, j] = entries.get((index, j), 0) + 1
-        # the next kernel, block by block: the pairs (s, a) with
-        # wt(g_s) + wt(a) = alpha, mapped to a * g_s in K_alpha's coordinates.
-        # The map is onto K_alpha, so its rows there are independent; and a
-        # sum of weights of degree <= cutoff carries no digit, so alpha needs
-        # no degree check
-        domains = {}
+    # F_0 = A on one generator of weight and degree 0, mapped onto k: the
+    # kernel one level down is k, held as one block at weight 0
+    kernel = {0: (0, {(0, ()): {(0, ()): _ONE}})}
+    mingens = [(0, 0, {(0, ()): _ONE})]  # (weight, degree, vector)
+    for index in range(cutoff):
+        # F_index: the pairs (s, a) with wt(g_s) + wt(a) = alpha.  A sum of
+        # weights of degree <= cutoff carries no digit, so alpha fixes the
+        # degree and the lookup of K_{index-1, alpha} needs no degree check
+        domains = {}  # alpha -> [degree, dimension, (s, labels) pairs]
         for s, (ws, ds, _) in enumerate(mingens):
             for w, (jb, labels) in blocks.items():
                 if ds + jb <= cutoff:
-                    domains.setdefault(ws + w, (ds + jb, []))[1].extend(
-                        (s, lab) for lab in labels)
-        new_kernel = {}
-        for alpha, (j, domain) in domains.items():
-            keep = kernel[alpha][1] if alpha in kernel else {}
-            null = _nullspace([
-                left_mul(j - mingens[s][1], {lab: _ONE}, mingens[s][2],
-                         mingens[s][1], keep)
-                for s, lab in domain])
-            if null:
-                new_kernel[alpha] = (j, {
-                    domain[c]: {domain[k]: x for k, x in vec.items()}
-                    for c, vec in null.items()})
-        gens = [d for _, d, _ in mingens]
-        kernel = new_kernel
+                    block = domains.setdefault(ws + w, [ds + jb, 0, []])
+                    block[1] += len(labels)
+                    block[2].append((s, labels))
+        new_kernel, new_mingens = {}, []
+        for alpha, (j, size, parts) in sorted(domains.items(),
+                                              key=lambda item: item[1][0]):
+            image = kernel[alpha][1] if alpha in kernel else {}
+            dim = size - len(image)
+            if not dim:
+                continue
+            rows = {}
+            for w, d, x in generators:
+                below = new_kernel.get(alpha - w)
+                if below is None or below[0] != j - d:
+                    continue
+                for v in below[1].values():
+                    _rref_add(rows, left_mul(d, x, v))
+                    if len(rows) == dim:
+                        break
+                if len(rows) == dim:
+                    break
+            if len(rows) < dim:
+                domain = [(s, lab) for s, labels in parts for lab in labels]
+                if image:
+                    null = [{domain[k]: x for k, x in vec.items()}
+                            for vec in _nullspace([
+                                left_mul(j - mingens[s][1], {lab: _ONE},
+                                         mingens[s][2], image)
+                                for s, lab in domain])]
+                else:
+                    null = [{key: _ONE} for key in domain]
+                if len(null) != dim:
+                    raise RuntimeError(
+                        f"d_{index} is not onto K_{index - 1} at weight "
+                        f"{alpha}, degree {j}")
+                for vec in null:
+                    if _rref_add(rows, vec) is not None:
+                        new_mingens.append((alpha, j, vec))
+                        if len(rows) == dim:
+                            break
+            new_kernel[alpha] = (j, rows)
+        if not new_mingens:
+            break
+        for _, j, _ in new_mingens:
+            entries[index + 1, j] = entries.get((index + 1, j), 0) + 1
+        kernel, mingens = new_kernel, new_mingens
     return BettiTable(entries, cutoff)
 
 

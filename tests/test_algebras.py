@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedseries import algebras
 from gradedseries.algebras import (
     NotAnAutomorphismError,
     NotNormalError,
@@ -900,15 +901,216 @@ class TestBetti:
 
     def test_block_lookups_check_the_degree(self):
         # with three letters, the weight of x3 less that of x2 is the weight
-        # of x2^cutoff, of another degree: a lookup by weight alone takes
-        # that block, whose products lie above the cutoff and outside the
-        # keys read, so the degree check saves that work
+        # of x2^cutoff, of another degree; the blocks are visited in
+        # increasing degree, so that block is not built yet when x3's is
         pres = normal_quotient(skew_symmetric_q(3), [{(0, 0, 2): 1}])
         trunc = build_truncation(pres, 5)
         table = betti_numbers(trunc)
         assert table.entries == {(0, 0): 1, (1, 1): 3, (2, 2): 4, (3, 3): 4,
                                  (4, 4): 4, (5, 5): 4}
         assert not any(euler_check(table, trunc.hilbert_coefficients(), 5))
+
+    @pytest.mark.parametrize("make", [
+        lambda c: free_algebra(2, (1, c)),
+        lambda c: quantum_affine(skew_symmetric_q(2), degrees=(1, c)),
+        lambda c: monomial_quotient("xy", [(0, 1)], (1, c)),
+    ], ids=["free", "quantum", "monomial"])
+    @pytest.mark.parametrize("cutoff", [3, 5])
+    def test_block_lookups_check_the_degree_at_the_cutoff(self, make,
+                                                          cutoff):
+        # y has the degree of the cutoff, and its weight less that of x is
+        # the weight of x^cutoff: a block of the same degree as y's, built
+        # before it.  x times it lies above the cutoff; a free or quantum
+        # product does not drop it, so a lookup by weight alone would count
+        # x^(cutoff + 1) in the span at y and lose y from row 1
+        table = betti_numbers(build_truncation(make(cutoff), cutoff))
+        assert table.b(1, 1) == 1 and table.b(1, cutoff) == 1
+        assert table.row_sum(1) == 2
+
+    def test_negative_cutoff_is_bad_input(self):
+        trunc = build_truncation(quantum_affine([[1, -1], [-1, 1]]), 4)
+        with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+            betti_numbers(trunc, -1)
+
+    def test_nullspace_only_where_a_generator_sits(self, monkeypatch):
+        # the (-1)-skew 4-space has Koszul rows C(4, i) at degree i.  Every
+        # other block of each kernel is spanned from below, and row 1 needs
+        # no elimination (k is 0 above degree 0), so the differential is
+        # solved only at the 6 + 4 + 1 weight blocks that hold a generator
+        # of rows 2-4
+        calls = []
+
+        def spy(columns):
+            calls.append(len(columns))
+            return nullspace(columns)
+
+        nullspace = algebras._nullspace
+        monkeypatch.setattr(algebras, "_nullspace", spy)
+        trunc = build_truncation(quantum_affine(skew_symmetric_q(4)), 6)
+        table = betti_numbers(trunc)
+        assert table.entries == {(0, 0): 1, (1, 1): 4, (2, 2): 6, (3, 3): 4,
+                                 (4, 4): 1}
+        assert len(calls) <= 11
+
+    def test_a_short_nullspace_is_an_error(self, monkeypatch):
+        # the differential must be onto the kernel one step down; a kernel
+        # smaller than that predicts is reported, not resolved further
+        nullspace = algebras._nullspace
+        monkeypatch.setattr(algebras, "_nullspace",
+                            lambda columns: nullspace(columns)[:-1])
+        trunc = build_truncation(quantum_affine(skew_symmetric_q(2)), 3)
+        with pytest.raises(RuntimeError, match="^d_1 is not onto K_0 at "):
+            betti_numbers(trunc)
+
+
+def dense_independent(vectors):
+    """Indices of the sparse vectors that enlarge the span of those before
+    them, by dense forward elimination over Q."""
+    keys = sorted({k for v in vectors for k in v})
+    index = {k: c for c, k in enumerate(keys)}
+    echelon, picked = [], []
+    for n, vec in enumerate(vectors):
+        row = [Fraction(0)] * len(keys)
+        for k, x in vec.items():
+            row[index[k]] += x
+        for pivot, other in echelon:
+            if row[pivot]:
+                f = row[pivot]
+                row = [a - f * b for a, b in zip(row, other)]
+        pivot = next((c for c, a in enumerate(row) if a), None)
+        if pivot is not None:
+            echelon.append((pivot, [a / row[pivot] for a in row]))
+            picked.append(n)
+    return picked
+
+
+def dense_nullspace(columns):
+    """A kernel basis of the matrix with these sparse columns, by dense
+    Gauss-Jordan elimination over Q: one vector per free column."""
+    keys = sorted({k for col in columns for k in col})
+    index = {k: r for r, k in enumerate(keys)}
+    m = [[Fraction(0)] * len(columns) for _ in keys]
+    for c, col in enumerate(columns):
+        for k, x in col.items():
+            m[index[k]][c] += x
+    pivots = []
+    for c in range(len(columns)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(len(columns)) if c not in pivots):
+        vec = {free: 1}
+        for r, c in enumerate(pivots):
+            if m[r][free]:
+                vec[c] = -m[r][free]
+        basis.append(vec)
+    return basis
+
+
+def plain_betti(trunc, cutoff):
+    """Betti numbers of the trivial module by the textbook minimal
+    resolution, one block per degree and no weights: K_0 = A_+ in F_0 = A;
+    the minimal generators of K_{i-1} in degree j are the vectors of a basis
+    of K_{i-1,j} that enlarge the span of every x_k v, v in K_{i-1,j-|x_k|};
+    F_i is free on them and K_i is the dense nullspace of F_i -> F_{i-1},
+    degree by degree.  Products go through ``Truncation.mul``.  Vectors of
+    a free module are dicts keyed by (generator, basis word)."""
+    degree = {lab: j for j in range(cutoff + 1) for lab in trunc.bases[j]}
+    xs = [trunc.generator_vector(k)
+          for k in range(trunc.presentation.ngens)]
+
+    def times(d, x, vec):
+        out = {}
+        for (s, lab), c in vec.items():
+            for lab2, c2 in trunc.mul(d, x, degree[lab], {lab: c}).items():
+                out[s, lab2] = out.get((s, lab2), 0) + c2
+        return out
+
+    entries = {(0, 0): 1}
+    kernel = {j: [{(0, lab): 1} for lab in trunc.bases[j]]
+              for j in range(1, cutoff + 1)}
+    for i in range(1, cutoff + 1):
+        gens = []  # (degree, vector) of each generator of F_i
+        for j in range(1, cutoff + 1):
+            span = [times(d, x, v) for d, x in xs if d < j
+                    for v in kernel[j - d]]
+            gens.extend((j, kernel[j][n - len(span)])
+                        for n in dense_independent(span + kernel[j])
+                        if n >= len(span))
+        if not gens:
+            break
+        for j, _ in gens:
+            entries[i, j] = entries.get((i, j), 0) + 1
+        for j in range(1, cutoff + 1):
+            domain = [(s, lab) for s, (ds, _) in enumerate(gens) if ds <= j
+                      for lab in trunc.bases[j - ds]]
+            columns = [times(j - gens[s][0], {lab: 1}, gens[s][1])
+                       for s, lab in domain]
+            kernel[j] = [{domain[c]: x for c, x in vec.items()}
+                         for vec in dense_nullspace(columns)]
+    return entries
+
+
+def oracle_sweep_algebras(rng):
+    """(presentation, cutoff) pairs: weighted monomial quotients, some with
+    one-letter relations; weighted quantum affine spaces with Fraction q;
+    free algebras; and quotients of the (-1)-skew 3-space by central sums
+    of squares, which the ideal grades by degree alone."""
+    for _ in range(4):
+        n = rng.choice((2, 3))
+        pool = [w for length in (2, 3, 4) for w in _words(n, length)]
+        relations = rng.sample(pool, rng.randint(1, 5))
+        if rng.random() < 0.3:
+            relations.append((rng.randrange(n),))
+        degrees = [rng.choice((1, 1, 2)) for _ in range(n)]
+        yield (monomial_quotient([f"x{k}" for k in range(n)], relations,
+                                 degrees), 5)
+    for _ in range(3):
+        n = rng.choice((2, 3))
+        degrees = [rng.choice((1, 2)) for _ in range(n)]
+        q = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                q[i][j] = rng.choice((1, -1, 2, Fraction(-1, 3)))
+                q[j][i] = 1 / Fraction(q[i][j])
+        yield quantum_affine(q, degrees=degrees), 5
+    n = rng.choice((1, 2))
+    yield free_algebra(n, [rng.choice((1, 2)) for _ in range(n)]), 4
+    c = rng.choice((2, -1, Fraction(1, 2), Fraction(-3, 2)))
+    yield normal_quotient(skew_symmetric_q(3),
+                          [{(2, 0, 0): 1, (0, 2, 0): c, (0, 0, 2): 1}]), 5
+    yield normal_quotient(skew_symmetric_q(3),
+                          [{(2, 0, 0): 1, (0, 0, 2): c}, {(0, 2, 0): 1}]), 5
+
+
+class TestPlainResolution:
+    def test_oracle_on_pinned_tables(self):
+        # the square-zero algebra's rows i + 1 on the diagonal; the
+        # hypersurface k_{-1}[x, y]/(x^2), (1 + st)^2 / (1 - s^2 t^2); and
+        # the free algebra, resolved in one step
+        trunc = build_truncation(koszul_dual_square_zero(), 5)
+        assert plain_betti(trunc, 5) == {(i, i): i + 1 for i in range(6)}
+        pres = normal_quotient(skew_symmetric_q(2), [{(2, 0): 1}])
+        assert plain_betti(build_truncation(pres, 5), 5) == {
+            (0, 0): 1, **{(i, i): 2 for i in range(1, 6)}}
+        trunc = build_truncation(free_algebra(2, (1, 2)), 4)
+        assert plain_betti(trunc, 4) == {(0, 0): 1, (1, 1): 1, (1, 2): 1}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_betti_numbers_match_the_plain_resolution(self, seed):
+        for pres, cutoff in oracle_sweep_algebras(random.Random(seed)):
+            trunc = build_truncation(pres, cutoff)
+            assert betti_numbers(trunc).entries == plain_betti(trunc, cutoff), \
+                pres
 
 
 class TestEulerCheck:

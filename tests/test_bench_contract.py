@@ -50,3 +50,13 @@ def test_first_jobs_pass_their_oracles(build):
     assert len(jobs) == JOBS_PER_WORKLOAD
     for job in jobs:
         assert job.check(job.run()) == [], job.label
+
+
+def test_every_first_seed_resolutions_job_passes_its_oracle():
+    # the Betti-table speed claims are measured on these: the cutoff-8 skew
+    # spaces and the cutoff-6 monomial quotients sit at the end of the list
+    workloads = bench_module("workloads")
+    jobs = workloads.build_resolutions(1, str(ROOT))
+    assert len(jobs) == len(workloads.RESOLUTION_SLOTS) == 30
+    for job in jobs:
+        assert job.check(job.run()) == [], job.label

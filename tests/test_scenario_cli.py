@@ -458,6 +458,13 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: task 'trace': {message}\n"
 
+    def test_betti_negative_truncation_is_bad_input(self, capsys):
+        assert main(["betti", "--algebra",
+                     "{ kind: quantum_affine, q: [[1,-1],[-1,1]] }",
+                     "--truncation", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: task 'betti': cutoff must be nonnegative\n"
+
     def test_algebra_literal_sees_zeta_order(self, capsys):
         code = main(["trace", "--zeta-order", "4", "--algebra",
                      "{ kind: quantum_affine, degrees: [1,1], "
