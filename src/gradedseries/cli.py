@@ -155,6 +155,14 @@ def cmd_run(args):
     return EXIT_OK if passed else EXIT_EXPECTATION_FAILED
 
 
+def _zeta_order(text):
+    """The --zeta-order value: a positive int, as in a scenario header."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse whose bad-input report starts with an ``error:`` line, like
     every other input error of this CLI; the exit code stays 2."""
@@ -174,7 +182,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--zeta-order", type=int, default=1,
+        p.add_argument("--zeta-order", type=_zeta_order, default=1,
                        help="order of the primitive root available as z")
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report")

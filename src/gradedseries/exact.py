@@ -11,10 +11,12 @@ Representation conventions:
   arithmetic serves both levels.
 * ``RationalFunction``: pair ``num/den`` of ``Poly``s over Q or Q(zeta_N)
   with ``gcd(num, den) = 1`` and ``den(0) = 1``.  One reducer produces
-  that form for every value.  Every Hilbert-type series of a connected
-  graded algebra has this shape (``H(0) = 1`` pins the constant term of the
-  denominator), and so does a trace series 1/det(I - t g) over Q(zeta_N),
-  which makes identities between series literal data comparisons.
+  that form for every value: it cancels ``poly_gcd``, the one gcd, which
+  Euclid finds over the coefficients' own field, and then scales den(0) to
+  1.  Every Hilbert-type series of a connected graded algebra has this
+  shape (``H(0) = 1`` pins the constant term of the denominator), and so
+  does a trace series 1/det(I - t g) over Q(zeta_N), which makes
+  identities between series literal data comparisons.
   ``normalize`` also checks that the expansion is an integer series.
 * ``Series``: coefficients ``0..order`` of the expansion at ``t = 0``.
 * Sparse rows for elimination: ``_rref_add`` keeps a reduced row echelon
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd as _int_gcd
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -235,34 +236,8 @@ class Poly:
     def monic(self):
         return self * scalar_inverse(self.leading)
 
-    def scaled_down(self, c):
-        """Divide every coefficient by the integer c; must be exact."""
-        out = []
-        for a in self.coeffs:
-            q, r = divmod(a, c)
-            if r:
-                raise ValueError("coefficient not divisible")
-            out.append(q)
-        return Poly(out)
-
     def is_integral(self):
         return all(isinstance(c, int) for c in self.coeffs)
-
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, abs(c))
-        return g
-
-    def primitive_positive(self):
-        """Divide out the content and make the leading coefficient positive."""
-        if not self:
-            return self
-        c = self.content()
-        p = self.scaled_down(c)
-        if p.leading < 0:
-            p = -p
-        return p
 
     def shifted(self, k):
         """Multiply by t^k."""
@@ -332,52 +307,14 @@ def poly_to_str(p, var="t"):
     return "".join(parts)
 
 
-def _pseudo_rem(a, b):
-    """lc(b)^(deg a - deg b + 1) * a  mod  b, exact over the integers."""
-    k = a.degree - b.degree + 1
-    _, r = divmod(a * (b.leading ** k), b)
-    if not r.is_integral():
-        raise AssertionError("pseudo-remainder must be integral")
-    return r
-
-
 def poly_gcd(a, b):
-    """Primitive gcd with positive leading coefficient, via the subresultant PRS.
-
-    The fraction-free scaling keeps intermediate coefficients small for the
-    degree <= ~30 integer polynomials that arise here.
-    """
-    if not a:
-        return b.primitive_positive() if b else Poly()
-    if not b:
-        return a.primitive_positive()
-    a = a.primitive_positive()
-    b = b.primitive_positive()
-    if a.degree < b.degree:
-        a, b = b, a
-    g = h = 1
-    while True:
-        delta = a.degree - b.degree
-        r = _pseudo_rem(a, b)
-        if not r:
-            return b.primitive_positive()
-        if r.degree == 0:
-            return Poly((1,))
-        a, b = b, r.scaled_down(g * h ** delta)
-        g = a.leading
-        if delta:
-            num = g ** delta
-            den = h ** (delta - 1)
-            h = num // den
-        # delta == 0 leaves h unchanged
-    # not reached
-
-
-def monic_gcd(a, b):
-    """Monic gcd over a field (the rationals or one cyclotomic field), by Euclid."""
+    """The monic gcd of a and b over their coefficients' field, Q or one
+    cyclotomic field, by Euclid with monic divisors, which keep Fraction
+    coefficients small; the zero polynomial when both are zero."""
     while b:
+        b = b.monic()
         a, b = b, a % b
-    return a.monic()
+    return a.monic() if a else a
 
 
 def multiplicity_at_one(p):
@@ -399,21 +336,6 @@ def _as_poly(p):
     return p if isinstance(p, Poly) else Poly(p)
 
 
-def _field_gcd(p, q):
-    """gcd over the coefficients' field: the integer subresultant PRS when
-    every coefficient is rational, Euclid over Q(zeta_N) otherwise."""
-    coeffs = p.coeffs + q.coeffs
-    if not all(type(c) in _RATIONAL for c in coeffs):
-        return monic_gcd(p, q)
-    lam = 1
-    for c in coeffs:
-        if type(c) is Fraction:
-            lam = lam * c.denominator // _int_gcd(lam, c.denominator)
-    if lam != 1:
-        p, q = p * lam, q * lam
-    return poly_gcd(p, q)
-
-
 def _lowest_terms(num, den):
     """The reducer: cancel gcd(num, den), then scale so that den(0) = 1."""
     if not den:
@@ -421,7 +343,7 @@ def _lowest_terms(num, den):
     if not num:
         return Poly(), Poly((1,))
     if num.degree > 0 and den.degree > 0:  # a constant's gcd is a unit
-        g = _field_gcd(num, den)
+        g = poly_gcd(num, den)
         if g.degree > 0:
             num, den = num.exact_div(g), den.exact_div(g)
     d0 = den.constant_term
@@ -553,11 +475,6 @@ class RationalFunction:
             return (1 / self) ** (-n)
         # powers of coprime polynomials stay coprime, and den(0)^n = 1
         return RationalFunction._wrap(self.num ** n, self.den ** n)
-
-    def scaled(self, q):
-        """q * self for a scalar q."""
-        num = self.num * q
-        return RationalFunction._wrap(num, self.den if num else Poly((1,)))
 
     def expand(self, n):
         """Power-series coefficients 0..n."""

@@ -12,15 +12,13 @@ force assignments exist alongside it (see ``algebras.brute_force_trace``).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import lcm
 
 from .cyclofield import CyclotomicMatrix
-from .exact import (_RATIONAL, Poly, RationalFunction, normalize,
-                    one_minus_power, scalar_inverse, series_quotient)
+from .exact import (Poly, RationalFunction, one_minus_power, poly_gcd,
+                    scalar_inverse, series_quotient)
 
 
 class CapExceededError(RuntimeError):
@@ -275,12 +273,12 @@ def molien(group, assignment):
     dividing the exponent e of G, so det(I - t g) divides (1 - t^e)^n for
     n = dim G, and each trace num/den becomes the polynomial
     num (1 - t^e)^n / den.  Since den(0) = 1 that division runs up from the
-    constant term with no inverse, and no gcd over Q(zeta_N) is taken: the
-    polynomials are summed, and one integer reduction of
-    sum / (|G| (1 - t^e)^n) gives the series.  A trace whose denominator
-    does not divide (1 - t^e)^n (a brute-force trace can have one) sends
-    the whole sum back to adding the reduced traces pairwise.  Either way
-    the result must land in Q.
+    constant term with no inverse.  A trace whose denominator does not
+    divide the common one (a brute-force trace can have one) widens it to
+    their lcm, common * den / gcd(common, den), which may lie over Q(zeta_N),
+    and the running sum is multiplied by the same factor.  The polynomials
+    are summed, one reduction of sum / (|G| common) gives the series, and
+    that reduced value, not the sum, must land in Q.
 
     The sum is taken once per assignment: it is kept on the assignment
     (``TraceAssignment.molien_series``) and read from there when ``group``
@@ -301,19 +299,12 @@ def _molien_sum(group, traces):
     for f, k in counts.items():
         p = series_quotient(f.num * common, f.den)
         if p is None:
-            return _pairwise_molien(group, counts)
+            # widen the common denominator to lcm(common, f.den)
+            widen = f.den.exact_div(poly_gcd(common, f.den))
+            common, total = common * widen, total * widen
+            p = series_quotient(f.num * common, f.den)
         total = total + p * k
-    if not all(type(c) in _RATIONAL for c in total.coeffs):
-        raise NonRationalResultError(
-            "Molien sum did not cancel to rational coefficients")
-    return normalize(total, common * group.order)
-
-
-def _pairwise_molien(group, counts):
-    """The Molien sum as reduced rational functions added pairwise."""
-    total = reduce(operator.add, (f.scaled(Fraction(k, group.order))
-                                  for f, k in counts.items()))
-    result = total.to_rational_function()
+    result = RationalFunction(total, common * group.order).to_rational_function()
     if result is None:
         raise NonRationalResultError(
             "Molien sum did not cancel to rational coefficients")

@@ -19,6 +19,9 @@ juxtaposition as multiplication: ``(1-t^6)/((1-t)(1-t^2)(1-t^3)^2)``.
 Task values are integers, booleans, identifiers, quoted expression strings,
 or bracketed lists.  Task kinds: closure, subgroups, molien, classify,
 veronese, trace, betti, cyc, bireflection.
+
+An algebra literal gives each key at most once, and only the keys its kind
+reads (``_ALGEBRA_KEYS``).
 """
 
 from __future__ import annotations
@@ -440,6 +443,15 @@ def _parse_normal_element(cur, name_index, ngens):
     return {k: v for k, v in items.items() if v}
 
 
+# the keys each algebra kind reads; any other key is an error
+_ALGEBRA_KEYS = {
+    "free": {"kind", "generators", "degrees"},
+    "monomial_quotient": {"kind", "generators", "degrees", "relations"},
+    "quantum_affine": {"kind", "generators", "degrees", "q"},
+    "normal_quotient": {"kind", "generators", "degrees", "q", "normal"},
+}
+
+
 def _parse_algebra(cur, symbols):
     start = cur.peek()
     cur.expect_symbol("{")
@@ -449,8 +461,13 @@ def _parse_algebra(cur, symbols):
     q = None
     relations = None
     normals = None
+    keys = {}
     while not cur.at_symbol("}"):
-        key = cur.expect_ident().value
+        key_tok = cur.expect_ident()
+        key = key_tok.value
+        if keys.setdefault(key, key_tok) is not key_tok:
+            raise ParseError(f"algebra key {key!r} is given twice",
+                             key_tok.line, key_tok.col)
         cur.expect_symbol(":")
         if key == "kind":
             kind = cur.expect_ident().value
@@ -487,6 +504,13 @@ def _parse_algebra(cur, symbols):
             cur.error(f"unknown algebra key {key!r}")
         cur.take_symbol(",")
     cur.expect_symbol("}")
+    if kind not in _ALGEBRA_KEYS:
+        raise ParseError(f"unknown algebra kind {kind!r}", start.line,
+                         start.col)
+    for key, tok in keys.items():
+        if key not in _ALGEBRA_KEYS[kind]:
+            raise ParseError(f"algebra kind {kind!r} takes no key {key!r}",
+                             tok.line, tok.col)
     try:
         if kind == "free":
             return free_algebra(names or (len(degrees) if degrees else 2),
@@ -495,11 +519,9 @@ def _parse_algebra(cur, symbols):
             return monomial_quotient(names, relations or (), degrees)
         if kind == "quantum_affine":
             return quantum_affine(q, names, degrees)
-        if kind == "normal_quotient":
-            return normal_quotient(q, normals or (), names, degrees)
+        return normal_quotient(q, normals or (), names, degrees)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad algebra literal: {exc}", start.line, start.col)
-    raise ParseError(f"unknown algebra kind {kind!r}", start.line, start.col)
 
 
 # the values a ``let`` statement or a CLI literal can declare

@@ -234,7 +234,7 @@ class TestFieldFraction:
             den = [1, -3 * lam, 3 * lam ** 2, -(lam ** 3)]
             term = FieldFraction.reciprocal(den)
             total = term if total is None else total + term
-        total = total.scaled(Fraction(1, 3))
+        total = total * Fraction(1, 3)
         f = total.to_rational_function()
         assert f is not None
         want = normalize(P(1, 7, 1).inflated(3), one_minus_power(3) ** 3)

@@ -102,7 +102,7 @@ class TestPoly:
         a = one_minus_power(2) ** 3
         b = ONE_MINUS_T ** 7
         g = poly_gcd(a, b)
-        assert g == (ONE_MINUS_T ** 3).primitive_positive()
+        assert g == (ONE_MINUS_T ** 3).monic()
         # gcd of coprime polynomials is 1
         assert poly_gcd(P(1, -1, 1), ONE_MINUS_T ** 2) == P(1)
         # random smoke check: gcd divides both
@@ -116,6 +116,35 @@ class TestPoly:
             d = poly_gcd(f * h, g1 * h)
             (f * h).exact_div(d)
             (g1 * h).exact_div(d)
+
+    @pytest.mark.parametrize("field", ["fraction", 3, 4, 12])
+    def test_gcd_over_the_coefficient_field(self, field):
+        rng = random.Random(53)
+
+        def scalar():
+            if field == "fraction":
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            z = CyclotomicNumber.zeta(field)
+            return sum(rng.randint(-2, 2) * z ** k
+                       for k in range(euler_phi(field)))
+
+        def poly(degree):
+            while True:
+                p = Poly([scalar() for _ in range(degree + 1)])
+                if p.degree == degree:
+                    return p
+
+        for _ in range(15):
+            h = poly(rng.randint(1, 3))
+            a = poly(rng.randint(0, 4)) * h
+            b = poly(rng.randint(0, 4)) * h
+            g = poly_gcd(a, b)
+            assert g.leading == 1
+            assert not a % g and not b % g
+            assert not g % h
+        assert poly_gcd(Poly(), Poly()) == Poly()
+        assert poly_gcd(P(1, 2), Poly()) == P(Fraction(1, 2), 1)
+        assert poly_gcd(P(1, 2), P(2, 4)) == P(Fraction(1, 2), 1)
 
     def test_inflate_reverse_multiplicity(self):
         assert P(1, 2).inflated(3) == P(1, 0, 0, 2)

@@ -16,7 +16,15 @@ from gradedseries.algebras import (
 )
 from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
 from gradedseries.cyclotomic import gorenstein_symmetry, is_cyclotomic
-from gradedseries.exact import Poly, expand, normalize, one_minus_power, reconstruct
+from gradedseries.exact import (
+    Poly,
+    RationalFunction,
+    expand,
+    normalize,
+    one_minus_power,
+    reconstruct,
+    series_quotient,
+)
 from gradedseries.groups import (
     CapExceededError,
     IndexMismatchError,
@@ -239,7 +247,7 @@ def pairwise_molien(group, assignment):
     counts = {}
     for f in assignment.traces:
         counts[f] = counts.get(f, 0) + 1
-    total = reduce(operator.add, (f.scaled(Fraction(k, group.order))
+    total = reduce(operator.add, (f * Fraction(k, group.order)
                                   for f, k in counts.items()))
     return total.to_rational_function()
 
@@ -274,19 +282,7 @@ def brute_force_group(dim, matrix):
 
 
 class TestMolienCommonDenominator:
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        """The groups the pairwise fallback was called for."""
-        calls = []
-        original = groups._pairwise_molien
-
-        def spy(group, counts):
-            calls.append(group)
-            return original(group, counts)
-        monkeypatch.setattr(groups, "_pairwise_molien", spy)
-        return calls
-
-    def test_matches_pairwise_oracle_on_monomial_groups(self, fallbacks):
+    def test_matches_pairwise_oracle_on_monomial_groups(self):
         rng = random.Random(97)
         for N in (2, 3, 4, 6):
             for dim in (2, 3, 4):
@@ -294,9 +290,8 @@ class TestMolienCommonDenominator:
                 assignment = assign_charpoly_traces(group)
                 got = molien(group, assignment)
                 assert got == pairwise_molien(group, assignment), (N, dim)
-        assert fallbacks == []  # charpoly traces never leave the common sum
 
-    def test_brute_force_traces_divide_the_common_denominator(self, fallbacks):
+    def test_brute_force_traces_divide_the_common_denominator(self):
         # the mystic quasi-bireflection: every trace denominator divides
         # (1 - t^4)^3
         group, assignment = brute_force_group(
@@ -305,9 +300,8 @@ class TestMolienCommonDenominator:
         want = normalize(one_minus_power(6),
                          one_minus_power(2) ** 3 * one_minus_power(3))
         assert got == want == pairwise_molien(group, assignment)
-        assert fallbacks == []
 
-    def test_brute_force_trace_outside_the_common_denominator(self, fallbacks):
+    def test_brute_force_trace_outside_the_common_denominator(self):
         # the double swap has order 2, but its trace 1/(1 + t^2)^2 on the
         # (-1)-skew space has poles at the 4th roots of unity, so it does not
         # divide (1 - t^2)^4
@@ -316,7 +310,33 @@ class TestMolienCommonDenominator:
         got = molien(group, assignment)
         want = normalize(P(1, -2, 4, -2, 1), P(1, -1) ** 4 * P(1, 0, 1) ** 2)
         assert got == want == pairwise_molien(group, assignment)
-        assert fallbacks == [group]
+
+    def test_common_denominator_widened_over_the_cyclotomic_field(self):
+        # g = [[0, z], [1, 0]] on the (-1)-skew plane has order 6, and three
+        # of its distinct brute-force traces have poles outside (1 - t^6)^2,
+        # two of them at irrational points, so the widened common
+        # denominator lies over Q(zeta_3) until the conjugate factor joins it
+        group, assignment = brute_force_group(2, [[0, z], [1, 0]])
+        common = one_minus_power(6) ** 2
+        outside = {f for f in assignment.traces
+                   if series_quotient(f.num * common, f.den) is None}
+        assert outside == {RationalFunction.reciprocal(P(1, 0, c))
+                           for c in (1, z, z ** 2)}
+        got = molien(group, assignment)
+        want = normalize(P(1, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+                         P(1, 0, 0, -2, 0, 0, 2, 0, 0, -2, 0, 0, 1))
+        assert got == want == pairwise_molien(group, assignment)
+
+    def test_only_the_reduced_sum_need_be_rational(self):
+        # g = swap + z on the (-1)-skew 3-space: the first trace outside
+        # (1 - t^6)^3 is 1/((1 + t^2)(1 - z t)), whose gcd with it is the
+        # monic t - z^2, so the widened denominator and the running sum both
+        # keep the scalar -z; the reduced sum is rational all the same
+        group, assignment = brute_force_group(
+            3, [[0, 1, 0], [1, 0, 0], [0, 0, z]])
+        got = molien(group, assignment)
+        want = normalize(P(1, -1, 1), P(1, -2, 2, -3, 3, -2, 2, -1))
+        assert got == want == pairwise_molien(group, assignment)
 
 
 class TestMultiplicationTable:

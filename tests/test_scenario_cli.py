@@ -437,9 +437,17 @@ class TestCli:
         ["veronese", "", "-r", "2"],
         ["trace", "--algebra", "{ kind: quantum_affine, degrees: [1,1], "
          "q: [[1,-1],[-1,1]] }", "--matrix", "[[1,0],[0,0]]"],
+        ["cyc", "1 + t", "--zeta-order", "0"],
+        ["molien", "--zeta-order=-3", "--matrix", "[[0,1],[1,0]]"],
+        ["run", "src/gradedseries/scenarios/stanley.scn", "--zeta-order", "0"],
     ])
     def test_bad_input_exits_2_with_an_error_line(self, capsys, argv):
-        assert main(argv) == 2
+        # argparse rejects a bad option value itself, with SystemExit(2)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "(line" not in err
@@ -475,6 +483,27 @@ class TestCli:
     def test_algebra_literal_errors_are_located_in_the_literal(self, capsys):
         assert main(["betti", "--algebra", "{ kind: nope }"]) == 2
         assert "line 1, col 1: unknown algebra kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal, key, message", [
+        # this q breaks q_ji = 1/q_ij, and a free algebra reads no q at all
+        ("{ kind: free, q: [[1,2],[1,1]] }", "q",
+         "algebra kind 'free' takes no key 'q'"),
+        ("{ kind: monomial_quotient, generators: [x,y], relations: [x y], "
+         "normal: [x^2] }", "normal",
+         "algebra kind 'monomial_quotient' takes no key 'normal'"),
+        ("{ q: [[1,1],[1,1]], kind: quantum_affine, relations: [x1 x2] }",
+         "relations", "algebra kind 'quantum_affine' takes no key 'relations'"),
+        ("{ kind: quantum_affine, q: [[1,-1],[-1,1]], q: [[1,1],[1,1]] }",
+         "q: [[1,1]", "algebra key 'q' is given twice"),
+        ("{ kind: free, generators: [x], kind: free }", "kind: free }",
+         "algebra key 'kind' is given twice"),
+    ])
+    def test_algebra_keys_outside_the_kind_are_located(self, capsys, literal,
+                                                       key, message):
+        assert main(["betti", "--algebra", literal, "--truncation", "3"]) == 2
+        col = literal.index(key) + 1
+        assert capsys.readouterr().err == \
+            f"error: line 1, col {col}: {message}\n"
 
     @pytest.mark.parametrize("element, col", [("x1^3 x2^-1 + x1 x2", 58),
                                               ("x1^0 x2^2", 53)])
