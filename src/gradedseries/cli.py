@@ -13,7 +13,9 @@ more than most scenario files take to run.  Sharing is safe because
 ``parse_args`` never changes the parser.  Each call gets a fresh
 ``Namespace``; an ``append`` option starts from its default, not from the
 last call's list; a subcommand parses into its own fresh namespace and copies
-it over; and ``_Parser.error`` looks up ``sys.stderr`` when it reports.
+it over; and an argparse error reaches ``main`` as an exception, which
+reports it on ``sys.stderr`` as looked up then, with the hint about literals
+that start with '-' only when argparse read such a token as an option.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .scenario import (
@@ -39,7 +42,8 @@ EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-# argparse reads a literal such as "-t" as an option; "--" or "--opt=TEXT" avoids it
+# argparse reads a literal such as "-t" as an option; "--" or "--opt=TEXT" avoids
+# it.  The hint follows an argparse error only when some token was read so
 DASH_HINT = "hint: write a literal that starts with '-' after '--' or as --opt=TEXT"
 SERIES_HELP = ("series literal, e.g. '(1+t)^3/(1-t)^4'; "
                "put one that starts with '-' after '--'")
@@ -163,13 +167,45 @@ def _zeta_order(text):
     return int(text)
 
 
+class _UsageError(Exception):
+    """An argparse error: its message and the usage of the (sub)parser that
+    met it."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse whose bad-input report starts with an ``error:`` line, like
-    every other input error of this CLI; the exit code stays 2."""
+    """argparse whose errors go to ``main`` as a ``_UsageError``, which
+    reports them with an ``error:`` line, like every other input error of
+    this CLI; the exit code stays 2."""
 
     def error(self, message):
-        self.exit(EXIT_INPUT_ERROR,
-                  f"error: {message}\n{DASH_HINT}\n{self.format_usage()}")
+        raise _UsageError(message, self.format_usage())
+
+
+def _option_strings(parser):
+    """Every option string of the CLI, on any subcommand."""
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    return frozenset(s for p in parsers for a in p._actions
+                     for s in a.option_strings)
+
+
+def _read_as_unknown_option(token, options):
+    """Whether argparse reads ``token`` as an option that no subcommand has,
+    as it reads a literal such as '-t' or '-1+t': a token of two or more
+    characters that starts with '-', is no negative number, holds no space
+    and, up to an '=', is neither an option, a prefix of a long option nor
+    (for one dash) a short option with its value attached."""
+    # argparse reads a negative number as no option when no option looks
+    # like one
+    if (len(token) < 2 or token[0] != "-" or " " in token
+            or re.fullmatch(r"-\d+|-\d*\.\d+", token)):
+        return False
+    flag = token.split("=", 1)[0]
+    if flag.startswith("--"):
+        return not any(o.startswith(flag) for o in options)
+    return flag not in options and flag[:2] not in options
 
 
 @functools.cache
@@ -249,7 +285,18 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        message, usage = exc.args
+        # the tokens after "--" are never read as options
+        tokens = argv[:argv.index("--")] if "--" in argv else argv
+        options = _option_strings(parser)
+        hint = (f"{DASH_HINT}\n"
+                if any(_read_as_unknown_option(t, options) for t in tokens)
+                else "")
+        parser.exit(EXIT_INPUT_ERROR, f"error: {message}\n{hint}{usage}")
     try:
         return args.func(args)
     except (ValueError, ScenarioExecutionError, OSError) as exc:

@@ -7,19 +7,25 @@ constructor and every operation that can land in Q (a sum, a product, a
 power of zeta) returns an int or a Fraction there, so no caller converts.
 
 A ``CyclotomicNumber`` of order N is an ``exact.Poly`` over Q, its residue
-modulo Phi_N, of degree between 1 and phi(N) - 1, and its arithmetic is
-Poly arithmetic: a sum adds residues, a product is their product mod Phi_N,
-and an inverse comes from the extended Euclid of the residue and Phi_N.
-The residue's coefficients, and so the ``coords`` padded to phi(N) entries,
-follow the scalar rule.  A number is the one place where orders meet: an int
-or Fraction operand scales the residue or shifts its constant term, and only
+modulo Phi_N, of degree between 1 and phi(N) - 1.  A sum adds the residues'
+coefficient tuples.  A product is their convolution into one list, reduced
+in place against the monic Phi_N, whose lower coefficients come from a table
+built on the first use of each order (``_modulus``); the residue is built
+from what is left, with no Poly in between.  An inverse comes from the
+extended Euclid of the residue and Phi_N.  The residue's coefficients, and
+so the ``coords`` padded to phi(N) entries, follow the scalar rule.  A
+number is the one place where orders meet: an int or Fraction operand scales
+the residue or shifts its constant term (a 0 or a 1 returns the result with
+no arithmetic: ``x + 0`` and ``x * 1`` are ``x``, ``x * 0`` is 0), and only
 two numbers of different orders are lifted into Q(zeta_lcm), where z_N
-becomes z_M^(M/N) (``Poly.inflated``, then mod Phi_M).  A number hashes as
+becomes z_M^(M/N), reduced mod Phi_M in the same way.  A number hashes as
 its normalized trace Tr(x)/phi(N), which lifting leaves unchanged, so equal
-numbers hash alike whatever orders they carry.
+numbers hash alike whatever orders they carry; the hash is computed once per
+value and kept with it.
 
 ``CyclotomicMatrix`` holds ints, Fractions and numbers of any orders under
-the same rule, and leaves every order question to that arithmetic.
+the same rule, and leaves every order question to that arithmetic; its
+product sums only the nonzero products of entries.
 Rational functions with cyclotomic coefficients, such as the trace series
 1/det(I - t g), are ``exact.RationalFunction`` values; ``FieldFraction`` is
 another name for it.
@@ -32,7 +38,7 @@ from functools import cache
 from math import gcd
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
-from .exact import (_RATIONAL, Poly, RationalFunction, _rref_add,
+from .exact import (_RATIONAL, Poly, RationalFunction, _poly, _rref_add,
                     _simplify, scalar_inverse)
 
 
@@ -45,14 +51,38 @@ def _number(order, residue):
     return residue.constant_term
 
 
+@cache
+def _modulus(order):
+    """phi(order) and the reduction rule of Phi_order, which is monic: the
+    pairs (j, -c_j) of its nonzero lower coefficients c_j, so that
+    z^phi = sum of -c_j z^j."""
+    phi = cyclotomic_polynomial(order)
+    return phi.degree, tuple((j, -c) for j, c in enumerate(phi.coeffs[:-1])
+                             if c)
+
+
+def _reduced(order, out):
+    """The value of the coefficient list ``out`` modulo Phi_order.  Each
+    coefficient from the top down to z^phi is folded into the lower ones, in
+    place, and the rest become the residue with no Poly in between."""
+    phi, rule = _modulus(order)
+    for i in range(len(out) - 1, phi - 1, -1):
+        c = out[i]
+        if c:
+            for j, p in rule:
+                out[i - phi + j] += c * p
+    return _number(order, _poly(out[:phi]))
+
+
 class CyclotomicNumber:
     """Irrational element of Q(zeta_order): a Poly residue modulo Phi_order.
 
     Its coordinates follow the scalar rule; constructing one from rational
-    coordinates gives an int or a Fraction.
+    coordinates gives an int or a Fraction.  The value is immutable, and its
+    hash is computed on first use and kept.
     """
 
-    __slots__ = ("order", "residue")
+    __slots__ = ("order", "residue", "_hash")
 
     def __new__(cls, order, coords):
         if len(coords) != cyclotomic_polynomial(order).degree:
@@ -65,8 +95,7 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, order, power=1):
         """zeta_order^power; an int (1 or -1) when that is rational."""
-        return _number(order, Poly.monomial(power % order)
-                       % cyclotomic_polynomial(order))
+        return _reduced(order, [0] * (power % order) + [1])
 
     def lift(self, order):
         """Rewrite in Q(zeta_order); requires self.order | order."""
@@ -74,22 +103,25 @@ class CyclotomicNumber:
             return self
         if order % self.order:
             raise ValueError("can only lift into a larger cyclotomic field")
-        return self._raw(order, self.residue.inflated(order // self.order)
-                         % cyclotomic_polynomial(order))
+        # the z of self's order is z_order^r
+        r = order // self.order
+        out = [0] * (self.residue.degree * r + 1)
+        out[::r] = self.residue.coeffs
+        return _reduced(order, out)
 
     @classmethod
     def _raw(cls, order, residue):
         """A number from a residue of degree between 1 and phi(order) - 1."""
         self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "residue", residue)
+        _set_order(self, order)
+        _set_residue(self, residue)
         return self
 
     @property
     def coords(self):
         """The phi(order) coordinates in the power basis 1, z, z^2, ..."""
         c = self.residue.coeffs
-        return c + (0,) * (cyclotomic_polynomial(self.order).degree - len(c))
+        return c + (0,) * (_modulus(self.order)[0] - len(c))
 
     def _pair(self, other):
         """The two numbers in one order: the lcm order if theirs differ."""
@@ -100,7 +132,10 @@ class CyclotomicNumber:
 
     def __add__(self, other):
         if type(other) in _RATIONAL:
-            return self._raw(self.order, self.residue + other)
+            if not other:
+                return self
+            c = self.residue.coeffs
+            return self._raw(self.order, _poly([c[0] + other, *c[1:]]))
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
@@ -112,24 +147,35 @@ class CyclotomicNumber:
         return self._raw(self.order, -self.residue)
 
     def __sub__(self, other):
-        if not (type(other) in _RATIONAL
-                or isinstance(other, CyclotomicNumber)):
+        if type(other) in _RATIONAL:
+            return self + -other
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self + (-other)
+        a, b = self._pair(other)
+        return _number(a.order, a.residue - b.residue)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if type(other) in _RATIONAL:
+            if other == 1:
+                return self
             if not other:
                 return 0
             return self._raw(self.order, self.residue * other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
-        return _number(a.order, a.residue * b.residue
-                       % cyclotomic_polynomial(a.order))
+        # the convolution of the two coefficient tuples, over b's nonzero terms
+        terms = [(j, y) for j, y in enumerate(b.residue.coeffs) if y]
+        x = a.residue.coeffs
+        out = [0] * (len(x) + len(b.residue.coeffs) - 1)
+        for i, c in enumerate(x):
+            if c:
+                for j, y in terms:
+                    out[i + j] += c * y
+        return _reduced(a.order, out)
 
     __rmul__ = __mul__
 
@@ -173,9 +219,13 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
-        return a.residue == b.residue
+        return a.residue.coeffs == b.residue.coeffs
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         # Tr(x)/phi(N) is unchanged by lifting; it is summed as num/den in
         # ints, which is faster than Fractions
         weights = _trace_weights(self.order)
@@ -185,13 +235,22 @@ class CyclotomicNumber:
                 num = num * c.denominator + c.numerator * w * den
                 den *= c.denominator
         den *= weights[0]
-        return hash(num // den if num % den == 0 else Fraction(num, den))
+        value = hash(num // den if num % den == 0 else Fraction(num, den))
+        _set_hash(self, value)
+        return value
 
     def __str__(self):
         return self.residue.to_str("z")
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {self})"
+
+
+# the slots are written once, by _raw and __hash__, past the __setattr__
+# that keeps the value immutable
+_set_order = CyclotomicNumber.order.__set__
+_set_residue = CyclotomicNumber.residue.__set__
+_set_hash = CyclotomicNumber._hash.__set__
 
 
 @cache
@@ -237,14 +296,30 @@ class CyclotomicMatrix:
         return len(self.rows)
 
     def __mul__(self, other):
+        """The product, over the nonzero products of entries only: each
+        entry is the sum of those products, started from the first (the int
+        0 when there is none), and a Fraction that lands on an integer
+        becomes an int, so the entries keep the scalar rule."""
         if not isinstance(other, CyclotomicMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return CyclotomicMatrix(
-            [[sum(x * y for x, y in zip(row, col) if x and y) for col in cols]
-             for row in self.rows])
+        cols = [[(i, y) for i, y in enumerate(col) if y]
+                for col in zip(*other.rows)]
+        rows = []
+        for row in self.rows:
+            out = []
+            for col in cols:
+                acc = None
+                for i, y in col:
+                    x = row[i]
+                    if x:
+                        acc = x * y if acc is None else acc + x * y
+                out.append(0 if acc is None else _simplify(acc))
+            rows.append(tuple(out))
+        product = object.__new__(CyclotomicMatrix)
+        _set_rows(product, tuple(rows))
+        return product
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicMatrix):
@@ -294,6 +369,9 @@ class CyclotomicMatrix:
             "[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"
 
     __repr__ = __str__
+
+
+_set_rows = CyclotomicMatrix.rows.__set__
 
 
 def _det(mat, zero=0):

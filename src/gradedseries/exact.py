@@ -8,7 +8,8 @@ Representation conventions:
   ``Fraction``s, or ``CyclotomicNumber``s, which may carry different orders
   (their own arithmetic reconciles those).  A ``CyclotomicNumber`` is itself
   a Poly over Q reduced modulo a cyclotomic polynomial, so this one Poly
-  arithmetic serves both levels.
+  type serves both levels; a number's sums and products work on that Poly's
+  coefficient tuple directly.
 * ``RationalFunction``: pair ``num/den`` of ``Poly``s over Q or Q(zeta_N)
   with ``gcd(num, den) = 1`` and ``den(0) = 1``.  One reducer produces
   that form for every value: it cancels ``poly_gcd``, the one gcd, which
@@ -61,13 +62,6 @@ class AmbiguousDataError(ValueError):
     """The truncation is too short to pin down the rational function."""
 
 
-def _strip(coeffs):
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 # the rational scalar types, tested by exact type: an instance check on
 # Fraction goes through ABCMeta in Python, and bool stays an int here
 _RATIONAL = frozenset((int, bool, Fraction))
@@ -87,23 +81,39 @@ def scalar_inverse(x):
     return x.inverse()
 
 
+def _simplified(coeffs):
+    """The coefficient sequence as a tuple, its Fractions simplified when
+    there are any."""
+    for c in coeffs:  # a plain loop: `Fraction in map(type, ...)` is slower
+        if type(c) is Fraction:
+            return tuple(map(_simplify, coeffs))
+    return tuple(coeffs)
+
+
+def _normal_coeffs(coeffs):
+    """The coefficient sequence with trailing zeros stripped, as a tuple;
+    its Fractions are simplified when there are any."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return _simplified(coeffs[:n])
+
+
 class Poly:
-    """Dense univariate polynomial over exact scalars."""
+    """Dense univariate polynomial over exact scalars.
+
+    ``Poly(coeffs)`` takes any iterable of coefficients.  The results of
+    ``+``, ``-``, ``*``, ``%`` and ``divmod`` come from one internal
+    constructor, ``_poly``, which takes the list the operation filled.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(coeffs)
-        if Fraction in map(type, coeffs):
-            coeffs = tuple(map(_simplify, coeffs))
-        object.__setattr__(self, "coeffs", _strip(coeffs))
+        object.__setattr__(self, "coeffs", _normal_coeffs(tuple(coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * k + (c,))
 
     @property
     def degree(self):
@@ -134,7 +144,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.coeffs])
 
     def __add__(self, other):
         if type(other) in _RATIONAL:
@@ -145,14 +155,18 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) in _RATIONAL:
             other = Poly((other,))
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return _poly(out)
 
     def __rsub__(self, other):
         return Poly((other,)) - self
@@ -160,7 +174,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             # a scalar of the coefficient field
-            return Poly(tuple(c * other if c else c for c in self.coeffs))
+            return _poly([c * other if c else c for c in self.coeffs])
         if not self or not other:
             return Poly()
         size = len(self.coeffs) + len(other.coeffs) - 1
@@ -170,7 +184,7 @@ class Poly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -207,7 +221,7 @@ class Poly:
                 for j, oc in enumerate(other.coeffs):
                     if oc:
                         rem[i - d + j] -= c * oc
-        return Poly(quot), Poly(rem[:d])
+        return _poly(quot), _poly(rem[:d])
 
     def __mod__(self, other):
         """The remainder of ``divmod``, with no quotient built."""
@@ -225,7 +239,7 @@ class Poly:
                 for j, oc in enumerate(lower, i - d):
                     if oc:
                         rem[j] -= c * oc
-        return Poly(rem[:d])
+        return _poly(rem[:d])
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -235,9 +249,6 @@ class Poly:
 
     def monic(self):
         return self * scalar_inverse(self.leading)
-
-    def is_integral(self):
-        return all(isinstance(c, int) for c in self.coeffs)
 
     def shifted(self, k):
         """Multiply by t^k."""
@@ -271,6 +282,18 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({poly_to_str(self)!r})"
+
+
+_set_coeffs = Poly.coeffs.__set__
+
+
+def _poly(coeffs):
+    """The Poly of an arithmetic result's coefficient list, normalized as by
+    ``Poly(...)`` (trailing zeros stripped; Fractions simplified only when
+    one is present) but built without that constructor's call and copy."""
+    p = object.__new__(Poly)
+    _set_coeffs(p, _normal_coeffs(coeffs))
+    return p
 
 
 def one_minus_power(n):
@@ -529,10 +552,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if Fraction in map(type, coeffs):
-            coeffs = tuple(map(_simplify, coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _simplified(tuple(coeffs)))
         if not self.coeffs:
             raise ValueError("a series truncation needs at least degree 0")
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,7 +9,7 @@ from gradedseries.cyclofield import (
     CyclotomicNumber,
     FieldFraction,
 )
-from gradedseries.cyclotomic import euler_phi
+from gradedseries.cyclotomic import cyclotomic_polynomial, euler_phi
 from gradedseries.exact import (Poly, expand, normalize, one_minus_power,
                                 scalar_inverse)
 
@@ -153,6 +154,79 @@ class TestCyclotomicNumber:
             assert again == x and hash(again) == hash(x)
             assert hash(x * y + w) == hash(w + y * x)
 
+    def test_kernel_matches_poly_arithmetic(self):
+        # the in-place product, the sums and the lifts against the public
+        # Poly formula (x.residue * y.residue) % Phi_M in the lcm order M
+        orders = tuple(range(1, 13)) + (15, 16, 20, 24, 30)
+
+        def residue(v, m):
+            if isinstance(v, CyclotomicNumber):
+                return v.lift(m).residue
+            return Poly((v,))
+
+        def assert_value(v, expected, m, *operands):
+            # v is the value of the residue `expected` in Q(zeta_m)
+            assert residue(v, m) == expected
+            if expected.degree <= 0:
+                assert type(v) is not CyclotomicNumber
+                if any(type(u) is CyclotomicNumber for u in operands):
+                    assert_scalar_rule(v)  # else it is Python's arithmetic
+            else:
+                assert type(v) is CyclotomicNumber and m % v.order == 0
+
+        def trace(x):
+            # Tr(x) over Q: the trace of multiplication by x on the basis
+            # 1, z, z^2, ... of Q(zeta_n)
+            n = x.order
+            total = 0
+            for j in range(euler_phi(n)):
+                coeffs = residue(x * CyclotomicNumber.zeta(n, j), n).coeffs
+                total += coeffs[j] if j < len(coeffs) else 0
+            return total
+
+        def lcm(a, b):
+            return a * b // gcd(a, b)
+
+        rng = random.Random(19)
+        for nx in orders * 7:
+            ny = rng.choice(orders)
+            m = lcm(nx, ny)
+            # a third order that keeps phi(lcm) small enough for Poly's %
+            nw = rng.choice([n for n in orders if lcm(m, n) <= max(m, 60)])
+            x, y, w = (random_number(rng, n) for n in (nx, ny, nw))
+            phi = cyclotomic_polynomial(m)
+            rx, ry = residue(x, m), residue(y, m)
+            assert_value(x * y, (rx * ry) % phi, m, x, y)
+            assert_value(x + y, rx + ry, m, x, y)
+            assert_value(x - y, rx - ry, m, x, y)
+            # three orders in one expression
+            m3 = lcm(m, nw)
+            phi3 = cyclotomic_polynomial(m3)
+            assert_value(x * y - w * x + w,
+                         ((residue(x, m3) * residue(y, m3)
+                           - residue(w, m3) * residue(x, m3)) % phi3
+                          + residue(w, m3)), m3, x, y, w)
+            if not isinstance(x, CyclotomicNumber):
+                continue
+            for k in (2, 3):
+                assert x.lift(k * nx).residue == \
+                    x.residue.inflated(k) % cyclotomic_polynomial(k * nx)
+            # a rational operand of 0 or 1 gives the other operand itself
+            assert x * 1 is x and 1 * x is x and x * Fraction(1) is x
+            assert x + 0 is x and 0 + x is x and x - 0 is x
+            assert x * 0 == 0 and type(x * 0) is int
+            assert x * -1 == -x and (x * -1).residue == -x.residue
+            # the kept hash is the first one computed, and it is the hash of
+            # the normalized trace Tr(x)/phi, whatever the order
+            again = CyclotomicNumber(nx, x.coords)
+            assert again is not x
+            first = hash(again)
+            assert hash(again) == first == hash(x) == hash(x.lift(2 * nx))
+            assert first == hash(x.lift(3 * nx)) == hash(
+                CyclotomicNumber(nx, x.coords))
+            normalized = Fraction(trace(x)) / euler_phi(nx)
+            assert first == hash(normalized)
+
     def test_power_basis_reduction(self):
         # zeta_9^6 reduces against Phi_9 = 1 + t^3 + t^6
         z9 = CyclotomicNumber.zeta(9)
@@ -169,6 +243,39 @@ class TestCyclotomicMatrix:
         p = CyclotomicMatrix([[0, 1], [1, 0]])
         prod = d * p
         assert prod.rows[0][1] == z3
+
+    def test_product_follows_the_scalar_rule(self):
+        def assert_entries(m, expected):
+            assert m.rows == expected
+            for row, want in zip(m.rows, expected):
+                assert [type(x) for x in row] == [type(x) for x in want]
+
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        M = CyclotomicMatrix
+        # Fraction x int products and Fraction sums that land on integers
+        assert_entries(M([[half, 0], [0, 1]]) * M([[2, 0], [0, 1]]),
+                       ((1, 0), (0, 1)))
+        assert_entries(M([[half, half], [third, 1]]) * M([[1, 2], [1, 0]]),
+                       ((1, 1), (Fraction(4, 3), Fraction(2, 3))))
+        # products of numbers that land in Q: z3 * z3^2 = 1, z4 * z4 = -1
+        z32 = z3 ** 2
+        assert_entries(M([[z3, 0], [0, z4]]) * M([[z32, 0], [0, z4]]),
+                       ((1, 0), (0, -1)))
+        assert_entries(M([[z3, half], [0, z32]]) * M([[z32, 0], [2, z3]]),
+                       ((2, half * z3), (2 * z32, 1)))
+        # a sum of numbers that lands in Q: z3 + z3^2 = -1
+        assert_entries(M([[z3, z32], [0, 1]]) * M([[1, 0], [1, 0]]),
+                       ((-1, 0), (1, 0)))
+        rng = random.Random(11)
+        for _ in range(20):
+            a, b = (M([[rng.choice((0, 1, -1, half, 2 * third, z3, z32, z4,
+                                    half * z4))
+                        for _ in range(3)] for _ in range(3)])
+                    for _ in range(2))
+            for row in (a * b).rows:
+                for x in row:
+                    assert type(x) in (int, Fraction, CyclotomicNumber)
+                    assert_scalar_rule(x)
 
     def test_inverse(self):
         m = CyclotomicMatrix([[1, z3], [0, 1]])

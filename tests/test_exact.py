@@ -425,7 +425,8 @@ class TestScalarRuleAtConstructors:
         assert types((p * True).coeffs) == (int, bool, int)
         assert p != True and Poly((1,)) == True
         assert scalar_inverse(True) is True
-        assert str(p) == "True + t^2" and p.is_integral()
+        assert str(p) == "True + t^2"
+        assert all(type(c) in (int, bool) for c in p.coeffs)
         s = Series((True, Fraction(4, 2), 0))
         assert types(s.coeffs) == (bool, int, int)
         f = RationalFunction((True,), (True, -1))

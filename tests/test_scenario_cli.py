@@ -532,6 +532,27 @@ class TestCli:
         assert err.startswith("error: ")
         assert "'--'" in err and "--opt=TEXT" in err
 
+    @pytest.mark.parametrize("argv, hinted", [
+        (["cyc", "1+t", "--zeta-order=0"], False),
+        (["cyc", "1+t", "--zeta=0"], False),
+        (["cyc", "1+t", "extra"], False),
+        (["molien", "--matrix"], False),
+        (["molien", "--matrix", "--json"], False),
+        (["veronese", "1/(1-t)", "-r2", "--zeta-order", "0"], False),
+        (["cyc", "-1+t"], True),
+        (["cyc", "1+t", "-x"], True),
+        (["betti", "--algebra", "-x"], True),
+    ])
+    def test_dash_hint_only_for_a_token_read_as_an_option(self, capsys, argv,
+                                                           hinted):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("error: ")
+        assert (cli_module.DASH_HINT in lines) is hinted
+        assert lines[1 + hinted].startswith("usage: ")
+
     def test_repeated_calls_build_the_parser_at_most_once(self, monkeypatch,
                                                          capsys):
         built = []
