@@ -59,8 +59,8 @@ from fractions import Fraction
 from math import log
 
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber
-from .exact import (Series, _reduce_vec, _rref_add, _simplify, expand,
-                    scalar_inverse)
+from .exact import (Immutable, Series, _reduce_vec, _rref_add, _simplify,
+                    expand, scalar_inverse)
 
 
 class NotNormalError(ValueError):
@@ -98,10 +98,6 @@ class Presentation:
         return len(self.names)
 
 
-def _default_names(n):
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
 def _check_q(q):
     n = len(q)
     rows = []
@@ -120,11 +116,20 @@ def _check_q(q):
     return tuple(rows)
 
 
-def free_algebra(names=2, degrees=None):
+def free_algebra(names=None, degrees=None):
+    """The free algebra on ``names``: distinct names, or their count, or
+    None for one name per degree (two without degrees).  This is where every
+    presentation's names and degrees are checked."""
+    if names is None:
+        names = len(degrees) if degrees else 2
     if isinstance(names, int):
-        names = _default_names(names)
+        names = [f"x{i + 1}" for i in range(names)]
     names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError("generator names must be distinct")
     degrees = tuple(degrees) if degrees else (1,) * len(names)
+    if len(degrees) != len(names):
+        raise ValueError("one degree per generator required")
     if any(d < 1 for d in degrees):
         raise ValueError("generator degrees must be positive")
     return Presentation(names, degrees)
@@ -145,14 +150,10 @@ def monomial_quotient(names, relations, degrees=None):
 
 def quantum_affine(q, names=None, degrees=None):
     q = _check_q(q)
-    n = len(q)
-    names = tuple(names) if names else _default_names(n)
-    if len(names) != n:
+    base = free_algebra(names or len(q), degrees)
+    if base.ngens != len(q):
         raise ValueError("one name per q row required")
-    degrees = tuple(degrees) if degrees else (1,) * n
-    if len(degrees) != n or any(d < 1 for d in degrees):
-        raise ValueError("bad generator degrees")
-    return Presentation(names, degrees, q=q)
+    return Presentation(base.names, base.degrees, q=q)
 
 
 def skew_symmetric_q(n, value=-1):
@@ -211,7 +212,7 @@ def _q_merge(q, left, right):
 _ONE = 1
 
 
-class Truncation:
+class Truncation(Immutable):
     """Per-degree bases and multiplication of a graded algebra up to a cutoff.
 
     Basis labels are words.  ``words``, the set of basis words, is kept only
@@ -230,9 +231,6 @@ class Truncation:
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "words", frozenset().union(*self.bases)
                            if presentation.relations else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Truncation is immutable")
 
     def dims(self):
         return [len(b) for b in self.bases]

@@ -38,8 +38,8 @@ from functools import cache
 from math import gcd
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
-from .exact import (_RATIONAL, Poly, RationalFunction, _poly, _rref_add,
-                    _simplify, scalar_inverse)
+from .exact import (_RATIONAL, Immutable, Poly, RationalFunction, _poly,
+                    _rref_add, _simplify, scalar_inverse)
 
 
 def _number(order, residue):
@@ -74,7 +74,7 @@ def _reduced(order, out):
     return _number(order, _poly(out[:phi]))
 
 
-class CyclotomicNumber:
+class CyclotomicNumber(Immutable):
     """Irrational element of Q(zeta_order): a Poly residue modulo Phi_order.
 
     Its coordinates follow the scalar rule; constructing one from rational
@@ -88,9 +88,6 @@ class CyclotomicNumber:
         if len(coords) != cyclotomic_polynomial(order).degree:
             raise ValueError("coordinate length must be phi(order)")
         return _number(order, Poly(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicNumber is immutable")
 
     @classmethod
     def zeta(cls, order, power=1):
@@ -272,7 +269,7 @@ def _entry(x):
     raise TypeError(f"a cyclotomic matrix entry cannot be a {type(x).__name__}")
 
 
-class CyclotomicMatrix:
+class CyclotomicMatrix(Immutable):
     """Square matrix with cyclotomic entries; each entry keeps its own order."""
 
     __slots__ = ("rows",)
@@ -283,9 +280,6 @@ class CyclotomicMatrix:
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicMatrix is immutable")
 
     @classmethod
     def identity(cls, dim):

@@ -67,6 +67,31 @@ class AmbiguousDataError(ValueError):
 _RATIONAL = frozenset((int, bool, Fraction))
 
 
+def _rebuild(cls, slots):
+    """A ``cls`` value with the given (slot, value) pairs, set past its
+    guard: how a copy or an unpickled ``Immutable`` value is made."""
+    self = object.__new__(cls)
+    for name, value in slots:
+        object.__setattr__(self, name, value)
+    return self
+
+
+class Immutable:
+    """Base of the value types whose slots are set once, when the value is
+    made: assignment raises, and copy and pickle rebuild the value from its
+    slots.  A slot named ``_hash`` is a cache and is left out."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple(
+            (name, getattr(self, name)) for name in self.__slots__
+            if name != "_hash"))
+
+
 def _simplify(c):
     # Fractions with denominator 1 become ints so printing and hashing stay tidy
     if type(c) is Fraction and c.denominator == 1:
@@ -99,7 +124,7 @@ def _normal_coeffs(coeffs):
     return _simplified(coeffs[:n])
 
 
-class Poly:
+class Poly(Immutable):
     """Dense univariate polynomial over exact scalars.
 
     ``Poly(coeffs)`` takes any iterable of coefficients.  The results of
@@ -111,9 +136,6 @@ class Poly:
 
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", _normal_coeffs(tuple(coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @property
     def degree(self):
@@ -378,7 +400,7 @@ def _lowest_terms(num, den):
     return num, den
 
 
-class RationalFunction:
+class RationalFunction(Immutable):
     """Rational function in t over Q or Q(zeta_N), as Polys num/den with
     gcd(num, den) = 1 and den(0) = 1.
 
@@ -403,9 +425,6 @@ class RationalFunction:
     def _wrap(cls, num, den):
         """A value whose num/den are already coprime with den(0) = 1."""
         return object.__new__(cls)._assign(num, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def reciprocal(cls, den):
@@ -546,7 +565,7 @@ def normalize(p, q):
     return _integer_series(RationalFunction(p, q))
 
 
-class Series:
+class Series(Immutable):
     """Truncated power series: coefficients for degrees 0..order."""
 
     __slots__ = ("coeffs",)
@@ -555,9 +574,6 @@ class Series:
         object.__setattr__(self, "coeffs", _simplified(tuple(coeffs)))
         if not self.coeffs:
             raise ValueError("a series truncation needs at least degree 0")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     @property
     def order(self):

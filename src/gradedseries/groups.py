@@ -17,8 +17,8 @@ from functools import cached_property
 from math import lcm
 
 from .cyclofield import CyclotomicMatrix
-from .exact import (Poly, RationalFunction, one_minus_power, poly_gcd,
-                    scalar_inverse, series_quotient)
+from .exact import (Immutable, Poly, RationalFunction, one_minus_power,
+                    poly_gcd, scalar_inverse, series_quotient)
 
 
 class CapExceededError(RuntimeError):
@@ -48,7 +48,7 @@ PROVENANCE_BRUTE_FORCE = "brute-force"
 PROVENANCE_USER = "user-supplied"
 
 
-class MatrixGroup:
+class MatrixGroup(Immutable):
     """A finite, closed set of matrices; elements[0] is the identity.
 
     The generators generate the elements.  A group made by ``subgroup``
@@ -68,9 +68,6 @@ class MatrixGroup:
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_parent", _parent)
         object.__setattr__(self, "_perms", _perms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixGroup is immutable")
 
     @property
     def order(self):

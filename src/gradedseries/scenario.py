@@ -16,12 +16,18 @@ Grammar (line oriented; indented lines continue the previous statement,
 Expressions use integer literals, ``t``, ``z`` (the fixed primitive root,
 available once ``zeta_order`` is set), ``+ - * / ^`` and parentheses, with
 juxtaposition as multiplication: ``(1-t^6)/((1-t)(1-t^2)(1-t^3)^2)``.
+A list in a matrix or algebra literal is ``[item, item, ...]`` with at least
+one item.  A monomial is generator names with optional positive powers,
+``x y^2``; a relation is one monomial, and a normal element a sum of terms,
+each an optional integer coefficient times a monomial in generator order.
 Task values are integers, booleans, identifiers, quoted expression strings,
-or bracketed lists.  Task kinds: closure, subgroups, molien, classify,
-veronese, trace, betti, cyc, bireflection.
+or bracketed lists of integers and identifiers (commas optional, maybe
+empty).  Task kinds: closure, subgroups, molien, classify, veronese, trace,
+betti, cyc, bireflection.
 
-An algebra literal gives each key at most once, and only the keys its kind
-reads (``_ALGEBRA_KEYS``).
+An algebra literal or a task gives each key (and each ``expect`` field) at
+most once, and only the keys its kind reads (``_ALGEBRA_KEYS``,
+``_TASK_KEYS``).
 """
 
 from __future__ import annotations
@@ -81,8 +87,25 @@ Lit = namedtuple("Lit", "text line")
 
 _SYMBOLS = set("[]{}(),=:^+-*/")
 
-TASK_KINDS = ("closure", "subgroups", "molien", "classify", "veronese",
-              "trace", "betti", "cyc", "bireflection")
+# the keys each task kind reads, each with the category of the declared
+# input it names, or None for a plain value; any other key is an error
+_TRACE_KEYS = {"algebra": "algebra", "truncation": None, "num_bound": None,
+               "den_bound": None}
+_TASK_KEYS = {
+    "closure": {"generators": "matrix", "name": None, "cap": None,
+                "dim": None},
+    "subgroups": {"group": "group", "max_order": None},
+    "molien": {"group": "group", "traces": None, **_TRACE_KEYS},
+    "classify": {"group": "group", "traces": None, **_TRACE_KEYS,
+                 "series": "series", "gk": None},
+    "veronese": {"series": "series", "r": None, "num_bound": None,
+                 "den_bound": None},
+    "trace": {"matrix": "matrix", **_TRACE_KEYS, "gk": None, "index": None},
+    "betti": {"algebra": "algebra", "truncation": None},
+    "cyc": {"series": "series"},
+    "bireflection": {"matrix": "matrix"},
+}
+TASK_KINDS = tuple(_TASK_KEYS)
 
 
 def _scan_line(raw, line_no):
@@ -149,9 +172,8 @@ class _Cursor:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, offset=0):
-        k = self.pos + offset
-        return self.tokens[k] if k < len(self.tokens) else None
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self):
         tok = self.peek()
@@ -180,12 +202,10 @@ class _Cursor:
         if not self.take_symbol(symbol):
             self.error(f"expected {symbol!r}")
 
-    def expect_ident(self, value=None):
+    def expect_ident(self):
         tok = self.next()
-        if tok.kind != "ident" or (value is not None and tok.value != value):
-            raise ParseError(
-                f"expected {'identifier' if value is None else value!r}",
-                tok.line, tok.col)
+        if tok.kind != "ident":
+            raise ParseError("expected identifier", tok.line, tok.col)
         return tok
 
     def expect_int(self):
@@ -297,16 +317,21 @@ def _to_scalar(value, where):
     return value.num.constant_term
 
 
-def _parse_literal(what, text, zeta_order, line):
-    """A one-line literal that holds exactly one ``what`` (a key of
-    _VALUE_PARSERS) and nothing after it."""
-    cur = _Cursor(_scan_line(text, line))
-    if cur.done():
-        raise ParseError(f"empty {what} literal", line, 1)
+def _parse_value(cur, what, zeta_order):
+    """One ``what`` (a key of _VALUE_PARSERS), which must end the
+    statement."""
     value = _VALUE_PARSERS[what](cur, _expression_symbols(zeta_order))
     if not cur.done():
         cur.error(f"trailing input after the {what}")
     return value
+
+
+def _parse_literal(what, text, zeta_order, line):
+    """A one-line literal that holds exactly one ``what``."""
+    cur = _Cursor(_scan_line(text, line))
+    if cur.done():
+        raise ParseError(f"empty {what} literal", line, 1)
+    return _parse_value(cur, what, zeta_order)
 
 
 def parse_series_literal(text, zeta_order=1, line=1):
@@ -321,11 +346,28 @@ def parse_algebra_literal(text, zeta_order=1, line=1):
     return _parse_literal("algebra", text, zeta_order, line)
 
 
+def _parse_list(cur, item):
+    """``[item, item, ...]``, at least one item, each read by ``item(cur)``."""
+    cur.expect_symbol("[")
+    values = [item(cur)]
+    while cur.take_symbol(","):
+        values.append(item(cur))
+    cur.expect_symbol("]")
+    return values
+
+
 def _parse_series(cur, symbols):
     start = cur.peek()
     if start is None:
         cur.error("expected a series expression")
     return _to_rational_function(_parse_expr(cur, symbols), start)
+
+
+def _parse_scalar_rows(cur, symbols):
+    def scalar(cur):
+        where = cur.peek()
+        return _to_scalar(_parse_expr(cur, symbols), where)
+    return _parse_list(cur, lambda cur: _parse_list(cur, scalar))
 
 
 def _parse_matrix(cur, symbols):
@@ -339,99 +381,52 @@ def _parse_matrix(cur, symbols):
 
 # ------------------------------------------------------------ algebra literal
 
-def _parse_name_list(cur):
-    cur.expect_symbol("[")
-    names = [cur.expect_ident().value]
-    while cur.take_symbol(","):
-        names.append(cur.expect_ident().value)
-    cur.expect_symbol("]")
-    return names
-
-
-def _parse_int_list(cur):
-    cur.expect_symbol("[")
-    values = [cur.expect_int()]
-    while cur.take_symbol(","):
-        values.append(cur.expect_int())
-    cur.expect_symbol("]")
-    return values
-
-
-def _parse_scalar_rows(cur, symbols):
-    cur.expect_symbol("[")
-    rows = []
-    while True:
-        cur.expect_symbol("[")
-        row = []
-        while True:
-            tok = cur.peek()
-            row.append(_to_scalar(_parse_expr(cur, symbols), tok))
-            if not cur.take_symbol(","):
-                break
-        cur.expect_symbol("]")
-        rows.append(row)
-        if not cur.take_symbol(","):
-            break
-    cur.expect_symbol("]")
-    return rows
-
-
 def _parse_word(cur, name_index):
-    word = []
-    first = cur.peek()
+    """The letters of a monomial such as ``x y^2``, each as its generator's
+    index and the token of its name; empty when no name comes next."""
+    letters = []
     while cur.peek() is not None and cur.peek().kind == "ident":
         tok = cur.next()
         if tok.value not in name_index:
             raise ParseError(f"unknown generator {tok.value!r}", tok.line,
                              tok.col)
-        power = 1
-        if cur.take_symbol("^"):
-            power = cur.expect_int()
-            if power < 1:
-                raise ParseError("powers in words must be positive", tok.line,
-                                 tok.col)
-        word.extend([name_index[tok.value]] * power)
-    if not word:
+        power = cur.expect_int() if cur.take_symbol("^") else 1
+        if power < 1:
+            raise ParseError("powers in monomials must be positive", tok.line,
+                             tok.col)
+        letters += [(name_index[tok.value], tok)] * power
+    return letters
+
+
+def _parse_relation(cur, name_index):
+    letters = _parse_word(cur, name_index)
+    if not letters:
         cur.error("expected a monomial word")
-    return tuple(word)
+    return tuple(i for i, _ in letters)
 
 
 def _parse_normal_element(cur, name_index, ngens):
+    """A sum of terms, each an optional integer coefficient (and ``*``)
+    times a monomial whose letters are in generator order, as a dict from
+    exponent tuples to coefficients."""
     items = {}
-    sign = 1
-    if cur.take_symbol("-"):
-        sign = -1
+    sign = -1 if cur.take_symbol("-") else 1
     while True:
-        coeff = sign
         tok = cur.peek()
+        coeff = sign
         if tok is not None and tok.kind == "int":
-            cur.next()
-            coeff = sign * tok.value
+            coeff *= cur.next().value
             cur.take_symbol("*")
+        letters = _parse_word(cur, name_index)
+        if not letters and tok is not None and tok.kind != "int":
+            cur.error("expected a term")
         exponents = [0] * ngens
-        last_index = -1
-        saw_name = False
-        while cur.peek() is not None and cur.peek().kind == "ident":
-            name_tok = cur.next()
-            if name_tok.value not in name_index:
-                raise ParseError(f"unknown generator {name_tok.value!r}",
-                                 name_tok.line, name_tok.col)
-            idx = name_index[name_tok.value]
-            if idx < last_index:
+        for i, name in letters:
+            if any(exponents[i + 1:]):
                 raise ParseError(
                     "monomials must be written in generator order",
-                    name_tok.line, name_tok.col)
-            last_index = idx
-            power = 1
-            if cur.take_symbol("^"):
-                power = cur.expect_int()
-                if power < 1:
-                    raise ParseError("powers in monomials must be positive",
-                                     name_tok.line, name_tok.col)
-            exponents[idx] += power
-            saw_name = True
-        if not saw_name and tok is not None and tok.kind != "int":
-            cur.error("expected a term")
+                    name.line, name.col)
+            exponents[i] += 1
         key = tuple(exponents)
         items[key] = items.get(key, 0) + coeff
         if cur.take_symbol("+"):
@@ -455,12 +450,7 @@ _ALGEBRA_KEYS = {
 def _parse_algebra(cur, symbols):
     start = cur.peek()
     cur.expect_symbol("{")
-    kind = None
-    names = None
-    degrees = None
-    q = None
-    relations = None
-    normals = None
+    kind = names = degrees = q = relations = normals = None
     keys = {}
     while not cur.at_symbol("}"):
         key_tok = cur.expect_ident()
@@ -472,34 +462,25 @@ def _parse_algebra(cur, symbols):
         if key == "kind":
             kind = cur.expect_ident().value
         elif key == "generators":
-            names = _parse_name_list(cur)
+            names = _parse_list(cur, lambda cur: cur.expect_ident().value)
         elif key == "degrees":
-            degrees = _parse_int_list(cur)
+            degrees = _parse_list(cur, _Cursor.expect_int)
         elif key == "q":
             q = _parse_scalar_rows(cur, symbols)
         elif key in ("relations", "normal"):
             if names is None:
-                count = len(degrees) if degrees else (len(q) if q else None)
-                if count is None:
+                count = len(degrees or q or ())
+                if not count:
                     cur.error("declare generators, degrees or q before "
                               f"{key!r}")
                 names = [f"x{i + 1}" for i in range(count)]
             index = {n: i for i, n in enumerate(names)}
-            cur.expect_symbol("[")
-            entries = []
-            while True:
-                if key == "relations":
-                    entries.append(_parse_word(cur, index))
-                else:
-                    entries.append(
-                        _parse_normal_element(cur, index, len(names)))
-                if not cur.take_symbol(","):
-                    break
-            cur.expect_symbol("]")
             if key == "relations":
-                relations = entries
+                relations = _parse_list(
+                    cur, lambda cur: _parse_relation(cur, index))
             else:
-                normals = entries
+                normals = _parse_list(cur, lambda cur: _parse_normal_element(
+                    cur, index, len(names)))
         else:
             cur.error(f"unknown algebra key {key!r}")
         cur.take_symbol(",")
@@ -513,8 +494,7 @@ def _parse_algebra(cur, symbols):
                              tok.line, tok.col)
     try:
         if kind == "free":
-            return free_algebra(names or (len(degrees) if degrees else 2),
-                                degrees)
+            return free_algebra(names, degrees)
         if kind == "monomial_quotient":
             return monomial_quotient(names, relations or (), degrees)
         if kind == "quantum_affine":
@@ -585,7 +565,7 @@ def _parse_task_value(cur):
     cur.error("expected a value")
 
 
-def _parse_key_values(cur):
+def _parse_key_values(cur, kind):
     args = {}
     expect = {}
     target = args
@@ -594,30 +574,24 @@ def _parse_key_values(cur):
         if tok.value == "expect":
             target = expect
             continue
+        if target is args and tok.value not in _TASK_KEYS[kind]:
+            raise ParseError(f"task kind {kind!r} takes no key {tok.value!r}",
+                             tok.line, tok.col)
+        if tok.value in target:
+            raise ParseError(
+                f"{'task' if target is args else 'expect'} key "
+                f"{tok.value!r} is given twice", tok.line, tok.col)
         cur.expect_symbol("=")
         target[tok.value] = _parse_task_value(cur)
     return args, expect
 
 
-_REFERENCE_KEYS = {
-    "generators": "matrix",
-    "group": "group",
-    "matrix": "matrix",
-    "algebra": "algebra",
-    "series": "series",
-}
-
-
 def _validate_refs(task, declared):
-    for key, category in _REFERENCE_KEYS.items():
+    for key, category in _TASK_KEYS[task.kind].items():
         value = task.args.get(key)
-        refs = []
-        if isinstance(value, Ref):
-            refs = [value]
-        elif isinstance(value, list):
-            refs = [v for v in value if isinstance(v, Ref)]
-        for ref in refs:
-            if declared.get(ref.name) != category:
+        for ref in value if isinstance(value, list) else [value]:
+            if (category and isinstance(ref, Ref)
+                    and declared.get(ref.name) != category):
                 raise UndeclaredInputError(
                     f"task {task.kind!r} references undeclared {category} "
                     f"{ref.name!r}", task.line)
@@ -632,8 +606,7 @@ def parse_scenario(text):
         if head.kind != "ident":
             raise ParseError("statements start with a keyword", head.line,
                              head.col)
-        if head.value in ("name", "zeta_order") and cur.at_symbol(":"):
-            cur.expect_symbol(":")
+        if head.value in ("name", "zeta_order") and cur.take_symbol(":"):
             if head.value == "zeta_order":
                 scenario.zeta_order = cur.expect_int()
                 if scenario.zeta_order < 1:
@@ -642,10 +615,8 @@ def parse_scenario(text):
                 if not cur.done():
                     cur.error("trailing input")
             else:
-                parts = []
-                while not cur.done():
-                    parts.append(str(cur.next().value))
-                scenario.name = " ".join(parts)
+                scenario.name = " ".join(str(tok.value)
+                                         for tok in tokens[cur.pos:])
             continue
         if head.value == "let":
             target = cur.expect_ident()
@@ -656,10 +627,7 @@ def parse_scenario(text):
                 raise ParseError(
                     "let declares a matrix, series or algebra",
                     what.line, what.col)
-            obj = _VALUE_PARSERS[category](
-                cur, _expression_symbols(scenario.zeta_order))
-            if not cur.done():
-                cur.error("trailing input after the declaration")
+            obj = _parse_value(cur, category, scenario.zeta_order)
             if target.value in declared:
                 raise ParseError(f"{target.value!r} is declared twice",
                                  target.line, target.col)
@@ -671,7 +639,7 @@ def parse_scenario(text):
             if kind_tok.value not in TASK_KINDS:
                 raise ParseError(f"unknown task kind {kind_tok.value!r}",
                                  kind_tok.line, kind_tok.col)
-            args, expect = _parse_key_values(cur)
+            args, expect = _parse_key_values(cur, kind_tok.value)
             task = Task(kind_tok.value, args, expect, head.line)
             _validate_refs(task, declared)
             if kind_tok.value == "closure" and isinstance(args.get("name"), Ref):

@@ -1,12 +1,16 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from gradedseries.algebras import build_truncation, normal_quotient, skew_symmetric_q
 from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber
 from gradedseries.cyclotomic import euler_phi
 from gradedseries.exact import (
     AmbiguousDataError,
+    Immutable,
     NonUnitConstantError,
     NoSolutionError,
     Poly,
@@ -26,6 +30,7 @@ from gradedseries.exact import (
     scalar_inverse,
     series_quotient,
 )
+from gradedseries.groups import closure, subgroups
 
 
 def long_division_oracle(p, q, n):
@@ -469,3 +474,66 @@ class TestScalarRuleAtConstructors:
                 assert got.den.coeffs == want.den.coeffs
                 assert types(got.num.coeffs) == types(want.num.coeffs)
                 assert types(got.den.coeffs) == types(want.den.coeffs)
+
+
+def _typed(x):
+    """x with each scalar paired with its exact type and each immutable
+    value unfolded into its slots (all but the hash cache), so that == also
+    compares the types inside."""
+    if isinstance(x, Immutable):
+        return type(x), tuple((n, _typed(getattr(x, n))) for n in x.__slots__
+                              if n != "_hash")
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(_typed(y) for y in x)
+    if isinstance(x, dict):
+        return dict, tuple((_typed(k), _typed(v)) for k, v in x.items())
+    if isinstance(x, frozenset):
+        return frozenset, frozenset(_typed(y) for y in x)
+    return type(x), x
+
+
+_Z6 = CyclotomicNumber.zeta(6)
+
+
+def _subgroup_with_table():
+    """A subgroup, which keeps its parent, after its multiplication table
+    is built."""
+    group = closure([CyclotomicMatrix([[_Z6 ** 2, 0], [0, 1]]),
+                     CyclotomicMatrix([[0, 1], [1, 0]])])
+    sub = next(h for h in subgroups(group) if h.order == 6)
+    sub.multiplication_table()
+    return sub
+
+
+IMMUTABLE_VALUES = {
+    "Poly": lambda: Poly([1, Fraction(1, 2), _Z6]),
+    "RationalFunction": lambda: RationalFunction([1, _Z6], [1, Fraction(-1, 3)]),
+    "Series": lambda: Series([1, Fraction(2, 3), _Z6]),
+    "CyclotomicNumber": lambda: _Z6 + Fraction(1, 2),
+    "CyclotomicMatrix": lambda: CyclotomicMatrix([[_Z6, 1], [Fraction(1, 2), 0]]),
+    "MatrixGroup": _subgroup_with_table,
+    # a normal quotient's truncation holds an echelon form of its ideal
+    "Truncation": lambda: build_truncation(normal_quotient(
+        skew_symmetric_q(2), [{(2, 0): Fraction(1, 2), (0, 2): 3}]), 4),
+}
+
+
+@pytest.mark.parametrize("make", IMMUTABLE_VALUES.values(), ids=IMMUTABLE_VALUES)
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_immutable_values_copy_and_pickle(make, copier):
+    value = make()
+    hash(value)
+    again = copier(value)
+    assert type(again) is type(value)
+    # the hash a number caches is not copied; it is computed again
+    assert not hasattr(again, "_hash")
+    assert _typed(again) == _typed(value)
+    # MatrixGroup and Truncation compare by identity, so only their slots
+    # can match
+    if type(value).__eq__ is not object.__eq__:
+        assert again == value and hash(again) == hash(value)
+    with pytest.raises(AttributeError, match="is immutable"):
+        again.extra = 1
+

@@ -11,7 +11,9 @@ from gradedseries import scenario as scenario_module
 from gradedseries.cli import main
 from gradedseries.exact import Poly, normalize, one_minus_power
 from gradedseries.scenario import (
+    TASK_KINDS,
     ParseError,
+    Ref,
     ScenarioExecutionError,
     UndeclaredInputError,
     parse_matrix_literal,
@@ -106,6 +108,69 @@ class TestParseScenario:
         scenario = parse_scenario(text)
         reports, passed = run_scenario(scenario)
         assert reports[0]["order"] == 3
+
+
+# every key each task kind reads, with a value of the right category
+TASK_KEY_USES = {
+    "closure": "generators=[g] name=K cap=10 dim=2",
+    "subgroups": "group=G max_order=8",
+    "molien": "group=G traces=bruteforce algebra=A truncation=4 num_bound=0 "
+              "den_bound=2",
+    "classify": "group=G traces=charpoly algebra=A truncation=4 num_bound=0 "
+                "den_bound=2 series=H gk=2",
+    "veronese": "series=H r=2 num_bound=1 den_bound=3",
+    "trace": "matrix=g algebra=A truncation=4 num_bound=0 den_bound=2 gk=2 "
+             "index=2",
+    "betti": "algebra=A truncation=3",
+    "cyc": "series=H",
+    "bireflection": "matrix=g",
+}
+TASK_PREAMBLE = ("let g = matrix [[0, 1], [1, 0]]\n"
+                 "let H = series 1/(1-t)^2\n"
+                 "let A = algebra { kind: quantum_affine, q: [[1,-1],[-1,1]] }\n"
+                 "task closure name=G generators=[g]\n")
+
+
+class TestTaskKeys:
+    def test_every_kind_is_listed(self):
+        assert set(TASK_KINDS) == set(TASK_KEY_USES)
+
+    @pytest.mark.parametrize("kind", TASK_KEY_USES)
+    def test_each_key_a_kind_reads_parses(self, kind):
+        uses = TASK_KEY_USES[kind]
+        scenario = parse_scenario(f"{TASK_PREAMBLE}task {kind} {uses}\n")
+        task = scenario.tasks[-1]
+        assert task.kind == kind
+        assert list(task.args) == [use.split("=")[0] for use in uses.split()]
+
+    @pytest.mark.parametrize("line, key, message", [
+        ("task betti algebra=A truncaton=2", "truncaton",
+         "task kind 'betti' takes no key 'truncaton'"),
+        ("task trace algebra=A matrix=g max_order=3", "max_order",
+         "task kind 'trace' takes no key 'max_order'"),
+        ("task betti algebra=A truncation=2 truncation=3", "truncation=3",
+         "task key 'truncation' is given twice"),
+        ("task cyc series=H\n  expect cyc=1 cyc=2", "cyc=2",
+         "expect key 'cyc' is given twice"),
+    ])
+    def test_unread_and_repeated_keys_are_located(self, tmp_path, capsys,
+                                                  line, key, message):
+        path = tmp_path / "keys.scn"
+        path.write_text(TASK_PREAMBLE + line + "\n")
+        assert main(["run", str(path)]) == 2
+        where = line.splitlines()[-1]
+        row = TASK_PREAMBLE.count("\n") + 1 + line.count("\n")
+        assert capsys.readouterr().err == (
+            f"error: line {row}, col {where.index(key) + 1}: {message}\n")
+
+    def test_task_lists_keep_their_loose_grammar(self):
+        scenario = parse_scenario(
+            "let g1 = matrix [[1]]\nlet g2 = matrix [[-1]]\n"
+            "task closure generators=[g1 g2]\n"
+            "task closure generators=[] dim=2\n")
+        assert [t.args for t in scenario.tasks] == [
+            {"generators": [Ref("g1"), Ref("g2")]},
+            {"generators": [], "dim": 2}]
 
 
 class TestRunScenarios:
@@ -515,6 +580,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"line 1, col {col}: powers in monomials must be positive" \
             in err, err
+
+    @pytest.mark.parametrize("literal, col, message", [
+        ("{ kind: monomial_quotient, generators: [x, y], relations: [x w] }",
+         62, "unknown generator 'w'"),
+        ("{ kind: normal_quotient, generators: [x, y], q: [[1,-1],[-1,1]], "
+         "normal: [y x] }", 77, "monomials must be written in generator order"),
+        ("{ kind: free, degrees: [1 1] }", 27, "expected ']'"),
+        ("{ kind: free, degrees: [] }", 25, "expected an integer"),
+        # a relation word's power reads as a normal element's does
+        ("{ kind: monomial_quotient, generators: [x, y], relations: [x^0] }",
+         60, "powers in monomials must be positive"),
+    ])
+    def test_lists_and_monomials_are_located(self, capsys, literal, col,
+                                             message):
+        assert main(["betti", "--algebra", literal]) == 2
+        assert capsys.readouterr().err == \
+            f"error: line 1, col {col}: {message}\n"
+
+    @pytest.mark.parametrize("literal, message", [
+        ("{ kind: free, generators: [x, y], degrees: [1] }",
+         "one degree per generator required"),
+        ("{ kind: quantum_affine, q: [[1,-1],[-1,1]], degrees: [1, 1, 1] }",
+         "one degree per generator required"),
+        ("{ kind: monomial_quotient, generators: [x, x], relations: [x^2] }",
+         "generator names must be distinct"),
+        ("{ kind: normal_quotient, generators: [x, x], q: [[1,1],[1,1]], "
+         "normal: [x] }", "generator names must be distinct"),
+    ])
+    def test_names_and_degrees_are_checked(self, capsys, literal, message):
+        assert main(["betti", "--algebra", literal]) == 2
+        assert capsys.readouterr().err == \
+            f"error: line 1, col 1: bad algebra literal: {message}\n"
+
+    def test_monomial_quotient_names_default_from_degrees(self, capsys):
+        assert main(["betti", "--algebra",
+                     "{ kind: monomial_quotient, degrees: [1, 2] }",
+                     "--truncation", "4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [1, 1, 2, 3, 5]
 
     def test_literal_starting_with_a_dash(self, capsys):
         assert main(["classify", "--json", "--", "-t"]) == 0
