@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import gcd, lcm, log
 
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber
 from .exact import (Immutable, Series, _reduce_vec, _rref_add, _simplify,
@@ -470,12 +470,17 @@ def brute_force_trace(g, trunc, order=None):
     basis words up to ``order``, and only one degree's images are held at a
     time.  Coefficients follow the scalar rule: ints and Fractions when
     rational, CyclotomicNumbers otherwise.
+
+    The trace is a class function, and the traces of coprime powers are
+    Galois images of it, so a group needs one call per rational class
+    (``MatrixGroup.rational_classes``): the identity's trace is
+    ``identity_trace`` and every other member's is ``power_trace`` of its
+    representative's.
     """
     pres = trunc.presentation
-    if any(d != 1 for d in pres.degrees):
-        raise ValueError("the multiplicative extension needs degree-1 generators")
     if not isinstance(g, CyclotomicMatrix):
         g = CyclotomicMatrix(g)
+    _check_action(pres, g.dim)
     if order is None:
         order = trunc.cutoff
     if order > trunc.cutoff:
@@ -503,6 +508,49 @@ def brute_force_trace(g, trunc, order=None):
             total = total + images[lab].get(lab, 0)
         coefficients.append(total)
     return Series(coefficients)
+
+
+def _check_action(pres, dim):
+    """The input checks of a trace on pres by a dim x dim matrix."""
+    if any(d != 1 for d in pres.degrees):
+        raise ValueError("the multiplicative extension needs degree-1 generators")
+    if dim != pres.ngens:
+        raise ValueError("matrix dimension must match the generator count")
+
+
+def identity_trace(trunc, dim):
+    """``brute_force_trace`` of the dim x dim identity, after the same input
+    checks, with no products: the truncation's dims."""
+    _check_action(trunc.presentation, dim)
+    return Series(trunc.dims())
+
+
+def power_trace(trace, k, m):
+    """The (series, closed form) trace of g^k from g's, for g of order m and
+    k prime to m: sigma_k of every coefficient.
+
+    g^m = 1, so g's eigenvalues on each A_d are m-th roots of unity and
+    those of g^k their k-th powers; hence Tr(g^k) = sigma_k(Tr g) over any
+    field the algebra is defined over (Serre, *Linear Representations of
+    Finite Groups*, 13.1).  Every coefficient takes one sigma_k', for the
+    least k' >= k with k' = k mod m that is prime to the orders of all of
+    them; it acts as sigma_k on Q(zeta_m), where the coefficients lie.  A field automorphism maps the Pade solution of
+    ``exact.reconstruct`` to that of the image series, so the closed form's
+    image is the image series' closed form.
+    """
+    series, closed = trace
+    coefficients = (*series, *closed.num.coeffs, *closed.den.coeffs)
+    orders = {c.order for c in coefficients
+              if isinstance(c, CyclotomicNumber)}
+    if k == 1 or not orders:
+        return trace
+    modulus = lcm(m, *orders)
+    while gcd(k, modulus) != 1:
+        k += m
+
+    def sigma(c):
+        return c.galois(k) if isinstance(c, CyclotomicNumber) else c
+    return Series(map(sigma, series)), closed.map_coefficients(sigma)
 
 
 @dataclass(frozen=True)
@@ -776,8 +824,10 @@ __all__ = [
     "euler_check",
     "free_algebra",
     "growth_estimate",
+    "identity_trace",
     "monomial_quotient",
     "normal_quotient",
+    "power_trace",
     "quantum_affine",
     "skew_symmetric_q",
     "tor_inequalities",

@@ -21,7 +21,8 @@ two numbers of different orders are lifted into Q(zeta_lcm), where z_N
 becomes z_M^(M/N), reduced mod Phi_M in the same way.  A number hashes as
 its normalized trace Tr(x)/phi(N), which lifting leaves unchanged, so equal
 numbers hash alike whatever orders they carry; the hash is computed once per
-value and kept with it.
+value and kept with it.  ``galois(k)`` is the automorphism z -> z^k, the
+residue p(z) sent to p(z^k) and reduced in the same way.
 
 ``CyclotomicMatrix`` holds ints, Fractions and numbers of any orders under
 the same rule, and leaves every order question to that arithmetic; its
@@ -105,6 +106,18 @@ class CyclotomicNumber(Immutable):
         out = [0] * (self.residue.degree * r + 1)
         out[::r] = self.residue.coeffs
         return _reduced(order, out)
+
+    def galois(self, k):
+        """sigma_k(self), the Galois automorphism z -> z^k of Q(zeta_order):
+        the residue p(z) becomes p(z^k) mod Phi_order.  k must be prime to
+        the order."""
+        n = self.order
+        if gcd(k, n) != 1:
+            raise ValueError(f"sigma_{k} needs k prime to the order {n}")
+        out = [0] * n
+        for i, c in enumerate(self.residue.coeffs):
+            out[i * k % n] += c
+        return _reduced(n, out)
 
     @classmethod
     def _raw(cls, order, residue):

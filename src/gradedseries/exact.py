@@ -446,6 +446,12 @@ class RationalFunction(Immutable):
         return all(type(c) in _RATIONAL
                    for c in self.num.coeffs + self.den.coeffs)
 
+    def map_coefficients(self, fn):
+        """fn applied to every coefficient of num and den.  fn must be a
+        field automorphism, which keeps the form reduced with den(0) = 1."""
+        return self._wrap(Poly(map(fn, self.num.coeffs)),
+                          Poly(map(fn, self.den.coeffs)))
+
     def to_rational_function(self):
         """The same value, checked to expand to an integer series; None if a
         coefficient is irrational."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .cyclofield import CyclotomicMatrix
 from .exact import (Immutable, Poly, RationalFunction, one_minus_power,
@@ -45,6 +45,7 @@ VERDICT_NEITHER = "neither"
 
 PROVENANCE_CHARPOLY = "charpoly-rule"
 PROVENANCE_BRUTE_FORCE = "brute-force"
+PROVENANCE_DIMS = "truncation-dims"
 PROVENANCE_USER = "user-supplied"
 
 
@@ -126,6 +127,35 @@ class MatrixGroup(Immutable):
                 x, k = row[x], k + 1
             e = lcm(e, k)
         return e
+
+    def rational_classes(self):
+        """(r, k, m) per element index: the element is h x^k h^-1 for some h
+        in G, where x = elements[r] has order m and k is prime to m.
+
+        A class is the orbit of its representative x under x -> h x^k h^-1.
+        Elements are walked in index order, so each representative is the
+        first element of its class (the identity is its own), and a
+        conjugate of x itself has k = 1.  The orbits are read from the
+        multiplication table, with no matrix products.
+        """
+        table = self.multiplication_table()
+        inverse = [row.index(0) for row in table]
+        classes = [None] * self.order
+        for r in range(self.order):
+            if classes[r] is not None:
+                continue
+            powers = [0, r]  # powers[j] = x^j, up to x^m = 1
+            while powers[-1]:
+                powers.append(table[powers[-1]][r])
+            m = len(powers) - 1
+            for k in range(1, m + 1):
+                if gcd(k, m) != 1:
+                    continue
+                for h, row in enumerate(table):
+                    y = table[row[powers[k]]][inverse[h]]
+                    if classes[y] is None:
+                        classes[y] = (r, k, m)
+        return classes
 
     def subset_closure(self, seed_indices):
         """Smallest closed subset (hence subgroup) containing the seeds.
@@ -228,6 +258,11 @@ def subgroups(group, max_order=64):
 @dataclass(frozen=True)
 class TraceAssignment:
     """Trace series per group element, with the provenance of each value.
+
+    A provenance is one of the PROVENANCE_* names (``truncation-dims`` is the
+    identity's brute-force trace, read off the truncation's dims), or, for a
+    trace derived from its rational class representative's, ``conjugate of
+    element r`` or ``sigma_k of element r``, r the representative's index.
 
     The Molien sum of the assignment is kept on it once ``molien`` has
     taken it, so every caller that holds the assignment shares one sum.

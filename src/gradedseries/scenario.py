@@ -27,7 +27,9 @@ betti, cyc, bireflection.
 
 An algebra literal or a task gives each key (and each ``expect`` field) at
 most once, and only the keys its kind reads (``_ALGEBRA_KEYS``,
-``_TASK_KEYS``).
+``_TASK_KEYS``).  A task key that names no declared input takes one Kind of
+value, such as a nonnegative integer or one of ``charpoly``, ``bruteforce``;
+any other value is an error located at the value.
 """
 
 from __future__ import annotations
@@ -40,11 +42,14 @@ from .algebras import (
     betti_numbers,
     brute_force_trace,
     build_truncation,
+    check_automorphism,
     euler_check,
     free_algebra,
     growth_estimate,
+    identity_trace,
     monomial_quotient,
     normal_quotient,
+    power_trace,
     quantum_affine,
 )
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber
@@ -52,6 +57,7 @@ from .cyclotomic import cyc_number, is_cyclotomic
 from .exact import NonUnitConstantError, RationalFunction, reconstruct
 from .groups import (
     PROVENANCE_BRUTE_FORCE,
+    PROVENANCE_DIMS,
     TraceAssignment,
     assign_charpoly_traces,
     classical_bireflection_rank,
@@ -87,21 +93,31 @@ Lit = namedtuple("Lit", "text line")
 
 _SYMBOLS = set("[]{}(),=:^+-*/")
 
+# the kind of a plain task value: what it must be, and the test of a value
+Kind = namedtuple("Kind", "what accepts")
+_INTEGER = Kind("an integer", lambda v: type(v) is int)
+_NATURAL = Kind("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+_POSITIVE = Kind("a positive integer", lambda v: type(v) is int and v > 0)
+_NAME = Kind("an identifier", lambda v: isinstance(v, Ref))
+_TRACES = Kind("charpoly or bruteforce", lambda v: isinstance(v, Ref)
+               and v.name in ("charpoly", "bruteforce"))
+
 # the keys each task kind reads, each with the category of the declared
-# input it names, or None for a plain value; any other key is an error
-_TRACE_KEYS = {"algebra": "algebra", "truncation": None, "num_bound": None,
-               "den_bound": None}
+# input it names, or the Kind of a plain value; any other key is an error
+_TRACE_KEYS = {"algebra": "algebra", "truncation": _NATURAL,
+               "num_bound": _NATURAL, "den_bound": _NATURAL}
 _TASK_KEYS = {
-    "closure": {"generators": "matrix", "name": None, "cap": None,
-                "dim": None},
-    "subgroups": {"group": "group", "max_order": None},
-    "molien": {"group": "group", "traces": None, **_TRACE_KEYS},
-    "classify": {"group": "group", "traces": None, **_TRACE_KEYS,
-                 "series": "series", "gk": None},
-    "veronese": {"series": "series", "r": None, "num_bound": None,
-                 "den_bound": None},
-    "trace": {"matrix": "matrix", **_TRACE_KEYS, "gk": None, "index": None},
-    "betti": {"algebra": "algebra", "truncation": None},
+    "closure": {"generators": "matrix", "name": _NAME, "cap": _POSITIVE,
+                "dim": _POSITIVE},
+    "subgroups": {"group": "group", "max_order": _POSITIVE},
+    "molien": {"group": "group", "traces": _TRACES, **_TRACE_KEYS},
+    "classify": {"group": "group", "traces": _TRACES, **_TRACE_KEYS,
+                 "series": "series", "gk": _NATURAL},
+    "veronese": {"series": "series", "r": _POSITIVE, "num_bound": _NATURAL,
+                 "den_bound": _NATURAL},
+    "trace": {"matrix": "matrix", **_TRACE_KEYS, "gk": _NATURAL,
+              "index": _INTEGER},
+    "betti": {"algebra": "algebra", "truncation": _NATURAL},
     "cyc": {"series": "series"},
     "bireflection": {"matrix": "matrix"},
 }
@@ -582,7 +598,12 @@ def _parse_key_values(cur, kind):
                 f"{'task' if target is args else 'expect'} key "
                 f"{tok.value!r} is given twice", tok.line, tok.col)
         cur.expect_symbol("=")
-        target[tok.value] = _parse_task_value(cur)
+        start = cur.peek()
+        value = target[tok.value] = _parse_task_value(cur)
+        kind_of = _TASK_KEYS[kind].get(tok.value) if target is args else None
+        if isinstance(kind_of, Kind) and not kind_of.accepts(value):
+            raise ParseError(f"task {kind!r} key {tok.value!r} must be "
+                             f"{kind_of.what}", start.line, start.col)
     return args, expect
 
 
@@ -590,7 +611,7 @@ def _validate_refs(task, declared):
     for key, category in _TASK_KEYS[task.kind].items():
         value = task.args.get(key)
         for ref in value if isinstance(value, list) else [value]:
-            if (category and isinstance(ref, Ref)
+            if (isinstance(category, str) and isinstance(ref, Ref)
                     and declared.get(ref.name) != category):
                 raise UndeclaredInputError(
                     f"task {task.kind!r} references undeclared {category} "
@@ -642,7 +663,7 @@ def parse_scenario(text):
             args, expect = _parse_key_values(cur, kind_tok.value)
             task = Task(kind_tok.value, args, expect, head.line)
             _validate_refs(task, declared)
-            if kind_tok.value == "closure" and isinstance(args.get("name"), Ref):
+            if kind_tok.value == "closure" and "name" in args:
                 declared[args["name"].name] = "group"
             scenario.tasks.append(task)
             continue
@@ -663,7 +684,8 @@ class _Runner:
         self.scenario = scenario
         self.env = dict(scenario.bindings)
         # computed once per run: truncations by (presentation, cutoff),
-        # (series, closed form) of brute-force traces by (presentation,
+        # (series, closed form) of brute-force traces, each computed or
+        # derived from its class representative's, by (presentation,
         # cutoff, matrix, num_bound, den_bound), and trace assignments by
         # (group, mode) plus, for brute force, those trace arguments but the
         # matrix.  An assignment keeps its Molien sum, so the molien and
@@ -694,7 +716,7 @@ class _Runner:
             handler = getattr(self, f"run_{task.kind}")
             try:
                 result = handler(task.args)
-            except (ParseError, ScenarioExecutionError):
+            except ParseError:
                 raise
             except Exception as exc:
                 where = f" (line {task.line})" if task.line else ""
@@ -767,9 +789,8 @@ class _Runner:
         cap = args.get("cap", 1000)
         dim = args.get("dim")
         group = closure(gens, cap=cap, dim=dim)
-        name = args.get("name")
-        if isinstance(name, Ref):
-            self.env[name.name] = ("group", group)
+        if "name" in args:
+            self.env[args["name"].name] = ("group", group)
         return {"order": group.order, "dim": group.dim}
 
     def run_subgroups(self, args):
@@ -779,25 +800,53 @@ class _Runner:
         return {"count": len(subs), "orders": orders}
 
     def assignment_for(self, args, group):
-        mode = args.get("traces", Ref("charpoly"))
-        mode = mode.name if isinstance(mode, Ref) else mode
-        if mode == "charpoly":
-            key = (group, mode)
-        elif mode == "bruteforce":
-            key = (group, mode) + self.trace_args(args)
-        else:
-            raise ScenarioExecutionError(
-                "traces must be charpoly or bruteforce")
+        mode = args.get("traces", Ref("charpoly")).name
+        key = (group, mode)
+        if mode == "bruteforce":
+            key += self.trace_args(args)
         if key not in self.assignments:
-            if mode == "charpoly":
-                assignment = assign_charpoly_traces(group)
-            else:
-                traces = tuple(closed for _, closed in
-                               self.brute_force_traces(args, group.elements))
-                assignment = TraceAssignment(
-                    group, traces, (PROVENANCE_BRUTE_FORCE,) * group.order)
-            self.assignments[key] = assignment
+            self.assignments[key] = (
+                assign_charpoly_traces(group) if mode == "charpoly"
+                else self.brute_force_assignment(args, group))
         return self.assignments[key]
+
+    def brute_force_assignment(self, args, group):
+        """The group's traces on the algebra in ``args``, with one
+        ``brute_force_trace`` per rational class
+        (``MatrixGroup.rational_classes``): the identity's trace is the
+        truncation's dims, a representative's is brute-forced, and every
+        other element's is ``power_trace`` of its representative's.
+
+        The elements are taken in index order, as a brute force of each one
+        takes them, so a bad input fails with the same error.  A generator
+        that is no representative is checked to be an automorphism before
+        its trace is derived; the automorphisms form a group, so every
+        element is checked.
+        """
+        presentation, cutoff, num_bound, den_bound = self.trace_args(args)
+        generators = set(group.generators)
+        pairs, provenance = [], []
+        for i, (g, (r, k, m)) in enumerate(zip(group.elements,
+                                                group.rational_classes())):
+            if i == 0:
+                provenance.append(PROVENANCE_DIMS)
+                pairs.append(self.trace_pair(
+                    args, g, lambda trunc: identity_trace(trunc, group.dim)))
+                continue
+            if i == r:
+                provenance.append(PROVENANCE_BRUTE_FORCE)
+                pairs.append(self.trace_pair(args, g))
+                continue
+            provenance.append(f"{'conjugate' if k == 1 else f'sigma_{k}'} "
+                              f"of element {r}")
+            key = (presentation, cutoff, g, num_bound, den_bound)
+            if key not in self.traces:
+                if g in generators:
+                    check_automorphism(g, self.truncation(presentation, cutoff))
+                self.traces[key] = power_trace(pairs[r], k, m)
+            pairs.append(self.traces[key])
+        return TraceAssignment(group, tuple(closed for _, closed in pairs),
+                               tuple(provenance))
 
     def truncation(self, presentation, cutoff):
         key = (presentation, cutoff)
@@ -813,19 +862,20 @@ class _Runner:
                 args.get("num_bound", 0),
                 args.get("den_bound", presentation.ngens))
 
-    def brute_force_traces(self, args, matrices):
-        """(series, closed form) of each matrix's trace on the algebra in
-        ``args``, truncated at ``truncation`` and reconstructed within
-        ``num_bound``/``den_bound``; each is computed once per run."""
+    def trace_pair(self, args, g, series_of=None):
+        """(series, closed form) of g's trace on the algebra in ``args``,
+        truncated at ``truncation`` and reconstructed within
+        ``num_bound``/``den_bound``, computed once per run.  The series is
+        series_of(truncation) when that is given, else the brute force."""
         presentation, cutoff, num_bound, den_bound = self.trace_args(args)
-        for g in matrices:
-            key = (presentation, cutoff, g, num_bound, den_bound)
-            if key not in self.traces:
-                series = brute_force_trace(g, self.truncation(presentation,
-                                                              cutoff))
-                self.traces[key] = (series,
-                                    reconstruct(series, num_bound, den_bound))
-            yield self.traces[key]
+        key = (presentation, cutoff, g, num_bound, den_bound)
+        if key not in self.traces:
+            trunc = self.truncation(presentation, cutoff)
+            series = (series_of(trunc) if series_of
+                      else brute_force_trace(g, trunc))
+            self.traces[key] = (series,
+                                reconstruct(series, num_bound, den_bound))
+        return self.traces[key]
 
     def run_molien(self, args):
         group = self.lookup(args["group"], "group")
@@ -858,7 +908,7 @@ class _Runner:
     def run_trace(self, args):
         presentation = self.lookup(args["algebra"], "algebra")
         g = self.lookup(args["matrix"], "matrix")
-        [(series, closed)] = self.brute_force_traces(args, [g])
+        series, closed = self.trace_pair(args, g)
         gk = args.get("gk", presentation.ngens)
         pole = classify_pole(closed, gk)
         result = {

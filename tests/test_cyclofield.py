@@ -154,6 +154,40 @@ class TestCyclotomicNumber:
             assert again == x and hash(again) == hash(x)
             assert hash(x * y + w) == hash(w + y * x)
 
+    def test_galois_is_a_field_automorphism(self):
+        rng = random.Random(41)
+
+        def sigma(x, k):
+            return x.galois(k) if isinstance(x, CyclotomicNumber) else x
+        for n in ORDERS:
+            units = [k for k in range(1, 2 * n) if gcd(k, n) == 1]
+            for k in units:
+                assert sigma(CyclotomicNumber.zeta(n), k) == \
+                    CyclotomicNumber.zeta(n, k)
+            for _ in range(12):
+                x, y = random_number(rng, n), random_number(rng, n)
+                j, k = rng.choice(units), rng.choice(units)
+                sx, sy = sigma(x, k), sigma(y, k)
+                assert sigma(x * y, k) == sx * sy
+                assert sigma(x + y, k) == sx + sy
+                assert sigma(sx, j) == sigma(x, j * k)
+                assert_scalar_rule(sx)
+                if not isinstance(x, CyclotomicNumber):
+                    continue  # a rational draw, fixed by every sigma_k
+                # p(z) -> p(z^k), summed over the power basis
+                power_sum = sum(c * CyclotomicNumber.zeta(n, i * k)
+                                for i, c in enumerate(x.coords))
+                assert sx == power_sum and hash(sx) == hash(power_sum)
+                # sigma_k commutes with lift; equal results hash alike
+                for m in (2 * n, 3 * n):
+                    if gcd(k, m) == 1:
+                        lifted = x.lift(m).galois(k)
+                        assert lifted.order == m and lifted == sx.lift(m)
+                        assert len({lifted, sx}) == 1
+        for n, k in ((4, 2), (9, 3), (12, 10), (5, 0)):
+            with pytest.raises(ValueError):
+                CyclotomicNumber.zeta(n).galois(k)
+
     def test_kernel_matches_poly_arithmetic(self):
         # the in-place product, the sums and the lifts against the public
         # Poly formula (x.residue * y.residue) % Phi_M in the lcm order M

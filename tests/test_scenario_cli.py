@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import shlex
 from pathlib import Path
 
@@ -9,7 +11,8 @@ from gradedseries import cli as cli_module
 from gradedseries import groups as groups_module
 from gradedseries import scenario as scenario_module
 from gradedseries.cli import main
-from gradedseries.exact import Poly, normalize, one_minus_power
+from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber
+from gradedseries.exact import Poly, normalize, one_minus_power, reconstruct
 from gradedseries.scenario import (
     TASK_KINDS,
     ParseError,
@@ -131,6 +134,18 @@ TASK_PREAMBLE = ("let g = matrix [[0, 1], [1, 0]]\n"
                  "task closure name=G generators=[g]\n")
 
 
+def assert_located(tmp_path, capsys, line, marker, message, shift=0):
+    """Running TASK_PREAMBLE + line exits 2 with message, located at the
+    marker's first column plus shift on the last line."""
+    path = tmp_path / "keys.scn"
+    path.write_text(TASK_PREAMBLE + line + "\n")
+    assert main(["run", str(path)]) == 2
+    col = line.splitlines()[-1].index(marker) + 1 + shift
+    row = TASK_PREAMBLE.count("\n") + 1 + line.count("\n")
+    assert capsys.readouterr().err == (
+        f"error: line {row}, col {col}: {message}\n")
+
+
 class TestTaskKeys:
     def test_every_kind_is_listed(self):
         assert set(TASK_KINDS) == set(TASK_KEY_USES)
@@ -155,13 +170,26 @@ class TestTaskKeys:
     ])
     def test_unread_and_repeated_keys_are_located(self, tmp_path, capsys,
                                                   line, key, message):
-        path = tmp_path / "keys.scn"
-        path.write_text(TASK_PREAMBLE + line + "\n")
-        assert main(["run", str(path)]) == 2
-        where = line.splitlines()[-1]
-        row = TASK_PREAMBLE.count("\n") + 1 + line.count("\n")
-        assert capsys.readouterr().err == (
-            f"error: line {row}, col {where.index(key) + 1}: {message}\n")
+        assert_located(tmp_path, capsys, line, key, message)
+
+    @pytest.mark.parametrize("line, value, message", [
+        ("task betti algebra=A truncation=x", "=x",
+         "task 'betti' key 'truncation' must be a nonnegative integer"),
+        ("task closure generators=[g] cap=true", "=true",
+         "task 'closure' key 'cap' must be a positive integer"),
+        ("task molien group=G traces=nope", "=nope",
+         "task 'molien' key 'traces' must be charpoly or bruteforce"),
+        ("task trace algebra=A matrix=g den_bound=-1", "=-1",
+         "task 'trace' key 'den_bound' must be a nonnegative integer"),
+        ("task closure generators=[g] name=5", "=5",
+         "task 'closure' key 'name' must be an identifier"),
+        ("task trace algebra=A matrix=g index=[2]", "=[2]",
+         "task 'trace' key 'index' must be an integer"),
+    ])
+    def test_plain_values_are_typed_and_located(self, tmp_path, capsys,
+                                                line, value, message):
+        # located at the value, one column past its "="
+        assert_located(tmp_path, capsys, line, value, message, 1)
 
     def test_task_lists_keep_their_loose_grammar(self):
         scenario = parse_scenario(
@@ -239,8 +267,10 @@ class TestRunnerCache:
         return calls
 
     @pytest.mark.parametrize("name, traces", [
-        ("double_transposition.scn", 2),   # 5 without the cache
-        ("mystic_bireflection.scn", 4),    # 9 without the cache
+        # one per rational class but the identity's; 2 and 4 with one per
+        # element, 5 and 9 without the cache
+        ("double_transposition.scn", 1),
+        ("mystic_bireflection.scn", 2),
     ])
     def test_bundled_call_counts(self, monkeypatch, name, traces):
         calls = self.spy(monkeypatch)
@@ -348,6 +378,158 @@ class TestAssignmentCache:
             assert got == want
         assert len(built) + len(charpoly) == assignments
         assert len(sums) == assignments  # one Molien sum per assignment
+
+
+def skew_q(rng, n):
+    """A random symmetric matrix of +-1 parameters with unit diagonal."""
+    q = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[i][j] = q[j][i] = rng.choice((1, -1))
+    return q
+
+
+def signed_permutation(perm, signs):
+    """x_j -> signs[j] x_perm[j]: column j holds signs[j] in row perm[j]."""
+    n = len(perm)
+    return CyclotomicMatrix([[signs[j] if perm[j] == i else 0
+                              for j in range(n)] for i in range(n)])
+
+
+def random_signed_permutation(rng, q):
+    """A signed permutation that preserves the +-1 parameters q."""
+    n = len(q)
+    perms = [p for p in itertools.permutations(range(n))
+             if all(q[p[i]][p[j]] == q[i][j] for i in range(n)
+                    for j in range(n))]
+    return signed_permutation(rng.choice(perms),
+                              [rng.choice((1, -1)) for _ in range(n)])
+
+
+class TestClassTraces:
+    """A brute-force assignment brute-forces one element per rational class
+    but the identity; the identity's trace is the truncation's dims, and the
+    trace of a conjugate or coprime power of a representative is a Galois
+    image of the representative's.  Each must equal the element's own brute
+    force."""
+
+    def assignment(self, pres, group, cutoff, den_bound, num_bound=0):
+        runner = scenario_module._Runner(
+            scenario_module.Scenario(bindings={"B": ("algebra", pres)}))
+        args = {"algebra": Ref("B"), "traces": Ref("bruteforce"),
+                "truncation": cutoff, "num_bound": num_bound,
+                "den_bound": den_bound}
+        return runner.assignment_for(args, group)
+
+    def check_every_element(self, pres, generators, cutoff, den_bound,
+                            num_bound=0):
+        group = gs.closure(generators, cap=100)
+        assignment = self.assignment(pres, group, cutoff, den_bound,
+                                     num_bound)
+        trunc = gs.build_truncation(pres, cutoff)
+        for g, closed, how in zip(group.elements, assignment.traces,
+                                  assignment.provenance, strict=True):
+            series = gs.brute_force_trace(g, trunc)
+            assert closed == reconstruct(series, num_bound, den_bound), how
+        classes = {r for r, _, _ in group.rational_classes()}
+        assert assignment.provenance.count("brute-force") == len(classes) - 1
+        return group, assignment
+
+    @pytest.mark.parametrize("name", ["mystic_bireflection.scn",
+                                      "double_transposition.scn"])
+    def test_bundled_groups(self, name):
+        bindings = parse_scenario(gs.load_bundled_scenario(name)).bindings
+        pres, g = bindings["B"][1], bindings["g"][1]
+        self.check_every_element(pres, [g], 2 * pres.ngens + 2, pres.ngens)
+
+    def test_generated_signed_permutation_and_diagonal_groups(self):
+        rng = random.Random(2021)
+        irrational = 0
+        for _ in range(12):
+            n = rng.choice((2, 3))
+            q = skew_q(rng, n)
+            pres = gs.quantum_affine(q)
+            gens = [random_signed_permutation(rng, q)
+                    for _ in range(rng.choice((1, 2)))]
+            self.check_every_element(pres, gens, 2 * n + 2, n)
+        for _ in range(12):
+            n, N = rng.choice((2, 3)), rng.choice((3, 4, 5, 6, 8))
+            pres = gs.quantum_affine(skew_q(rng, n))
+            # eigenvalues not closed under Galois, so traces are irrational
+            diagonal = CyclotomicMatrix(
+                [[CyclotomicNumber.zeta(N, rng.randrange(N)) if i == j else 0
+                  for j in range(n)] for i in range(n)])
+            _, assignment = self.check_every_element(pres, [diagonal],
+                                                     2 * n + 2, n)
+            irrational += sum(how.startswith("sigma_") and not f.is_rational()
+                              for f, how in zip(assignment.traces,
+                                                assignment.provenance))
+        assert irrational
+
+    def test_symmetric_group_classes_are_conjugates(self):
+        # S_3 and the signed permutations of order 48 on k_{-1}[x1, x2, x3]
+        pres = gs.quantum_affine(gs.skew_symmetric_q(3))
+        swap = signed_permutation((1, 0, 2), (1, 1, 1))
+        cycle = signed_permutation((1, 2, 0), (1, 1, 1))
+        group, assignment = self.check_every_element(pres, [swap, cycle],
+                                                     8, 3)
+        assert group.order == 6
+        # one transposition and one 3-cycle are brute-forced
+        assert assignment.provenance.count("brute-force") == 2
+        assert sum(how.startswith("conjugate of element")
+                   for how in assignment.provenance) == 3
+        flip = signed_permutation((0, 1, 2), (-1, 1, 1))
+        group, _ = self.check_every_element(pres, [swap, cycle, flip], 8, 3)
+        assert group.order == 48
+
+    def test_galois_images_over_an_irrational_normal_quotient(self):
+        # k_{-1}[x1, x2, x3] / (x1^2 + zeta_5 x2^2) is not defined over Q;
+        # g sends the normal element to zeta_5 times itself and has order 10
+        z = CyclotomicNumber.zeta(5)
+        pres = gs.normal_quotient(gs.skew_symmetric_q(3),
+                                  [{(2, 0, 0): 1, (0, 2, 0): z}])
+        g = CyclotomicMatrix([[0, 1, 0], [z, 0, 0], [0, 0, 1]])
+        group, assignment = self.check_every_element(pres, [g], 10, 3, 2)
+        assert group.order == 10
+        cube = g * g * g
+        seventh = cube * cube * g
+        for power, k in ((cube, 3), (seventh, 7)):
+            i = group.index_of(power)
+            assert assignment.provenance[i] == f"sigma_{k} of element 1"
+            # an irrational trace that differs from g's: no conjugation
+            # could give it
+            assert assignment.traces[i] != assignment.traces[1]
+            assert not assignment.traces[i].is_rational()
+
+    def test_provenance_names_the_representative(self):
+        bindings = parse_scenario(
+            gs.load_bundled_scenario("mystic_bireflection.scn")).bindings
+        group = gs.closure([bindings["g"][1]])
+        assignment = self.assignment(bindings["B"][1], group, 12, 3)
+        assert assignment.provenance == (
+            "truncation-dims", "brute-force", "brute-force",
+            "sigma_3 of element 1")
+
+    def test_a_derived_generator_is_still_checked(self, tmp_path, capsys):
+        # (2 3) is an automorphism and (1 2) is not, though it is conjugate
+        # to (2 3) in the group they generate, so its trace is derived; the
+        # run fails with the error of a brute force of each element in turn
+        text = ("let B = algebra { kind: quantum_affine, "
+                "q: [[1,-1,-1],[-1,1,1],[-1,1,1]] }\n"
+                "let g = matrix [[1,0,0],[0,0,1],[0,1,0]]\n"
+                "let h = matrix [[0,1,0],[1,0,0],[0,0,1]]\n"
+                "task closure name=G generators=[g, h]\n"
+                "task molien group=G traces=bruteforce algebra=B "
+                "truncation=8\n")
+        bindings = parse_scenario(text).bindings
+        group = gs.closure([bindings["g"][1], bindings["h"][1]])
+        assert group.rational_classes()[2] == (1, 1, 2)
+        path = tmp_path / "bad.scn"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: task 'molien' (line 5): the image of the commutation "
+            "relation of x1 and x3 is not zero in the algebra\n")
 
 
 class TestCli:
@@ -530,6 +712,19 @@ class TestCli:
     def test_trace_input_errors_name_their_cause(self, capsys, argv, message):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: task 'trace': {message}\n"
+
+    @pytest.mark.parametrize("task", [
+        "task closure generators=[1] cap=3",
+        "task trace algebra=A matrix=[g]",
+    ])
+    def test_runner_errors_name_their_task_and_line(self, tmp_path, capsys,
+                                                    task):
+        path = tmp_path / "refs.scn"
+        path.write_text(TASK_PREAMBLE + task + "\n")
+        assert main(["run", str(path)]) == 2
+        kind = task.split()[1]
+        assert capsys.readouterr().err == (
+            f"error: task {kind!r} (line 5): expected a matrix reference\n")
 
     def test_betti_negative_truncation_is_bad_input(self, capsys):
         assert main(["betti", "--algebra",
