@@ -63,6 +63,7 @@ from .groups import (
     generated_by_quasi_bireflections,
     hdet,
     molien,
+    pole_classifications,
     reciprocal_charpoly_trace,
     subgroups,
 )

@@ -56,9 +56,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, log
+from math import log
 
-from .cyclofield import CyclotomicMatrix, CyclotomicNumber
+from .cyclofield import CyclotomicMatrix, CyclotomicNumber, power_galois
 from .exact import (Immutable, Series, _reduce_vec, _rref_add, _simplify,
                     expand, scalar_inverse)
 
@@ -416,20 +416,20 @@ def check_automorphism(g, trunc):
     """Raise NotAnAutomorphismError unless g is invertible and respects the
     defining relations.
 
-    g sends x_i to sum_j g[j][i] x_j, and det g must not be 0: a singular g
-    that respects the relations is an endomorphism, not an automorphism, and
-    has no trace series to report.  Every defining relation must vanish
-    when it is evaluated on these images with the algebra's own product:
-    each relation word, each x_j x_i - q_ij x_i x_j (i < j) and each normal
-    element, whatever its degree.  A relation or normal element longer than
-    the cutoff is evaluated in a truncation built up to its length.
+    The input checks come first, the same ``_check_action`` that
+    ``brute_force_trace`` and ``identity_trace`` make, so a bad input gets
+    one message from all three.  g sends x_i to sum_j g[j][i] x_j, and det g
+    must not be 0: a singular g that respects the relations is an
+    endomorphism, not an automorphism, and has no trace series to report.
+    Every defining relation must vanish when it is evaluated on these images
+    with the algebra's own product: each relation word, each
+    x_j x_i - q_ij x_i x_j (i < j) and each normal element, whatever its
+    degree.  A relation or normal element longer than the cutoff is
+    evaluated in a truncation built up to its length.
     """
     pres = trunc.presentation
     n = pres.ngens
-    if g.dim != n:
-        raise ValueError("matrix dimension must match the generator count")
-    if any(d != 1 for d in pres.degrees):
-        raise ValueError("a degree-1 matrix action needs degree-1 generators")
+    _check_action(pres, g.dim)
     if not g.det():
         raise NotAnAutomorphismError("the matrix is singular")
     names = pres.names
@@ -461,10 +461,10 @@ def brute_force_trace(g, trunc, order=None):
     """Trace series of the multiplicative extension of g, degree by degree.
 
     g acts on the degree-1 generators; the precondition that it preserve the
-    relations is checked first, on every call.  The image of a word is the
-    image of its prefix times one generator image, so degree d's images are
-    products of degree d - 1's with the generator images, in the order
-    ``_apply_to_word`` multiplies.  The images are keyed by word, since a
+    relations is checked first, on every call, by ``check_automorphism``.
+    The image of a word is the image of its prefix times one generator
+    image, so degree d's images are products of degree d - 1's with the
+    generator images, in the order ``_apply_to_word`` multiplies.  The images are keyed by word, since a
     prefix of a basis word need not be a basis label (a normal quotient's
     basis is not prefix-closed): the words kept are the prefix closure of the
     basis words up to ``order``, and only one degree's images are held at a
@@ -480,12 +480,11 @@ def brute_force_trace(g, trunc, order=None):
     pres = trunc.presentation
     if not isinstance(g, CyclotomicMatrix):
         g = CyclotomicMatrix(g)
-    _check_action(pres, g.dim)
+    check_automorphism(g, trunc)
     if order is None:
         order = trunc.cutoff
     if order > trunc.cutoff:
         raise ValueError("trace order exceeds the truncation cutoff")
-    check_automorphism(g, trunc)
     gen_vectors = _generator_images(g, trunc)
     # words[d]: the basis words of degree d and the prefixes of longer ones
     words = [None] * (order + 1)
@@ -527,29 +526,16 @@ def identity_trace(trunc, dim):
 
 def power_trace(trace, k, m):
     """The (series, closed form) trace of g^k from g's, for g of order m and
-    k prime to m: sigma_k of every coefficient.
-
-    g^m = 1, so g's eigenvalues on each A_d are m-th roots of unity and
-    those of g^k their k-th powers; hence Tr(g^k) = sigma_k(Tr g) over any
-    field the algebra is defined over (Serre, *Linear Representations of
-    Finite Groups*, 13.1).  Every coefficient takes one sigma_k', for the
-    least k' >= k with k' = k mod m that is prime to the orders of all of
-    them; it acts as sigma_k on Q(zeta_m), where the coefficients lie.  A field automorphism maps the Pade solution of
-    ``exact.reconstruct`` to that of the image series, so the closed form's
-    image is the image series' closed form.
+    k prime to m: ``cyclofield.power_galois`` of every coefficient.  A field
+    automorphism maps the Pade solution of ``exact.reconstruct`` to that of
+    the image series, so the closed form's image is the image series' closed
+    form.
     """
     series, closed = trace
-    coefficients = (*series, *closed.num.coeffs, *closed.den.coeffs)
-    orders = {c.order for c in coefficients
-              if isinstance(c, CyclotomicNumber)}
-    if k == 1 or not orders:
+    sigma = power_galois((*series, *closed.num.coeffs, *closed.den.coeffs),
+                         k, m)
+    if sigma is None:
         return trace
-    modulus = lcm(m, *orders)
-    while gcd(k, modulus) != 1:
-        k += m
-
-    def sigma(c):
-        return c.galois(k) if isinstance(c, CyclotomicNumber) else c
     return Series(map(sigma, series)), closed.map_coefficients(sigma)
 
 

@@ -159,9 +159,20 @@ def cmd_run(args):
     return EXIT_OK if passed else EXIT_EXPECTATION_FAILED
 
 
-def _zeta_order(text):
-    """The --zeta-order value: a positive int, as in a scenario header."""
-    if not text.isdecimal() or int(text) < 1:
+def _integer(text):
+    """An integer option's value: ASCII digits after an optional '-', as a
+    scenario file writes an integer (``int`` alone would read '٣' as 3).
+    Its range is checked by the task that reads it."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}")
+    return int(text)
+
+
+def _positive(text):
+    """The --zeta-order and --cap values: a positive int in ASCII digits, as
+    in a scenario header and a closure task."""
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, not {text!r}")
     return int(text)
@@ -218,7 +229,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--zeta-order", type=_zeta_order, default=1,
+        p.add_argument("--zeta-order", type=_positive, default=1,
                        help="order of the primitive root available as z")
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report")
@@ -235,23 +246,23 @@ def build_parser():
 
     p = sub.add_parser("veronese", help="closed form of the r-section")
     p.add_argument("series", help=SERIES_HELP)
-    p.add_argument("-r", "--stride", type=int, required=True)
-    p.add_argument("--num-bound", type=int, default=None)
-    p.add_argument("--den-bound", type=int, default=None)
+    p.add_argument("-r", "--stride", type=_integer, required=True)
+    p.add_argument("--num-bound", type=_integer, default=None)
+    p.add_argument("--den-bound", type=_integer, default=None)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_veronese)
 
     p = sub.add_parser("molien", help="invariant Hilbert series of a matrix group")
     p.add_argument("--matrix", action="append", required=True,
                    help="generator " + MATRIX_HELP)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive, default=None)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_on_group)
 
     p = sub.add_parser("subgroups", help="subgroup inventory of a small group")
     p.add_argument("--matrix", action="append", required=True,
                    help="generator " + MATRIX_HELP)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive, default=None)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_on_group)
 
@@ -263,15 +274,15 @@ def build_parser():
     p = sub.add_parser("trace", help="brute-force trace series of a matrix action")
     p.add_argument("--algebra", required=True, help=ALGEBRA_HELP)
     p.add_argument("--matrix", required=True, help=MATRIX_HELP)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--num-bound", type=int, default=None)
-    p.add_argument("--den-bound", type=int, default=None)
+    p.add_argument("--truncation", type=_integer, default=None)
+    p.add_argument("--num-bound", type=_integer, default=None)
+    p.add_argument("--den-bound", type=_integer, default=None)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_trace)
 
     p = sub.add_parser("betti", help="minimal free resolution Betti numbers")
     p.add_argument("--algebra", required=True, help=ALGEBRA_HELP)
-    p.add_argument("--truncation", type=int, default=None)
+    p.add_argument("--truncation", type=_integer, default=None)
     common(p)
     p.set_defaults(func=cmd_task, tasks=_betti)
 

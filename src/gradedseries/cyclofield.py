@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
 from .exact import (_RATIONAL, Immutable, Poly, RationalFunction, _poly,
@@ -261,6 +261,32 @@ class CyclotomicNumber(Immutable):
 _set_order = CyclotomicNumber.order.__set__
 _set_residue = CyclotomicNumber.residue.__set__
 _set_hash = CyclotomicNumber._hash.__set__
+
+
+def power_galois(values, k, m):
+    """The automorphism that takes a trace of g to the same trace of g^k,
+    for g of order m and k prime to m, as a map on ``values`` (the
+    coefficients of that trace); None when it fixes them all.
+
+    g^m = 1, so g's eigenvalues are m-th roots of unity and those of g^k
+    their k-th powers; hence every trace of g^k is sigma_k of g's (Serre,
+    *Linear Representations of Finite Groups*, 13.1).  The map is one
+    sigma_k', for the least k' >= k with k' = k mod m that is prime to the
+    orders of all the CyclotomicNumbers among ``values``: it acts as sigma_k
+    on Q(zeta_m), where the eigenvalues lie, and is defined on every value.
+    """
+    if k == 1:
+        return None
+    orders = {c.order for c in values if isinstance(c, CyclotomicNumber)}
+    if not orders:
+        return None
+    modulus = lcm(m, *orders)
+    while gcd(k, modulus) != 1:
+        k += m
+
+    def sigma(c):
+        return c.galois(k) if isinstance(c, CyclotomicNumber) else c
+    return sigma
 
 
 @cache

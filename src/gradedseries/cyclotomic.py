@@ -10,11 +10,18 @@ finitely many Phi_n with phi(n) <= deg.  On top of that sit:
   positive part is the minimal number of numerator binomials, and
 * the palindrome test num(1/t) = +- t^d num(t) that detects Gorenstein-type
   symmetry of a Hilbert series.
+
+The first two read the same two factorizations, of num and of den
+(``factor_series``); a classification makes them once and hands them to
+both, so it factors each polynomial once.  Phi_n and the candidate orders
+of each degree are computed once per process; no other result is kept
+across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .exact import (
@@ -88,20 +95,22 @@ def cyclotomic_polynomial(n):
     return p
 
 
+@cache
 def _candidate_orders(max_degree):
-    """All n with phi(n) <= max_degree, via a phi sieve up to 2*max_degree^2.
+    """All n with phi(n) <= max_degree, via a phi sieve up to 2*max_degree^2,
+    sieved once per degree.
 
     phi(n) >= sqrt(n/2), so no larger n can qualify.
     """
     if max_degree < 1:
-        return []
+        return ()
     limit = 2 * max_degree * max_degree + 1
     phi = list(range(limit + 1))
     for p in range(2, limit + 1):
         if phi[p] == p:  # p prime
             for k in range(p, limit + 1, p):
                 phi[k] -= phi[k] // p
-    return [n for n in range(1, limit + 1) if phi[n] <= max_degree]
+    return tuple(n for n in range(1, limit + 1) if phi[n] <= max_degree)
 
 
 @dataclass(frozen=True)
@@ -154,16 +163,24 @@ def factor_cyclotomic(p):
     return fact
 
 
-def is_cyclotomic(f):
+def factor_series(f):
+    """(num's, den's) ``factor_cyclotomic`` of a rational function, num's
+    None when num is 0: what ``is_cyclotomic`` and ``cyc_number`` read."""
+    return (factor_cyclotomic(f.num) if f.num else None,
+            factor_cyclotomic(f.den))
+
+
+def is_cyclotomic(f, factors=None):
     """True iff every root of num and den is a root of unity.
 
     A power of t would contribute the root 0, so the extraction must leave
-    both a trivial t-power and remainder 1.
+    both a trivial t-power and remainder 1.  ``factors`` is f's
+    ``factor_series`` when the caller has it.
     """
     if f.is_zero:
         return True
-    return factor_cyclotomic(f.num).is_cyclotomic and \
-        factor_cyclotomic(f.den).is_cyclotomic
+    fn, fd = factors or factor_series(f)
+    return fn.is_cyclotomic and fd.is_cyclotomic
 
 
 @dataclass(frozen=True)
@@ -185,7 +202,7 @@ class BinomialProfile:
         return normalize(num, den)
 
 
-def cyc_number(f):
+def cyc_number(f, factors=None):
     """Minimal numerator-binomial count of a (1-t^a)-factorization, or None.
 
     Since 1 - t^a = -prod_{d|a} Phi_d, a signed profile with exponents
@@ -194,9 +211,9 @@ def cyc_number(f):
     the largest order present.  Cancelling pairs only lengthen the numerator,
     so the minimum is the positive part of that unique profile.  Returns
     (count, BinomialProfile) or None when no such factorization exists.
+    ``factors`` is f's ``factor_series`` when the caller has it.
     """
-    fn = factor_cyclotomic(f.num) if f.num else None
-    fd = factor_cyclotomic(f.den)
+    fn, fd = factors or factor_series(f)
     if fn is None or not fn.is_cyclotomic or not fd.is_cyclotomic:
         return None
     e = dict(fn.exponents)
@@ -267,6 +284,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "factor_cyclotomic",
+    "factor_series",
     "gorenstein_symmetry",
     "is_cyclotomic",
     "mobius",

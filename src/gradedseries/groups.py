@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
-from .cyclofield import CyclotomicMatrix
+from .cyclofield import CyclotomicMatrix, power_galois
 from .exact import (Immutable, Poly, RationalFunction, one_minus_power,
                     poly_gcd, scalar_inverse, series_quotient)
 
@@ -136,23 +136,40 @@ class MatrixGroup(Immutable):
         Elements are walked in index order, so each representative is the
         first element of its class (the identity is its own), and a
         conjugate of x itself has k = 1.  The orbits are read from the
-        multiplication table, with no matrix products.
+        multiplication table, with no matrix products: x's conjugacy class
+        is its orbit under conjugation by the generators, and h x^k h^-1 is
+        the k-th power of the conjugate h x h^-1.  A class of c conjugates
+        of order m costs c (generators + m) table reads, so an abelian
+        group (c = 1) costs about |G| (generators + exponent) in all.
         """
         table = self.multiplication_table()
         inverse = [row.index(0) for row in table]
+        gens = {self._index[g] for g in self.generators} - {0}
         classes = [None] * self.order
         for r in range(self.order):
             if classes[r] is not None:
                 continue
-            powers = [0, r]  # powers[j] = x^j, up to x^m = 1
-            while powers[-1]:
-                powers.append(table[powers[-1]][r])
-            m = len(powers) - 1
+            conjugates = [r]
+            seen = {r}
+            for y in conjugates:
+                for s in gens:
+                    z = table[table[inverse[s]][y]][s]
+                    if z not in seen:
+                        seen.add(z)
+                        conjugates.append(z)
+            # powers[j] = y^j for every conjugate y, up to y^m = 1
+            all_powers = []
+            for y in conjugates:
+                powers = [0, y]
+                while powers[-1]:
+                    powers.append(table[powers[-1]][y])
+                all_powers.append(powers)
+            m = len(all_powers[0]) - 1
             for k in range(1, m + 1):
                 if gcd(k, m) != 1:
                     continue
-                for h, row in enumerate(table):
-                    y = table[row[powers[k]]][inverse[h]]
+                for powers in all_powers:
+                    y = powers[k]
                     if classes[y] is None:
                         classes[y] = (r, k, m)
         return classes
@@ -189,12 +206,14 @@ class MatrixGroup(Immutable):
 def closure(generators, cap=1000, dim=None, order=None):
     """Breadth-first product closure of the generators.
 
-    Every product element * generator is computed once, and its index is
-    kept as that generator's right-action permutation for the group's
-    multiplication table.  Raises CapExceededError once more than ``cap``
-    elements appear.  An empty generator list yields the trivial group
-    (``dim`` then required).  ``order`` is unused; bench/workloads.py still
-    passes it.
+    Every generator must be nonsingular (``det``, the test
+    ``algebras.check_automorphism`` makes), and every generator's dimension
+    must equal ``dim`` when that is given.  Every product element *
+    generator is computed and looked up once, and its index is kept as that
+    generator's right-action permutation for the group's multiplication
+    table.  Raises CapExceededError once more than ``cap`` elements appear.
+    An empty generator list yields the trivial group (``dim`` then
+    required).  ``order`` is unused; bench/workloads.py still passes it.
     """
     gens = list(generators)
     if not gens:
@@ -204,9 +223,13 @@ def closure(generators, cap=1000, dim=None, order=None):
     dims = {g.dim for g in gens}
     if len(dims) != 1:
         raise ValueError("generators must share a dimension")
-    for g in gens:
-        g.inverse()  # raises if some generator is singular
-    identity = CyclotomicMatrix.identity(gens[0].dim)
+    n = gens[0].dim
+    if dim is not None and dim != n:
+        raise ValueError(f"dim {dim} does not match the generators' "
+                         f"dimension {n}")
+    if not all(g.det() for g in gens):
+        raise ZeroDivisionError("matrix is singular")
+    identity = CyclotomicMatrix.identity(n)
     elements = [identity]
     index = {identity: 0}
     perms = [[] for _ in gens]
@@ -216,13 +239,13 @@ def closure(generators, cap=1000, dim=None, order=None):
         frontier += 1
         for g, perm in zip(gens, perms):
             prod = current * g
-            if prod not in index:
-                index[prod] = len(elements)
+            k = index.setdefault(prod, len(elements))
+            if k == len(elements):
                 elements.append(prod)
-                if len(elements) > cap:
+                if k >= cap:
                     raise CapExceededError(
                         f"closure exceeded cap {cap}; group may be infinite")
-            perm.append(index[prod])
+            perm.append(k)
     return MatrixGroup(elements, gens, _perms=[tuple(p) for p in perms])
 
 
@@ -291,8 +314,28 @@ def reciprocal_charpoly_trace(g):
 
 
 def assign_charpoly_traces(group):
-    traces = tuple(reciprocal_charpoly_trace(g) for g in group.elements)
-    return TraceAssignment(group, traces,
+    """The charpoly trace 1/det(I - t g) of every element, with one
+    ``reciprocal_charpoly_trace`` per rational class
+    (``MatrixGroup.rational_classes``) but the identity's, 1/(1 - t)^n.
+
+    Conjugates share det(I - t g), and h x^k h^-1, x of order m, takes
+    sigma_k of x's trace, since x's eigenvalues are m-th roots of unity and
+    those of x^k their k-th powers (``cyclofield.power_galois``); so each
+    value equals the element's own charpoly trace.
+    """
+    traces = []
+    for i, (r, k, m) in enumerate(group.rational_classes()):
+        if i == 0:
+            trace = RationalFunction.reciprocal(one_minus_power(1) ** group.dim)
+        elif i == r:
+            trace = reciprocal_charpoly_trace(group.elements[i])
+        else:
+            trace = traces[r]
+            sigma = power_galois((*trace.num.coeffs, *trace.den.coeffs), k, m)
+            if sigma is not None:
+                trace = trace.map_coefficients(sigma)
+        traces.append(trace)
+    return TraceAssignment(group, tuple(traces),
                            (PROVENANCE_CHARPOLY,) * group.order)
 
 
@@ -380,15 +423,24 @@ def classify_pole(trace, gk_dim):
     return PoleClassification(k, verdict)
 
 
-def generated_by_quasi_bireflections(group, assignment, gk_dim):
+def pole_classifications(assignment, gk_dim):
+    """``classify_pole`` of every element's trace, in element order, with one
+    call per distinct trace value."""
+    by_trace = {}
+    for f in assignment.traces:
+        if f not in by_trace:
+            by_trace[f] = classify_pole(f, gk_dim)
+    return tuple(by_trace[f] for f in assignment.traces)
+
+
+def generated_by_quasi_bireflections(group, poles):
     """Do the elements with quasi-(bi)reflection trace shape generate G?
 
+    ``poles`` is ``pole_classifications`` of a trace assignment on the group.
     Returns (verdict, witness_indices); the identity is always a witness.
     """
-    witnesses = [0]
-    for i in range(1, group.order):
-        if classify_pole(assignment[i], gk_dim).verdict != VERDICT_NEITHER:
-            witnesses.append(i)
+    witnesses = [0] + [i for i in range(1, group.order)
+                       if poles[i].verdict != VERDICT_NEITHER]
     generated = group.subset_closure(set(witnesses))
     return len(generated) == group.order, witnesses
 
@@ -414,6 +466,7 @@ __all__ = [
     "generated_by_quasi_bireflections",
     "hdet",
     "molien",
+    "pole_classifications",
     "reciprocal_charpoly_trace",
     "subgroups",
 ]

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import cyc_number, gorenstein_symmetry, is_cyclotomic
-from .groups import classify_pole, generated_by_quasi_bireflections, molien
+from .cyclotomic import (cyc_number, factor_series, gorenstein_symmetry,
+                         is_cyclotomic)
+from .groups import (generated_by_quasi_bireflections, molien,
+                     pole_classifications)
 
 NOT_APPLICABLE = "not-applicable"
 
@@ -33,11 +35,16 @@ class ClassificationReport:
 
 
 def classify_series(f):
-    """Verdicts carried by the series alone; no group data involved."""
-    cyc = cyc_number(f)
+    """Verdicts carried by the series alone; no group data involved.
+
+    num and den are factored into cyclotomic parts once, and both the
+    cyclotomic verdict and the cyc number read those two factorizations.
+    """
+    factors = factor_series(f)
+    cyc = cyc_number(f, factors)
     return ClassificationReport(
         hilbert_series=f,
-        is_cyclotomic=is_cyclotomic(f),
+        is_cyclotomic=is_cyclotomic(f, factors),
         gorenstein_symmetric=gorenstein_symmetry(f).symmetric,
         cyc_number=cyc[0] if cyc else None,
         cyc_profile=dict(cyc[1].factors) if cyc else None,
@@ -53,13 +60,14 @@ def classify_group(group, assignment, gk_dim):
 
     The Molien series comes from ``molien``, so an assignment whose sum was
     already taken (a ``molien`` task on the same group) is not summed again.
+    Each distinct trace value gets one ``classify_pole``
+    (``pole_classifications``), and both the generation test and the pole
+    orders read those verdicts.
     """
     series = molien(group, assignment)
     base = classify_series(series)
-    verdict, witnesses = generated_by_quasi_bireflections(
-        group, assignment, gk_dim)
-    poles = tuple(classify_pole(assignment[i], gk_dim).pole_order
-                  for i in range(group.order))
+    poles = pole_classifications(assignment, gk_dim)
+    verdict, witnesses = generated_by_quasi_bireflections(group, poles)
     return ClassificationReport(
         hilbert_series=series,
         is_cyclotomic=base.is_cyclotomic,
@@ -68,7 +76,7 @@ def classify_group(group, assignment, gk_dim):
         cyc_profile=base.cyc_profile,
         qb_generated=verdict,
         qb_witnesses=tuple(witnesses),
-        pole_orders=poles,
+        pole_orders=tuple(p.pole_order for p in poles),
     )
 
 

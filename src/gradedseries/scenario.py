@@ -92,6 +92,9 @@ Ref = namedtuple("Ref", "name")
 Lit = namedtuple("Lit", "text line")
 
 _SYMBOLS = set("[]{}(),=:^+-*/")
+# str.isdigit also takes digits such as '²' or '٣', which int() rejects or
+# reads as another number; an integer literal is ASCII digits only
+_DIGITS = frozenset("0123456789")
 
 # the kind of a plain task value: what it must be, and the test of a value
 Kind = namedtuple("Kind", "what accepts")
@@ -143,16 +146,17 @@ def _scan_line(raw, line_no):
             tokens.append(Token("string", raw[i + 1:end], line_no, col))
             i = end + 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and raw[j].isdigit():
+            while j < n and raw[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", int(raw[i:j]), line_no, col))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (raw[j].isalnum() or raw[j] == "_"):
+            while j < n and (raw[j].isalpha() or raw[j] in _DIGITS
+                             or raw[j] == "_"):
                 j += 1
             tokens.append(Token("ident", raw[i:j], line_no, col))
             i = j

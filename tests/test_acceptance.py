@@ -46,6 +46,7 @@ from gradedseries.groups import (
     generated_by_quasi_bireflections,
     hdet,
     molien,
+    pole_classifications,
     subgroups,
 )
 from gradedseries.hilbert import quotient_series, veronese_section, veronese_transform
@@ -148,7 +149,8 @@ def test_criterion_04_sklyanin_molien_suite():
         fixed = molien(s, assignment)
         scalars_only = all(matrix_shape(m) == "diagonal" and
                            len(set(m.diagonal())) == 1 for m in s.elements)
-        verdict, _ = generated_by_quasi_bireflections(s, assignment, 3)
+        verdict, _ = generated_by_quasi_bireflections(
+            s, pole_classifications(assignment, 3))
         if scalars_only:
             scalar_subgroups.append(s)
             # the fixed ring of the scalar subgroup is the third Veronese

@@ -17,6 +17,7 @@ from gradedseries.algebras import (
     euler_check,
     free_algebra,
     growth_estimate,
+    identity_trace,
     monomial_quotient,
     normal_quotient,
     quantum_affine,
@@ -392,6 +393,24 @@ class TestBruteForceTrace:
         trunc = build_truncation(quantum_affine(skew_symmetric_q(3)), 8)
         got = brute_force_trace(CyclotomicMatrix.identity(3), trunc)
         assert got == trunc.hilbert_coefficients()
+
+    @pytest.mark.parametrize("degrees, dim, message", [
+        ([1, 2], 2, "the multiplicative extension needs degree-1 generators"),
+        # both checks fail: the degree check comes first everywhere
+        ([1, 2], 3, "the multiplicative extension needs degree-1 generators"),
+        ([1, 1], 3, "matrix dimension must match the generator count"),
+    ])
+    def test_one_message_per_bad_input_from_every_entry_point(
+            self, degrees, dim, message):
+        pres = quantum_affine(skew_symmetric_q(2), degrees=degrees)
+        trunc = build_truncation(pres, 4)
+        g = CyclotomicMatrix.identity(dim)
+        for entry in (lambda: brute_force_trace(g, trunc),
+                      lambda: identity_trace(trunc, dim),
+                      lambda: check_automorphism(g, trunc)):
+            with pytest.raises(ValueError) as err:
+                entry()
+            assert str(err.value) == message
 
     def test_mystic_trace(self):
         trunc = build_truncation(quantum_affine(skew_symmetric_q(3)), 12)

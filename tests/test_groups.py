@@ -3,11 +3,11 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from gradedseries import groups
+from gradedseries import cyclotomic, groups, load_bundled_scenario
 from gradedseries.algebras import (
     brute_force_trace,
     build_truncation,
@@ -15,7 +15,7 @@ from gradedseries.algebras import (
     skew_symmetric_q,
 )
 from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFraction
-from gradedseries.cyclotomic import gorenstein_symmetry, is_cyclotomic
+from gradedseries.cyclotomic import cyc_number, gorenstein_symmetry, is_cyclotomic
 from gradedseries.exact import (
     Poly,
     RationalFunction,
@@ -44,10 +44,12 @@ from gradedseries.groups import (
     generated_by_quasi_bireflections,
     hdet,
     molien,
+    pole_classifications,
     reciprocal_charpoly_trace,
     subgroups,
 )
-from gradedseries.reports import classify_group
+from gradedseries.reports import classify_group, classify_series
+from gradedseries.scenario import parse_scenario
 
 z = CyclotomicNumber.zeta(3)
 
@@ -100,6 +102,139 @@ class TestClosure:
         rot = CyclotomicMatrix([[CyclotomicNumber.zeta(12), 0], [0, 1]])
         with pytest.raises(CapExceededError):
             closure([rot], cap=5)
+
+    @pytest.mark.parametrize("cap", [-1, 0, 1, 11])
+    def test_cap_below_the_order_stops_closure(self, cap):
+        rot = CyclotomicMatrix([[CyclotomicNumber.zeta(12), 0], [0, 1]])
+        with pytest.raises(CapExceededError):
+            closure([rot], cap=cap)
+
+    def test_cap_equal_to_the_order_is_enough(self):
+        rot = CyclotomicMatrix([[CyclotomicNumber.zeta(12), 0], [0, 1]])
+        assert closure([rot], cap=12).order == 12
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1], [1, 1]],
+        [[z, z ** 2], [1, z]],          # det z^2 - z^2 = 0 over Q(zeta_3)
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+    ])
+    def test_singular_generator_is_rejected(self, rows):
+        # a nonsingular first generator: every generator is tested
+        with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+            closure([CyclotomicMatrix.identity(len(rows)),
+                     CyclotomicMatrix(rows)], cap=10)
+
+    def test_dim_must_match_the_generators(self):
+        assert closure([mystic_matrix()], cap=10, dim=3).order == 4
+        with pytest.raises(ValueError, match="dim 2 does not match the "
+                           "generators' dimension 3"):
+            closure([mystic_matrix()], cap=10, dim=2)
+
+
+def spy_calls(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def bundled_groups():
+    """Every group the bundled scenarios' closure tasks build."""
+    for name in ("double_transposition.scn", "mystic_bireflection.scn",
+                 "sklyanin.scn"):
+        scenario = parse_scenario(load_bundled_scenario(name))
+        for task in scenario.tasks:
+            if task.kind == "closure":
+                gens = [scenario.bindings[ref.name][1]
+                        for ref in task.args["generators"]]
+                yield closure(gens, cap=task.args.get("cap", 1000))
+
+
+def rational_classes_by_definition(group):
+    """(r, k, m) per element, read off every h x^k h^-1 with h over all of G
+    and k in increasing order: the definition rational_classes walks."""
+    elements = group.elements
+    classes = [None] * group.order
+    for r, x in enumerate(elements):
+        if classes[r] is not None:
+            continue
+        powers = [elements[0], x]
+        while powers[-1] != elements[0]:
+            powers.append(powers[-1] * x)
+        m = len(powers) - 1
+        for k in range(1, m + 1):
+            if gcd(k, m) == 1:
+                for h in elements:
+                    y = group.index_of(h * powers[k] * h.inverse())
+                    if classes[y] is None:
+                        classes[y] = (r, k, m)
+    return classes
+
+
+class TestRationalClasses:
+    """rational_classes walks each conjugacy class by the generators and
+    takes powers of its members; it must give the table the definition
+    gives, for groups from closure and for subgroups, whose generators are
+    all their elements."""
+
+    def groups(self):
+        yield from bundled_groups()
+        rng = random.Random(23)
+        for N in (3, 4, 6):
+            for dim in (2, 3):
+                group = random_monomial_group(rng, N, dim)
+                yield group
+                yield from subgroups(group)
+
+    def test_classes_match_the_definition(self):
+        for group in self.groups():
+            assert group.rational_classes() == \
+                rational_classes_by_definition(group), group.order
+
+
+class TestCharpolyTracesPerClass:
+    """assign_charpoly_traces computes one charpoly per rational class but
+    the identity's, and derives the rest by conjugation and sigma_k; every
+    value must equal the element's own reciprocal_charpoly_trace."""
+
+    def groups(self):
+        yield from bundled_groups()
+        rng = random.Random(22)
+        for N in (3, 4, 5, 6, 8, 12):
+            for dim in (2, 3, 3):
+                yield random_monomial_group(rng, N, dim)
+
+    def test_every_trace_is_the_elements_own(self):
+        conjugated = galois_moved = 0
+        for group in self.groups():
+            assignment = assign_charpoly_traces(group)
+            classes = group.rational_classes()
+            for i, (g, f) in enumerate(zip(group.elements, assignment.traces,
+                                           strict=True)):
+                assert f == reciprocal_charpoly_trace(g), (group.order, i)
+                r, k, _ = classes[i]
+                if r != i and k == 1 and group.elements[r] * g != g * \
+                        group.elements[r]:
+                    conjugated += 1
+                if k != 1 and not f.is_rational() and f != assignment[r]:
+                    galois_moved += 1
+        # the groups exercise both steps: a conjugate by an element that
+        # does not commute with it, and sigma_k moving an irrational trace
+        assert conjugated and galois_moved
+
+    def test_one_charpoly_per_non_identity_class(self, monkeypatch):
+        calls = spy_calls(monkeypatch, groups, "reciprocal_charpoly_trace")
+        for group in self.groups():
+            calls.clear()
+            assign_charpoly_traces(group)
+            representatives = {r for r, _, _ in group.rational_classes()}
+            assert calls == [(group.elements[r],)
+                             for r in sorted(representatives - {0})]
 
 
 class TestSubgroups:
@@ -498,6 +633,37 @@ class TestMolienOncePerAssignment:
                 molien(group, assignment)
 
 
+class TestClassifyOncePerValue:
+    """classify_series factors num and den once each, and classify_group
+    classifies the pole of each distinct trace value once."""
+
+    def test_classify_series_factors_num_and_den_once(self, monkeypatch):
+        calls = spy_calls(monkeypatch, cyclotomic, "factor_cyclotomic")
+        for f in (normalize(P(1), one_minus_power(1) ** 3),
+                  normalize(P(1, 0, 1), P(1, -1, 1) * one_minus_power(2)),
+                  normalize(P(1, 3, 1), P(1, -1) ** 2)):
+            calls.clear()
+            report = classify_series(f)
+            assert calls == [(f.num,), (f.den,)]
+            # the shared factorizations give what each function gives alone
+            cyc = cyc_number(f)
+            assert report.is_cyclotomic == is_cyclotomic(f)
+            assert report.cyc_number == (cyc[0] if cyc else None)
+
+    def test_classify_group_classifies_each_distinct_trace_once(
+            self, monkeypatch):
+        calls = spy_calls(monkeypatch, groups, "classify_pole")
+        for gens in (sklyanin_generators(), [mystic_matrix()]):
+            group = closure(list(gens), cap=30)
+            assignment = assign_charpoly_traces(group)
+            calls.clear()
+            report = classify_group(group, assignment, 3)
+            distinct = list(dict.fromkeys(assignment.traces))
+            assert calls == [(f, 3) for f in distinct]
+            assert report.pole_orders == tuple(
+                f.pole_order_at_one() for f in assignment.traces)
+
+
 class TestHdet:
     def test_mystic_example(self):
         trace = normalize(P(1), P(1, 1) * one_minus_power(2))
@@ -569,7 +735,7 @@ class TestGeneratedByQuasiBireflections:
     def test_full_group_true(self):
         group = closure(list(sklyanin_generators()), cap=30)
         verdict, witnesses = generated_by_quasi_bireflections(
-            group, assign_charpoly_traces(group), 3)
+            group, pole_classifications(assign_charpoly_traces(group), 3))
         assert verdict
         assert len(witnesses) == 25  # identity + 24 quasi-bireflections
 
@@ -577,14 +743,14 @@ class TestGeneratedByQuasiBireflections:
         scalars = closure([CyclotomicMatrix([[z, 0, 0], [0, z, 0], [0, 0, z]])],
                           cap=10)
         verdict, witnesses = generated_by_quasi_bireflections(
-            scalars, assign_charpoly_traces(scalars), 3)
+            scalars, pole_classifications(assign_charpoly_traces(scalars), 3))
         assert not verdict
         assert witnesses == [0]
 
     def test_trivial_true(self):
         group = closure([], dim=3)
         verdict, _ = generated_by_quasi_bireflections(
-            group, assign_charpoly_traces(group), 3)
+            group, pole_classifications(assign_charpoly_traces(group), 3))
         assert verdict
 
     def test_generation_matches_cyclotomicity_on_all_subgroups(self):
@@ -593,7 +759,8 @@ class TestGeneratedByQuasiBireflections:
             if s.order == 1:
                 continue
             assignment = assign_charpoly_traces(s)
-            verdict, _ = generated_by_quasi_bireflections(s, assignment, 3)
+            verdict, _ = generated_by_quasi_bireflections(
+                s, pole_classifications(assignment, 3))
             scalar_only = all(
                 shape(m) == "diagonal" and len({x for x in m.diagonal()}) == 1
                 for m in s.elements)

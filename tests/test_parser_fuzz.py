@@ -1,10 +1,14 @@
 """Property tests: the scenario parser either returns a scenario or raises a
 located ParseError, and a CLI subcommand given any literal exits 0 or 2 with
 an ``error:`` line that points into the literal, whatever sequence of
-grammar tokens it is given."""
+grammar tokens it is given.  Task statements drawn from the grammar's own
+key table run with exit 0, 1 or 2, and an input error names a line of the
+file."""
 
 import io
+import os
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import example, given, settings
@@ -13,8 +17,11 @@ from hypothesis import strategies as st
 from gradedseries.cli import main
 from gradedseries.scenario import (
     TASK_KINDS,
+    Kind,
     ParseError,
+    Ref,
     _SYMBOLS,
+    _TASK_KEYS,
     parse_scenario,
 )
 
@@ -119,3 +126,74 @@ def test_cli_literal_exits_0_or_2_with_a_located_error(case):
         assert err.startswith("error:")
         for col in re.findall(r"\bcol (\d+)", err):
             assert 1 <= int(col) <= max(len(text), 1)
+
+
+# Task statements built from _TASK_KEYS: a kind, some of its keys, and for
+# each key a value that it accepts or one that it does not, over a header
+# that declares one input of each category.
+TASK_HEADER = ("let g = matrix [[0, 1], [1, 0]]\n"
+               "let H = series 1/(1-t)^2\n"
+               "let A = algebra { kind: quantum_affine, q: [[1,-1],[-1,1]] }\n"
+               "task closure name=G generators=[g]\n")
+HEADER_INPUTS = {"matrix": ("g", "[g]"), "group": ("G",),
+                 "series": ("H", '"1/(1-t)"'), "algebra": ("A",)}
+# plain value texts with the values the parser reads from them; small, so no
+# truncation, bound or cap asks for much work
+PLAIN_VALUES = {"0": 0, "1": 1, "3": 3, "-1": -1, "true": True, "K": Ref("K"),
+                "charpoly": Ref("charpoly"), "bruteforce": Ref("bruteforce"),
+                "[2]": [2], '"t"': None}
+OTHER_VALUES = ("nope", "[g, H]", "[]")
+
+
+def typed_values(category):
+    """(values the key accepts, values it does not) for a key's category:
+    the declared input of that category, or the plain values its Kind
+    accepts."""
+    everything = (tuple(PLAIN_VALUES) + OTHER_VALUES
+                  + sum(HEADER_INPUTS.values(), ()))
+    if isinstance(category, Kind):
+        well = tuple(text for text, value in PLAIN_VALUES.items()
+                     if value is not None and category.accepts(value))
+    else:
+        well = HEADER_INPUTS[category]
+    return well, tuple(v for v in everything if v not in well)
+
+
+@st.composite
+def task_statement(draw):
+    """A task of some kind with some of its keys, each kept with chance 3/4;
+    about half the tasks give one key a value it does not accept, and the
+    rest give every key one it does, so that many tasks run."""
+    kind = draw(st.sampled_from(sorted(_TASK_KEYS)))
+    keys = draw(st.permutations(sorted(_TASK_KEYS[kind])))
+    keys = [key for key in keys if draw(st.sampled_from((True,) * 3 + (False,)))]
+    wrong = draw(st.one_of(st.none(), st.sampled_from(keys))) if keys else None
+    parts = [f"task {kind}"]
+    for key in keys:
+        well, ill = typed_values(_TASK_KEYS[kind][key])
+        parts.append(f"{key}={draw(st.sampled_from(ill if key == wrong else well))}")
+    return " ".join(parts)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.lists(task_statement(), min_size=1, max_size=2))
+@example(["task closure name=K generators=[g] dim=3"])
+@example(["task molien group=G traces=bruteforce algebra=A truncation=3"])
+def test_task_statements_from_the_key_table_exit_0_1_or_2(statements):
+    text = TASK_HEADER + "\n".join(statements) + "\n"
+    fd, path = tempfile.mkstemp(suffix=".scn")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["run", path])
+    finally:
+        os.remove(path)
+    assert code in (0, 1, 2)
+    if code == 2:
+        err = err.getvalue()
+        assert err.startswith("error:")
+        lines = [int(n) for n in re.findall(r"\bline (\d+)", err)]
+        assert lines, err
+        assert all(1 <= n <= text.count("\n") for n in lines), err

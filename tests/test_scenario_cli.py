@@ -555,6 +555,14 @@ class TestCli:
     @pytest.mark.parametrize("text, where", [
         ("task closure generators=[g1,\n", "line 1, col 28"),
         ("let H = series 1/0\n", "line 1, col 17"),
+        # digits that are not ASCII: int() rejects the first and would read
+        # the second as 3
+        ("let H = series 1/(1-t)^\u00b2\n",
+         "line 1, col 24: unexpected character '\u00b2'"),
+        ("let H = series 1/(1-t)^\u0663\n",
+         "line 1, col 24: unexpected character '\u0663'"),
+        ("let H = series 1/(1-t)^2\u0663\n",
+         "line 1, col 25: unexpected character '\u0663'"),
     ])
     def test_malformed_input_is_a_located_input_error(self, tmp_path, capsys,
                                                        text, where):
@@ -685,8 +693,14 @@ class TestCli:
         ["trace", "--algebra", "{ kind: quantum_affine, degrees: [1,1], "
          "q: [[1,-1],[-1,1]] }", "--matrix", "[[1,0],[0,0]]"],
         ["cyc", "1 + t", "--zeta-order", "0"],
+        ["cyc", "1 + t", "--zeta-order", "\u0663"],
         ["molien", "--zeta-order=-3", "--matrix", "[[0,1],[1,0]]"],
         ["run", "src/gradedseries/scenarios/stanley.scn", "--zeta-order", "0"],
+        ["molien", "--matrix", "[[1,1],[0,1]]", "--cap", "0"],
+        ["subgroups", "--matrix", "[[0,1],[1,0]]", "--cap", "\u0663"],
+        ["betti", "--algebra", "{ kind: quantum_affine, q: [[1,-1],[-1,1]] }",
+         "--truncation", "\u0663"],
+        ["veronese", "1/(1-t)", "-r", "2", "--num-bound", "1_0"],
     ])
     def test_bad_input_exits_2_with_an_error_line(self, capsys, argv):
         # argparse rejects a bad option value itself, with SystemExit(2)
@@ -725,6 +739,20 @@ class TestCli:
         kind = task.split()[1]
         assert capsys.readouterr().err == (
             f"error: task {kind!r} (line 5): expected a matrix reference\n")
+
+    @pytest.mark.parametrize("task, message", [
+        ("task closure name=K generators=[g] dim=3",
+         "dim 3 does not match the generators' dimension 2"),
+        ("task closure name=K generators=[g, s]", "matrix is singular"),
+    ])
+    def test_closure_input_errors_name_their_task_and_line(
+            self, tmp_path, capsys, task, message):
+        path = tmp_path / "closure.scn"
+        path.write_text(TASK_PREAMBLE + "let s = matrix [[1, 2], [2, 4]]\n"
+                        + task + "\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: task 'closure' (line 6): {message}\n")
 
     def test_betti_negative_truncation_is_bad_input(self, capsys):
         assert main(["betti", "--algebra",
