@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 
-from .cyclofield import CyclotomicMatrix, CyclotomicNumber, power_galois
+from .cyclofield import CyclotomicMatrix, CyclotomicNumber
 from .exact import (Immutable, Series, _reduce_vec, _rref_add, _simplify,
                     expand, scalar_inverse)
 
@@ -457,43 +457,39 @@ def check_automorphism(g, trunc):
                 f"the image of the {name} is not zero in the algebra")
 
 
-def brute_force_trace(g, trunc, order=None):
+def brute_force_trace(g, trunc):
     """Trace series of the multiplicative extension of g, degree by degree.
 
     g acts on the degree-1 generators; the precondition that it preserve the
     relations is checked first, on every call, by ``check_automorphism``.
     The image of a word is the image of its prefix times one generator
     image, so degree d's images are products of degree d - 1's with the
-    generator images, in the order ``_apply_to_word`` multiplies.  The images are keyed by word, since a
-    prefix of a basis word need not be a basis label (a normal quotient's
-    basis is not prefix-closed): the words kept are the prefix closure of the
-    basis words up to ``order``, and only one degree's images are held at a
-    time.  Coefficients follow the scalar rule: ints and Fractions when
-    rational, CyclotomicNumbers otherwise.
+    generator images, in the order ``_apply_to_word`` multiplies.  The
+    images are keyed by word, since a prefix of a basis word need not be a
+    basis label (a normal quotient's basis is not prefix-closed): the words
+    kept are the prefix closure of the basis words up to the cutoff, and
+    only one degree's images are held at a time.  Coefficients follow the
+    scalar rule: ints and Fractions when rational, CyclotomicNumbers
+    otherwise.
 
     The trace is a class function, and the traces of coprime powers are
-    Galois images of it, so a group needs one call per rational class
-    (``MatrixGroup.rational_classes``): the identity's trace is
-    ``identity_trace`` and every other member's is ``power_trace`` of its
-    representative's.
+    Galois images of it, so a group needs one call per rational class: the
+    identity's trace is ``identity_trace``, and ``groups.assign_class_traces``
+    derives every other member's closed form from its representative's.
     """
-    pres = trunc.presentation
     if not isinstance(g, CyclotomicMatrix):
         g = CyclotomicMatrix(g)
     check_automorphism(g, trunc)
-    if order is None:
-        order = trunc.cutoff
-    if order > trunc.cutoff:
-        raise ValueError("trace order exceeds the truncation cutoff")
+    cutoff = trunc.cutoff
     gen_vectors = _generator_images(g, trunc)
     # words[d]: the basis words of degree d and the prefixes of longer ones
-    words = [None] * (order + 1)
+    words = [None] * (cutoff + 1)
     prefixes = set()
-    for d in range(order, 0, -1):
+    for d in range(cutoff, 0, -1):
         words[d] = prefixes.union(trunc.bases[d])
         prefixes = {w[:-1] for w in words[d]}
     coefficients = [1]
-    for d in range(1, order + 1):
+    for d in range(1, cutoff + 1):
         if d == 1:
             images = {w: gen_vectors[w[0]] for w in words[1]}
         else:
@@ -522,21 +518,6 @@ def identity_trace(trunc, dim):
     checks, with no products: the truncation's dims."""
     _check_action(trunc.presentation, dim)
     return Series(trunc.dims())
-
-
-def power_trace(trace, k, m):
-    """The (series, closed form) trace of g^k from g's, for g of order m and
-    k prime to m: ``cyclofield.power_galois`` of every coefficient.  A field
-    automorphism maps the Pade solution of ``exact.reconstruct`` to that of
-    the image series, so the closed form's image is the image series' closed
-    form.
-    """
-    series, closed = trace
-    sigma = power_galois((*series, *closed.num.coeffs, *closed.den.coeffs),
-                         k, m)
-    if sigma is None:
-        return trace
-    return Series(map(sigma, series)), closed.map_coefficients(sigma)
 
 
 @dataclass(frozen=True)
@@ -575,7 +556,7 @@ def _nullspace(columns):
     return list(basis.values())
 
 
-def betti_numbers(trunc, cutoff=None):
+def betti_numbers(trunc):
     """Bigraded Betti numbers of the trivial module over the truncation.
 
     Resolves the trivial module by iterated graded syzygies.  F_0 = A maps
@@ -612,15 +593,8 @@ def betti_numbers(trunc, cutoff=None):
     * each basis product a * b is computed once per call, in a dict keyed
       by (a, b) (a label fixes its degree), and left multiplication reads
       it entry by entry.  The products live only as long as the call.
-
-    A negative cutoff, or one above the truncation's, is a ValueError.
     """
-    if cutoff is None:
-        cutoff = trunc.cutoff
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    if cutoff > trunc.cutoff:
-        raise ValueError("cutoff exceeds the truncation")
+    cutoff = trunc.cutoff
     digits, generators = trunc.grading()
     blocks = {}  # weight -> (degree, basis labels of that weight)
     degree_of = {}
@@ -813,7 +787,6 @@ __all__ = [
     "identity_trace",
     "monomial_quotient",
     "normal_quotient",
-    "power_trace",
     "quantum_affine",
     "skew_symmetric_q",
     "tor_inequalities",

@@ -8,6 +8,9 @@ leave traces unchanged, so the commutative eigenvalue count applies) and it
 reproduces every trace the Sklyanin-type computations need; it is *not*
 valid for arbitrary automorphisms of arbitrary algebras, which is why brute
 force assignments exist alongside it (see ``algebras.brute_force_trace``).
+
+Charpoly and brute-force assignments alike compute one trace per rational
+class and derive the rest in ``assign_class_traces``.
 """
 
 from __future__ import annotations
@@ -284,8 +287,8 @@ class TraceAssignment:
 
     A provenance is one of the PROVENANCE_* names (``truncation-dims`` is the
     identity's brute-force trace, read off the truncation's dims), or, for a
-    trace derived from its rational class representative's, ``conjugate of
-    element r`` or ``sigma_k of element r``, r the representative's index.
+    trace ``assign_class_traces`` derives from its class representative's,
+    ``conjugate of element r`` or ``sigma_k of element r``, r its index.
 
     The Molien sum of the assignment is kept on it once ``molien`` has
     taken it, so every caller that holds the assignment shares one sum.
@@ -313,30 +316,40 @@ def reciprocal_charpoly_trace(g):
     return RationalFunction.reciprocal(g.reciprocal_charpoly())
 
 
-def assign_charpoly_traces(group):
-    """The charpoly trace 1/det(I - t g) of every element, with one
-    ``reciprocal_charpoly_trace`` per rational class
-    (``MatrixGroup.rational_classes``) but the identity's, 1/(1 - t)^n.
+def assign_class_traces(group, identity, representative, provenance):
+    """A TraceAssignment from one computed trace per rational class
+    (``MatrixGroup.rational_classes``): the identity takes ``identity``, a
+    (trace, provenance) pair, and each other class representative g takes
+    ``representative(g)`` with ``provenance``.
 
-    Conjugates share det(I - t g), and h x^k h^-1, x of order m, takes
-    sigma_k of x's trace, since x's eigenvalues are m-th roots of unity and
-    those of x^k their k-th powers (``cyclofield.power_galois``); so each
-    value equals the element's own charpoly trace.
+    Every other element h x^k h^-1, x its representative of order m, takes
+    sigma_k of x's trace (``cyclofield.power_galois``): the trace is a class
+    function, and x's eigenvalues are m-th roots of unity, those of x^k
+    their k-th powers.  Its provenance is ``conjugate of element r`` (k = 1)
+    or ``sigma_k of element r``, r the index of x.
     """
-    traces = []
-    for i, (r, k, m) in enumerate(group.rational_classes()):
-        if i == 0:
-            trace = RationalFunction.reciprocal(one_minus_power(1) ** group.dim)
-        elif i == r:
-            trace = reciprocal_charpoly_trace(group.elements[i])
-        else:
-            trace = traces[r]
-            sigma = power_galois((*trace.num.coeffs, *trace.den.coeffs), k, m)
-            if sigma is not None:
-                trace = trace.map_coefficients(sigma)
-        traces.append(trace)
-    return TraceAssignment(group, tuple(traces),
-                           (PROVENANCE_CHARPOLY,) * group.order)
+    traces, provenances = [identity[0]], [identity[1]]
+    for i, (r, k, m) in enumerate(group.rational_classes()[1:], start=1):
+        if i == r:
+            traces.append(representative(group.elements[i]))
+            provenances.append(provenance)
+            continue
+        trace = traces[r]
+        sigma = power_galois((*trace.num.coeffs, *trace.den.coeffs), k, m)
+        traces.append(trace if sigma is None
+                      else trace.map_coefficients(sigma))
+        provenances.append(
+            f"{'conjugate' if k == 1 else f'sigma_{k}'} of element {r}")
+    return TraceAssignment(group, tuple(traces), tuple(provenances))
+
+
+def assign_charpoly_traces(group):
+    """The charpoly trace 1/det(I - t g) of every element by
+    ``assign_class_traces``: 1/(1 - t)^n for the identity and one
+    ``reciprocal_charpoly_trace`` per other class representative."""
+    identity = RationalFunction.reciprocal(one_minus_power(1) ** group.dim)
+    return assign_class_traces(group, (identity, PROVENANCE_CHARPOLY),
+                               reciprocal_charpoly_trace, PROVENANCE_CHARPOLY)
 
 
 def molien(group, assignment):
@@ -460,6 +473,7 @@ __all__ = [
     "TooLargeError",
     "TraceAssignment",
     "assign_charpoly_traces",
+    "assign_class_traces",
     "classical_bireflection_rank",
     "classify_pole",
     "closure",

@@ -19,7 +19,8 @@ juxtaposition as multiplication: ``(1-t^6)/((1-t)(1-t^2)(1-t^3)^2)``.
 A list in a matrix or algebra literal is ``[item, item, ...]`` with at least
 one item.  A monomial is generator names with optional positive powers,
 ``x y^2``; a relation is one monomial, and a normal element a sum of terms,
-each an optional integer coefficient times a monomial in generator order.
+each an optional integer or parenthesized scalar coefficient, ``(z)``, times
+a monomial in generator order.
 Task values are integers, booleans, identifiers, quoted expression strings,
 or bracketed lists of integers and identifiers (commas optional, maybe
 empty).  Task kinds: closure, subgroups, molien, classify, veronese, trace,
@@ -29,7 +30,8 @@ An algebra literal or a task gives each key (and each ``expect`` field) at
 most once, and only the keys its kind reads (``_ALGEBRA_KEYS``,
 ``_TASK_KEYS``).  A task key that names no declared input takes one Kind of
 value, such as a nonnegative integer or one of ``charpoly``, ``bruteforce``;
-any other value is an error located at the value.
+any other value is an error located at the value.  A key the task cannot run
+without (``_REQUIRED_KEYS``) is an error located at the task kind.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .algebras import (
     identity_trace,
     monomial_quotient,
     normal_quotient,
-    power_trace,
     quantum_affine,
 )
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber
@@ -58,8 +59,8 @@ from .exact import NonUnitConstantError, RationalFunction, reconstruct
 from .groups import (
     PROVENANCE_BRUTE_FORCE,
     PROVENANCE_DIMS,
-    TraceAssignment,
     assign_charpoly_traces,
+    assign_class_traces,
     classical_bireflection_rank,
     classify_pole,
     closure,
@@ -125,6 +126,18 @@ _TASK_KEYS = {
     "bireflection": {"matrix": "matrix"},
 }
 TASK_KINDS = tuple(_TASK_KEYS)
+# the keys each task kind reads with no default; classify reads a series or a
+# group, and a brute-force assignment of a group an algebra as well
+_REQUIRED_KEYS = {
+    "subgroups": ("group",),
+    "molien": ("group",),
+    "classify": ("group",),
+    "veronese": ("series",),
+    "trace": ("algebra", "matrix"),
+    "betti": ("algebra",),
+    "cyc": ("series",),
+    "bireflection": ("matrix",),
+}
 
 
 def _scan_line(raw, line_no):
@@ -330,10 +343,9 @@ def _to_rational_function(value, where):
     return f
 
 
-def _to_scalar(value, where):
+def _to_scalar(value, where, what="matrix entries"):
     if value.den.degree != 0 or value.num.degree > 0:
-        raise ParseError("matrix entries must not involve t", where.line,
-                         where.col)
+        raise ParseError(f"{what} must not involve t", where.line, where.col)
     return value.num.constant_term
 
 
@@ -425,20 +437,25 @@ def _parse_relation(cur, name_index):
     return tuple(i for i, _ in letters)
 
 
-def _parse_normal_element(cur, name_index, ngens):
-    """A sum of terms, each an optional integer coefficient (and ``*``)
-    times a monomial whose letters are in generator order, as a dict from
-    exponent tuples to coefficients."""
+def _parse_normal_element(cur, name_index, ngens, symbols):
+    """A sum of terms, each an optional coefficient (and ``*``) times a
+    monomial whose letters are in generator order, as a dict from exponent
+    tuples to coefficients.  A coefficient is an integer or a scalar in
+    parentheses, such as ``(z)``, which keeps z apart from the names."""
     items = {}
     sign = -1 if cur.take_symbol("-") else 1
     while True:
-        tok = cur.peek()
+        tok, start = cur.peek(), cur.pos
         coeff = sign
         if tok is not None and tok.kind == "int":
             coeff *= cur.next().value
             cur.take_symbol("*")
+        elif cur.at_symbol("("):
+            coeff *= _to_scalar(_parse_factor(cur, symbols), tok,
+                                "coefficients")
+            cur.take_symbol("*")
         letters = _parse_word(cur, name_index)
-        if not letters and tok is not None and tok.kind != "int":
+        if cur.pos == start and tok is not None:
             cur.error("expected a term")
         exponents = [0] * ngens
         for i, name in letters:
@@ -500,7 +517,7 @@ def _parse_algebra(cur, symbols):
                     cur, lambda cur: _parse_relation(cur, index))
             else:
                 normals = _parse_list(cur, lambda cur: _parse_normal_element(
-                    cur, index, len(names)))
+                    cur, index, len(names), symbols))
         else:
             cur.error(f"unknown algebra key {key!r}")
         cur.take_symbol(",")
@@ -622,6 +639,23 @@ def _validate_refs(task, declared):
                     f"{ref.name!r}", task.line)
 
 
+def _check_required_keys(kind_tok, args):
+    """A ParseError, located at the task kind, for the first key the task
+    cannot run without."""
+    kind = kind_tok.value
+    if kind == "classify" and "series" in args:
+        return
+    required = _REQUIRED_KEYS.get(kind, ())
+    if args.get("traces") == Ref("bruteforce"):
+        required += ("algebra",)
+    for key in required:
+        if key not in args:
+            alternative = (" or 'series'"
+                           if (kind, key) == ("classify", "group") else "")
+            raise ParseError(f"task {kind!r} needs key {key!r}{alternative}",
+                             kind_tok.line, kind_tok.col)
+
+
 def parse_scenario(text):
     scenario = Scenario()
     declared = {}
@@ -667,6 +701,7 @@ def parse_scenario(text):
             args, expect = _parse_key_values(cur, kind_tok.value)
             task = Task(kind_tok.value, args, expect, head.line)
             _validate_refs(task, declared)
+            _check_required_keys(kind_tok, args)
             if kind_tok.value == "closure" and "name" in args:
                 declared[args["name"].name] = "group"
             scenario.tasks.append(task)
@@ -688,8 +723,7 @@ class _Runner:
         self.scenario = scenario
         self.env = dict(scenario.bindings)
         # computed once per run: truncations by (presentation, cutoff),
-        # (series, closed form) of brute-force traces, each computed or
-        # derived from its class representative's, by (presentation,
+        # (series, closed form) of brute-force traces by (presentation,
         # cutoff, matrix, num_bound, den_bound), and trace assignments by
         # (group, mode) plus, for brute force, those trace arguments but the
         # matrix.  An assignment keeps its Molien sum, so the molien and
@@ -815,42 +849,20 @@ class _Runner:
         return self.assignments[key]
 
     def brute_force_assignment(self, args, group):
-        """The group's traces on the algebra in ``args``, with one
-        ``brute_force_trace`` per rational class
-        (``MatrixGroup.rational_classes``): the identity's trace is the
-        truncation's dims, a representative's is brute-forced, and every
-        other element's is ``power_trace`` of its representative's.
-
-        The elements are taken in index order, as a brute force of each one
-        takes them, so a bad input fails with the same error.  A generator
-        that is no representative is checked to be an automorphism before
-        its trace is derived; the automorphisms form a group, so every
-        element is checked.
-        """
-        presentation, cutoff, num_bound, den_bound = self.trace_args(args)
-        generators = set(group.generators)
-        pairs, provenance = [], []
-        for i, (g, (r, k, m)) in enumerate(zip(group.elements,
-                                                group.rational_classes())):
-            if i == 0:
-                provenance.append(PROVENANCE_DIMS)
-                pairs.append(self.trace_pair(
-                    args, g, lambda trunc: identity_trace(trunc, group.dim)))
-                continue
-            if i == r:
-                provenance.append(PROVENANCE_BRUTE_FORCE)
-                pairs.append(self.trace_pair(args, g))
-                continue
-            provenance.append(f"{'conjugate' if k == 1 else f'sigma_{k}'} "
-                              f"of element {r}")
-            key = (presentation, cutoff, g, num_bound, den_bound)
-            if key not in self.traces:
-                if g in generators:
-                    check_automorphism(g, self.truncation(presentation, cutoff))
-                self.traces[key] = power_trace(pairs[r], k, m)
-            pairs.append(self.traces[key])
-        return TraceAssignment(group, tuple(closed for _, closed in pairs),
-                               tuple(provenance))
+        """The group's traces on the algebra in ``args`` by
+        ``assign_class_traces``: the truncation's dims for the identity, a
+        brute force for each other class representative.  The generators
+        are checked to be automorphisms first, in order; they generate the
+        group, so every element whose trace is derived is one."""
+        _, identity = self.trace_pair(
+            args, group.elements[0],
+            lambda trunc: identity_trace(trunc, group.dim))
+        trunc = self.truncation(*self.trace_args(args)[:2])
+        for g in group.generators:
+            check_automorphism(g, trunc)
+        return assign_class_traces(group, (identity, PROVENANCE_DIMS),
+                                   lambda g: self.trace_pair(args, g)[1],
+                                   PROVENANCE_BRUTE_FORCE)
 
     def truncation(self, presentation, cutoff):
         key = (presentation, cutoff)

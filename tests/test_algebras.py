@@ -587,9 +587,9 @@ class TestPrefixImages:
             accepted += 1
             assert brute_force_trace(g, trunc) == \
                 word_by_word_trace(g, trunc, cutoff), g
-            # order < cutoff
-            assert brute_force_trace(g, trunc, cutoff - 2) == \
-                word_by_word_trace(g, trunc, cutoff - 2), g
+            # a truncation at cutoff - 2 gives the trace up to its own cutoff
+            assert brute_force_trace(g, build_truncation(pres, cutoff - 2)) \
+                == word_by_word_trace(g, trunc, cutoff - 2), g
         assert accepted >= 3, (accepted, rejected)
 
     @pytest.mark.parametrize("name", [
@@ -644,9 +644,6 @@ class TestPrefixImages:
         swap = CyclotomicMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         with pytest.raises(NotAnAutomorphismError):
             brute_force_trace(swap, trunc)
-        with pytest.raises(ValueError):
-            brute_force_trace(CyclotomicMatrix.identity(3), trunc,
-                              trunc.cutoff + 1)
 
 
 def obeys_scalar_rule(x):
@@ -945,11 +942,6 @@ class TestBetti:
         table = betti_numbers(build_truncation(make(cutoff), cutoff))
         assert table.b(1, 1) == 1 and table.b(1, cutoff) == 1
         assert table.row_sum(1) == 2
-
-    def test_negative_cutoff_is_bad_input(self):
-        trunc = build_truncation(quantum_affine([[1, -1], [-1, 1]]), 4)
-        with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
-            betti_numbers(trunc, -1)
 
     def test_nullspace_only_where_a_generator_sits(self, monkeypatch):
         # the (-1)-skew 4-space has Koszul rows C(4, i) at degree i.  Every

@@ -31,6 +31,7 @@ from gradedseries.groups import (
     MatrixGroup,
     NonRationalResultError,
     PROVENANCE_BRUTE_FORCE,
+    PROVENANCE_CHARPOLY,
     PROVENANCE_USER,
     TooLargeError,
     TraceAssignment,
@@ -235,6 +236,26 @@ class TestCharpolyTracesPerClass:
             representatives = {r for r, _, _ in group.rational_classes()}
             assert calls == [(group.elements[r],)
                              for r in sorted(representatives - {0})]
+
+
+def test_charpoly_provenance_names_each_representative():
+    # every derived element names its class representative and the step, and
+    # its trace is its own charpoly trace; representatives name the rule
+    rng = random.Random(24)
+    derived = 0
+    for group in [*bundled_groups(),
+                  *(random_monomial_group(rng, N, 3) for N in (4, 5, 6))]:
+        assignment = assign_charpoly_traces(group)
+        for i, (r, k, _) in enumerate(group.rational_classes()):
+            if i == r:
+                assert assignment.provenance[i] == PROVENANCE_CHARPOLY
+                continue
+            derived += 1
+            step = "conjugate" if k == 1 else f"sigma_{k}"
+            assert assignment.provenance[i] == f"{step} of element {r}"
+            assert assignment[i] == reciprocal_charpoly_trace(
+                group.elements[i]), (group.order, i)
+    assert derived
 
 
 class TestSubgroups:

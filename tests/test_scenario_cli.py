@@ -167,6 +167,14 @@ class TestTaskKeys:
          "task key 'truncation' is given twice"),
         ("task cyc series=H\n  expect cyc=1 cyc=2", "cyc=2",
          "expect key 'cyc' is given twice"),
+        # a key the task cannot run without is located at the task kind
+        ("task betti", "betti", "task 'betti' needs key 'algebra'"),
+        ("task trace matrix=g", "trace", "task 'trace' needs key 'algebra'"),
+        ("task trace algebra=A", "trace", "task 'trace' needs key 'matrix'"),
+        ("task classify gk=2", "classify",
+         "task 'classify' needs key 'group' or 'series'"),
+        ("task molien group=G traces=bruteforce", "molien",
+         "task 'molien' needs key 'algebra'"),
     ])
     def test_unread_and_repeated_keys_are_located(self, tmp_path, capsys,
                                                   line, key, message):
@@ -365,7 +373,7 @@ class TestAssignmentCache:
     def test_reports_match_each_task_run_alone(self, monkeypatch, tasks,
                                                assignments):
         alone = [self.run_alone(task) for task in tasks]
-        built = self.spy(monkeypatch, "TraceAssignment")
+        built = self.spy(monkeypatch, "assign_class_traces")
         charpoly = self.spy(monkeypatch, "assign_charpoly_traces")
         sums = []
         molien_sum = groups_module._molien_sum
@@ -814,6 +822,9 @@ class TestCli:
         # a relation word's power reads as a normal element's does
         ("{ kind: monomial_quotient, generators: [x, y], relations: [x^0] }",
          60, "powers in monomials must be positive"),
+        # a scalar coefficient of a normal element holds no t
+        ("{ kind: normal_quotient, q: [[1,1],[1,1]], normal: [x1 + (2t) x2] }",
+         58, "coefficients must not involve t"),
     ])
     def test_lists_and_monomials_are_located(self, capsys, literal, col,
                                              message):
@@ -835,6 +846,25 @@ class TestCli:
         assert main(["betti", "--algebra", literal]) == 2
         assert capsys.readouterr().err == \
             f"error: line 1, col 1: bad algebra literal: {message}\n"
+
+    def test_scalar_coefficients_of_normal_elements(self, tmp_path, capsys):
+        # k_{-1}[x1, x2, x3] / (x1^2 + zeta_5 x2^2), written in a scenario
+        # and built directly, has the same dims and Betti table
+        path = tmp_path / "zeta5.scn"
+        path.write_text(
+            "zeta_order: 5\n"
+            "let B = algebra { kind: normal_quotient, "
+            "q: [[1,-1,-1],[-1,1,-1],[-1,-1,1]], normal: [x1^2 + (z) x2^2] }\n"
+            "task betti algebra=B truncation=6\n")
+        assert main(["run", str(path), "--json"]) == 0
+        [report] = json.loads(capsys.readouterr().out)["reports"]
+        pres = gs.normal_quotient(gs.skew_symmetric_q(3), [
+            {(2, 0, 0): 1, (0, 2, 0): CyclotomicNumber.zeta(5)}])
+        trunc = gs.build_truncation(pres, 6)
+        table = gs.betti_numbers(trunc)
+        assert report["dims"] == trunc.dims()
+        assert report["betti"] == {
+            f"{i},{j}": v for (i, j), v in sorted(table.entries.items())}
 
     def test_monomial_quotient_names_default_from_degrees(self, capsys):
         assert main(["betti", "--algebra",
