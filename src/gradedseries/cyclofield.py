@@ -236,16 +236,7 @@ class CyclotomicNumber(Immutable):
             return self._hash
         except AttributeError:
             pass
-        # Tr(x)/phi(N) is unchanged by lifting; it is summed as num/den in
-        # ints, which is faster than Fractions
-        weights = _trace_weights(self.order)
-        num, den = 0, 1
-        for c, w in zip(self.residue.coeffs, weights):
-            if c and w:
-                num = num * c.denominator + c.numerator * w * den
-                den *= c.denominator
-        den *= weights[0]
-        value = hash(num // den if num % den == 0 else Fraction(num, den))
+        value = hash(_mean_trace(self))
         _set_hash(self, value)
         return value
 
@@ -297,6 +288,27 @@ def _trace_weights(order):
     """
     return tuple(sum(mobius(order // d) * d for d in _divisors(gcd(order, i)))
                  for i in range(cyclotomic_polynomial(order).degree))
+
+
+def _mean_trace(x):
+    """Tr(x)/phi(N) for x in Q(zeta_N), an int or a Fraction; x itself when
+    x is rational.
+
+    Lifting x into a larger field leaves this value unchanged, so it is the
+    number's hash, and the sum of the distinct conjugates of x is this value
+    times their count.  It is summed as num/den in ints, which is faster
+    than Fractions.
+    """
+    if type(x) in _RATIONAL:
+        return x
+    weights = _trace_weights(x.order)
+    num, den = 0, 1
+    for c, w in zip(x.residue.coeffs, weights):
+        if c and w:
+            num = num * c.denominator + c.numerator * w * den
+            den *= c.denominator
+    den *= weights[0]
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def _entry(x):

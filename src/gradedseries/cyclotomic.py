@@ -3,7 +3,8 @@
 An integer polynomial has all of its roots on the unit circle exactly when
 it is (up to sign and a power of t) a product of cyclotomic polynomials, so
 "every root is a root of unity" is decidable by trial division against the
-finitely many Phi_n with phi(n) <= deg.  On top of that sit:
+finitely many Phi_n with phi(n) <= deg; for an integer polynomial a Phi_n
+is tried only when Phi_n(2) divides p(2).  On top of that sit:
 
 * the cyclotomic verdict for a rational function,
 * the minimal signed (1 - t^a)-factorization via Moebius inversion, whose
@@ -133,8 +134,54 @@ class CyclotomicFactorization:
         return self.t_power == 0 and self.remainder == _ONE
 
 
+@cache
+def _phi_at_two(n):
+    """Phi_n(2) = prod_{d | n} (2^d - 1)^mu(n/d), with no polynomial built."""
+    num = den = 1
+    for d in _divisors(n):
+        mu = mobius(n // d)
+        if mu > 0:
+            num *= 2 ** d - 1
+        elif mu < 0:
+            den *= 2 ** d - 1
+    return num // den
+
+
+def _at_two(p):
+    """p(2) for a polynomial with int coefficients, else 0 (no filter)."""
+    return p(2) if all(type(c) is int for c in p.coeffs) else 0
+
+
+def _divide_out(p, n, at_two, limit):
+    """(p / Phi_n^k, that quotient's ``_at_two``, k) for the largest k <= limit
+    with Phi_n^k dividing p.
+
+    ``at_two`` is ``_at_two(p)``.  A division is tried only when Phi_n(2)
+    divides it: Phi_n is monic, so Phi_n | p leaves an integer quotient q for
+    an integer p (Gauss), and p(2) = Phi_n(2) q(2).  divmod confirms every
+    factor; at_two = 0 (a root at 2, or no filter) tries every division.
+    """
+    phi_at_two = _phi_at_two(n)
+    k = 0
+    while k < limit and not at_two % phi_at_two:
+        phi_n = cyclotomic_polynomial(n)
+        if p.degree < phi_n.degree:
+            break
+        q, r = divmod(p, phi_n)
+        if r:
+            break
+        p, at_two, k = q, at_two // phi_at_two, k + 1
+    return p, at_two, k
+
+
 def factor_cyclotomic(p):
-    """Extract the maximal cyclotomic part of an integer polynomial."""
+    """Extract the maximal cyclotomic part of an integer polynomial.
+
+    Trial division runs over the Phi_n with phi(n) <= deg p, and tries Phi_n
+    only when Phi_n(2) divides p(2) (``_divide_out``), with p(2) divided by
+    Phi_n(2) for each factor found.  When p(2) = 0 nothing is skipped, and a
+    polynomial with Fraction coefficients is not filtered.
+    """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     original = p
@@ -147,15 +194,12 @@ def factor_cyclotomic(p):
     if p.leading < 0:
         unit = -1
         p = -p
+    at_two = _at_two(p)
     exponents = {}
     for n in _candidate_orders(p.degree):
-        phi_n = cyclotomic_polynomial(n)
-        while p.degree >= phi_n.degree:
-            q, r = divmod(p, phi_n)
-            if r:
-                break
-            p = q
-            exponents[n] = exponents.get(n, 0) + 1
+        p, at_two, k = _divide_out(p, n, at_two, p.degree)
+        if k:
+            exponents[n] = k
         if p.degree == 0:
             break
     fact = CyclotomicFactorization(exponents, p, unit, t_power)
@@ -192,14 +236,19 @@ class BinomialProfile:
     def numerator_count(self):
         return sum(e for e in self.factors.values() if e > 0)
 
-    def as_rational_function(self):
+    def fraction(self):
+        """(num, den): the products of the binomials of positive and of
+        negative exponent, not reduced."""
         num = den = _ONE
         for a, e in self.factors.items():
             if e > 0:
                 num = num * one_minus_power(a) ** e
             else:
                 den = den * one_minus_power(a) ** (-e)
-        return normalize(num, den)
+        return num, den
+
+    def as_rational_function(self):
+        return normalize(*self.fraction())
 
 
 def cyc_number(f, factors=None):
@@ -209,9 +258,12 @@ def cyc_number(f, factors=None):
     factors[a] induces cyclotomic exponents e_n = sum_{n|a} factors[a]; the
     relation inverts uniquely by factors[a] = sum_{a|m<=A} mu(m/a) e_m with A
     the largest order present.  Cancelling pairs only lengthen the numerator,
-    so the minimum is the positive part of that unique profile.  Returns
-    (count, BinomialProfile) or None when no such factorization exists.
-    ``factors`` is f's ``factor_series`` when the caller has it.
+    so the minimum is the positive part of that unique profile.  The
+    profile's binomial products num_prof / den_prof are compared with f by
+    cross-multiplication, num_prof f.den == den_prof f.num, with no gcd to
+    reduce them.  Returns (count, BinomialProfile) or None when no such
+    factorization exists.  ``factors`` is f's ``factor_series`` when the
+    caller has it.
     """
     fn, fd = factors or factor_series(f)
     if fn is None or not fn.is_cyclotomic or not fd.is_cyclotomic:
@@ -220,17 +272,15 @@ def cyc_number(f, factors=None):
     for n, k in fd.exponents.items():
         e[n] = e.get(n, 0) - k
     e = {n: k for n, k in e.items() if k}
-    if not e:
-        profile = BinomialProfile({})
-        return (0, profile) if f == profile.as_rational_function() else None
-    top = max(e)
+    top = max(e, default=0)
     factors = {}
     for a in range(1, top + 1):
-        v = sum(mobius(m // a) * e.get(m, 0) for m in range(a, top + 1, a))
+        v = sum(mobius(m // a) * k for m, k in e.items() if m % a == 0)
         if v:
             factors[a] = v
     profile = BinomialProfile(dict(sorted(factors.items())))
-    if profile.as_rational_function() != f:
+    num, den = profile.fraction()
+    if num * f.den != den * f.num:
         return None
     return profile.numerator_count(), profile
 

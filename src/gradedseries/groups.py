@@ -16,12 +16,17 @@ class and derive the rest in ``assign_class_traces``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .cyclofield import CyclotomicMatrix, power_galois
-from .exact import (Immutable, Poly, RationalFunction, one_minus_power,
-                    poly_gcd, scalar_inverse, series_quotient)
+from .cyclofield import (CyclotomicMatrix, CyclotomicNumber, _mean_trace,
+                         power_galois)
+from .cyclotomic import (_at_two, _divide_out, _divisors,
+                         cyclotomic_polynomial)
+from .exact import (_RATIONAL, Immutable, Poly, RationalFunction,
+                    _integer_series, _poly, one_minus_power, poly_gcd,
+                    scalar_inverse, series_quotient)
 
 
 class CapExceededError(RuntimeError):
@@ -257,10 +262,13 @@ def subgroups(group, max_order=64):
 
     Any subgroup arises as a chain of one-generator extensions starting from
     a cyclic subgroup, so iterating extensions to a fixed point is complete.
+    H is extended once per coset: <H, ih> = <H, hi> = <H, i> for h in H, so
+    after extending by i every element of iH and Hi is done for H.
     """
     if group.order > max_order:
         raise TooLargeError(
             f"subgroup enumeration capped at order {max_order}")
+    table = group.multiplication_table()
     found = {frozenset({0})}
     worklist = []
     for i in range(1, group.order):
@@ -270,9 +278,13 @@ def subgroups(group, max_order=64):
             worklist.append(cyc)
     while worklist:
         current = worklist.pop()
+        done = set(current)
         for i in range(1, group.order):
-            if i in current:
+            if i in done:
                 continue
+            row = table[i]
+            done.update(row[h] for h in current)
+            done.update(table[h][i] for h in current)
             extended = group.subset_closure(current | {i})
             if extended not in found:
                 found.add(extended)
@@ -360,13 +372,30 @@ def molien(group, assignment):
     Stanley gives (Bull. AMS 1, 1979): every eigenvalue of g has order
     dividing the exponent e of G, so det(I - t g) divides (1 - t^e)^n for
     n = dim G, and each trace num/den becomes the polynomial
-    num (1 - t^e)^n / den.  Since den(0) = 1 that division runs up from the
-    constant term with no inverse.  A trace whose denominator does not
+    p = num (1 - t^e)^n / den.  Since den(0) = 1 that division runs up from
+    the constant term with no inverse.  A trace whose denominator does not
     divide the common one (a brute-force trace can have one) widens it to
     their lcm, common * den / gcd(common, den), which may lie over Q(zeta_N),
-    and the running sum is multiplied by the same factor.  The polynomials
-    are summed, one reduction of sum / (|G| common) gives the series, and
-    that reduced value, not the sum, must land in Q.
+    and the running sum is multiplied by the same factor.
+
+    While the common denominator lies in Q[t], the sum stays there.  An
+    irrational trace f over Q(zeta_N), N the lcm of its coefficients'
+    orders, has the distinct conjugates sigma_j(f), j prime to N; when every
+    one of them is a trace with f's count k, the orbit O adds
+    k |O| / phi(N) Tr(p_f), the trace over Q taken coefficient by
+    coefficient, and needs one quotient.  That holds for any assignment, not
+    only a class function: the common denominator is rational, so
+    p_{sigma_j f} = sigma_j(p_f), each conjugate is hit phi(N) / |O| times
+    as j runs, and the sigma_j sum to Tr.  Any other value is summed alone.
+    A sum that is still irrational over a rational common denominator
+    cannot reduce into Q(t), and raises at once.
+
+    Over the unwidened (1 - t^e)^n = (-1)^n prod_{d | e} Phi_d^n the
+    reduction needs no gcd: the sum is divided exactly by each Phi_d, at
+    most n times, and since Phi_d is irreducible over Q, the Phi_d left in
+    the denominator are prime to what is left of the sum.  A widened sum is
+    reduced with its gcd, and that reduced value, not the sum, must land in
+    Q.  Either way the series must expand to an integer series.
 
     The sum is taken once per assignment: it is kept on the assignment
     (``TraceAssignment.molien_series``) and read from there when ``group``
@@ -378,25 +407,78 @@ def molien(group, assignment):
     return _molien_sum(group, assignment.traces)
 
 
+def _is_rational(p):
+    return all(type(c) in _RATIONAL for c in p.coeffs)
+
+
+def _galois_orbit(f):
+    """The distinct conjugates sigma_j(f) of a trace over Q(zeta_N), for j
+    prime to the lcm N of its coefficients' orders; None when f is
+    rational."""
+    coeffs = (*f.num.coeffs, *f.den.coeffs)
+    orders = {c.order for c in coeffs if isinstance(c, CyclotomicNumber)}
+    if not orders:
+        return None
+    n = lcm(*orders)
+    return {f} | {f.map_coefficients(power_galois(coeffs, j, n))
+                  for j in range(2, n) if gcd(j, n) == 1}
+
+
 def _molien_sum(group, traces):
     counts = {}
     for f in traces:
         counts[f] = counts.get(f, 0) + 1
-    common = one_minus_power(group.exponent()) ** group.dim
+    e, n = group.exponent(), group.dim
+    common = one_minus_power(e) ** n
+    widened, rational = False, True
+    summed = set()
     total = Poly()
     for f, k in counts.items():
+        if f in summed:
+            continue
         p = series_quotient(f.num * common, f.den)
         if p is None:
             # widen the common denominator to lcm(common, f.den)
             widen = f.den.exact_div(poly_gcd(common, f.den))
             common, total = common * widen, total * widen
+            widened, rational = True, _is_rational(common)
             p = series_quotient(f.num * common, f.den)
-        total = total + p * k
+        orbit = _galois_orbit(f) if rational else None
+        if orbit and all(counts.get(g) == k and g not in summed
+                         for g in orbit):
+            summed |= orbit
+            size = k * len(orbit)
+            total = total + _poly([_mean_trace(c) * size for c in p.coeffs])
+        else:
+            summed.add(f)
+            total = total + p * k
+    if rational and not _is_rational(total):
+        raise NonRationalResultError(
+            "Molien sum did not cancel to rational coefficients")
+    if rational and not widened and total:
+        return _integer_series(_over_binomial_power(total, e, n, group.order))
     result = RationalFunction(total, common * group.order).to_rational_function()
     if result is None:
         raise NonRationalResultError(
             "Molien sum did not cancel to rational coefficients")
     return result
+
+
+def _over_binomial_power(total, e, n, order):
+    """total / (order (1 - t^e)^n) in lowest terms, for a nonzero total in
+    Q[t], with no gcd: (1 - t^e)^n = (-1)^n prod_{d | e} Phi_d^n, and each
+    Phi_d is irreducible, so dividing total by it while it divides, at most
+    n times (``cyclotomic._divide_out``), leaves a num prime to the Phi_d
+    powers still in den."""
+    num, den, at_two = total, Poly((1,)), _at_two(total)
+    for d in _divisors(e):
+        num, at_two, k = _divide_out(num, d, at_two, n)
+        if k < n:
+            den = den * cyclotomic_polynomial(d) ** (n - k)
+    # den(0) = +-1, as Phi_1(0) = -1 and Phi_d(0) = 1 for d > 1
+    sign = den.constant_term
+    return RationalFunction._wrap(num * Fraction(sign * (-1) ** n, order),
+                                  den * sign)
 
 
 def hdet(trace, gl_dim, as_index):

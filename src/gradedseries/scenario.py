@@ -852,14 +852,20 @@ class _Runner:
         """The group's traces on the algebra in ``args`` by
         ``assign_class_traces``: the truncation's dims for the identity, a
         brute force for each other class representative.  The generators
-        are checked to be automorphisms first, in order; they generate the
-        group, so every element whose trace is derived is one."""
+        that are not class representatives are checked to be automorphisms
+        first, in order; ``brute_force_trace`` checks each representative
+        (or did, when its trace was cached), and ``identity_trace`` the
+        identity's input.  The generators generate the group, so every
+        element whose trace is derived is one."""
         _, identity = self.trace_pair(
             args, group.elements[0],
             lambda trunc: identity_trace(trunc, group.dim))
         trunc = self.truncation(*self.trace_args(args)[:2])
+        classes = group.rational_classes()
         for g in group.generators:
-            check_automorphism(g, trunc)
+            i = group.index_of(g)
+            if classes[i][0] != i:
+                check_automorphism(g, trunc)
         return assign_class_traces(group, (identity, PROVENANCE_DIMS),
                                    lambda g: self.trace_pair(args, g)[1],
                                    PROVENANCE_BRUTE_FORCE)

@@ -1,5 +1,8 @@
+import json
 import random
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from gradedseries.cyclotomic import (
     cyc_number,
@@ -11,7 +14,9 @@ from gradedseries.cyclotomic import (
     mobius,
     squarefree_order_lcm,
 )
+from gradedseries.cyclotomic import BinomialProfile
 from gradedseries.exact import Poly, expand, normalize, one_minus_power
+from gradedseries.scenario import parse_series_literal
 
 
 def P(*coeffs):
@@ -89,6 +94,141 @@ class TestFactorCyclotomic:
             squarefree = squarefree * cyclotomic_polynomial(n)
         t_L_minus_1 = Poly((-1,) + (0,) * (L - 1) + (1,))
         t_L_minus_1.exact_div(squarefree)  # raises if not divisible
+
+
+def factor_by_trial_division(p):
+    """(exponents, remainder, unit, t_power) of p by dividing by every Phi_n
+    with phi(n) <= deg p, in order, with no filter: the oracle for
+    factor_cyclotomic."""
+    t_power = 0
+    while not p.coeffs[t_power]:
+        t_power += 1
+    p = Poly(p.coeffs[t_power:])
+    unit = -1 if p.leading < 0 else 1
+    p = p * unit
+    exponents = {}
+    degree = p.degree
+    for n in range(1, 2 * degree * degree + 2):
+        if euler_phi(n) > degree:
+            continue
+        phi = cyclotomic_polynomial(n)
+        while p.degree >= phi.degree:
+            q, r = divmod(p, phi)
+            if r:
+                break
+            p = q
+            exponents[n] = exponents.get(n, 0) + 1
+    return exponents, p, unit, t_power
+
+
+class TestFilteredFactorization:
+    """factor_cyclotomic tries Phi_n only when Phi_n(2) divides p(2); the
+    result is that of unfiltered trial division."""
+
+    def seeded_products(self):
+        rng = random.Random(2401)
+        orders = [n for n in range(1, 31) if euler_phi(n) <= 8]
+        for _ in range(60):
+            p = Poly((1,))
+            for n in rng.sample(orders, rng.randint(0, 4)):
+                p = p * cyclotomic_polynomial(n) ** rng.randint(1, 3)
+            # a cofactor with no root of unity among its roots, most often
+            cofactor = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
+            if cofactor:
+                p = p * cofactor
+            if rng.random() < 0.3:
+                p = p * P(-2, 1)  # p(2) = 0
+            if rng.random() < 0.3:
+                p = -p
+            if rng.random() < 0.3:
+                p = p.shifted(rng.randint(1, 3))
+            if rng.random() < 0.2:
+                p = p * Fraction(rng.choice((1, -1)), rng.randint(2, 5))
+            yield p
+
+    def test_matches_trial_division(self):
+        kinds = set()
+        for p in self.seeded_products():
+            fact = factor_cyclotomic(p)
+            assert (fact.exponents, fact.remainder, fact.unit,
+                    fact.t_power) == factor_by_trial_division(p), p
+            kinds.update(kind for kind, present in (
+                ("root at 2", p(2) == 0),
+                ("negative", p.leading < 0),
+                ("t-power", not p.coeffs[0]),
+                ("fraction", any(type(c) is Fraction for c in p.coeffs)))
+                if present)
+        assert kinds == {"root at 2", "negative", "t-power", "fraction"}
+
+    def test_filter_skips_divisions(self, monkeypatch):
+        # (1 + 2t)^3 Phi_12: 12 is tried, and most other orders never are
+        tried = []
+        original = Poly.__divmod__
+
+        def spy(self, other):
+            tried.append(other)
+            return original(self, other)
+        monkeypatch.setattr(Poly, "__divmod__", spy)
+        fact = factor_cyclotomic(P(1, 2) ** 3 * cyclotomic_polynomial(12))
+        assert fact.exponents == {12: 1}
+        assert cyclotomic_polynomial(12) in tried
+        assert len(tried) < 10
+
+
+def bundled_series():
+    """Every series the bundled scenarios report, read from their goldens."""
+    golden = Path(__file__).parent / "golden"
+    for path in sorted(golden.glob("*.json")):
+        for report in json.loads(path.read_text())["reports"]:
+            for key in ("series", "section", "ambient_section"):
+                if key in report:
+                    yield report, parse_series_literal(report[key])
+
+
+def cyc_number_by_normalize(f):
+    """cyc_number with the profile compared by normalizing it: the oracle
+    for the cross-multiplied comparison."""
+    if f.is_zero:
+        return None
+    fn, fd = factor_cyclotomic(f.num), factor_cyclotomic(f.den)
+    if not fn.is_cyclotomic or not fd.is_cyclotomic:
+        return None
+    e = dict(fn.exponents)
+    for n, k in fd.exponents.items():
+        e[n] = e.get(n, 0) - k
+    top = max(e, default=0)
+    factors = {}
+    for a in range(1, top + 1):
+        v = sum(mobius(m // a) * e.get(m, 0) for m in range(a, top + 1, a))
+        if v:
+            factors[a] = v
+    profile = BinomialProfile(factors)
+    if profile.as_rational_function() != f:
+        return None
+    return profile.numerator_count(), profile
+
+
+class TestCycNumberCrossMultiplied:
+    def test_bundled_series_unchanged(self):
+        seen = 0
+        for report, f in bundled_series():
+            got = cyc_number(f)
+            assert got == cyc_number_by_normalize(f), str(f)
+            if "cyc" in report:
+                seen += 1
+                assert report["cyc"] == (got[0] if got else None)
+                profile = report["cyc_profile"]
+                assert profile == ({str(a): e for a, e in got[1].factors.items()}
+                                   if got else None)
+        assert seen
+
+    def test_sign_is_checked(self):
+        # -1 and -1/(1 - t) are cyclotomic, but no binomial profile has the
+        # constant -1
+        for f in (normalize(P(-1), P(1)), normalize(P(-1), ONE_MINUS_T)):
+            assert is_cyclotomic(f)
+            assert cyc_number(f) is None is cyc_number_by_normalize(f)
+        assert cyc_number(normalize(P(1), P(1))) == (0, BinomialProfile({}))
 
 
 class TestIsCyclotomic:

@@ -22,6 +22,7 @@ from gradedseries.exact import (
     expand,
     normalize,
     one_minus_power,
+    poly_gcd,
     reconstruct,
     series_quotient,
 )
@@ -304,6 +305,48 @@ class TestSubgroups:
         with pytest.raises(TooLargeError):
             subgroups(group, max_order=0)
 
+    def test_one_extension_per_coset_finds_every_subgroup(self):
+        # the enumeration that extends each subgroup H by every element
+        # outside it, not once per coset of H, on the bundled groups and on
+        # seeded monomial groups
+        rng = random.Random(24)
+        seeded = [random_monomial_group(rng, N, dim)
+                  for N in (2, 3, 4, 6) for dim in (2, 3)]
+        for group in [*bundled_groups(), *seeded]:
+            want = subgroups_by_every_extension(group)
+            got = [frozenset(group.index_of(m) for m in s.elements)
+                   for s in subgroups(group)]
+            assert len(got) == len(set(got))
+            assert set(got) == want, group.order
+
+    def test_one_extension_per_coset(self, monkeypatch):
+        # <H, ih> = <H, hi> = <H, i>, so H is extended at most once per
+        # left coset: at most [G : H] - 1 extensions for each subgroup H
+        group = closure(list(sklyanin_generators()), cap=30)
+        calls = spy_calls(monkeypatch, MatrixGroup, "subset_closure")
+        subs = subgroups(group)
+        cyclic = group.order - 1
+        bound = sum(group.order // s.order - 1 for s in subs
+                    if s.order > 1)
+        assert len(calls) - cyclic <= bound
+
+
+def subgroups_by_every_extension(group):
+    """Every subgroup's index set, by extending each subgroup found by every
+    element outside it until no new subgroup appears."""
+    found = {frozenset({0})}
+    found.update(group.subset_closure({i}) for i in range(1, group.order))
+    work = list(found)
+    while work:
+        current = work.pop()
+        for i in range(1, group.order):
+            if i not in current:
+                extended = group.subset_closure(current | {i})
+                if extended not in found:
+                    found.add(extended)
+                    work.append(extended)
+    return found
+
 
 class TestTraceRule:
     def test_identity(self):
@@ -426,11 +469,12 @@ def random_monomial_group(rng, N, dim, cap=48):
             continue
 
 
-def brute_force_group(dim, matrix):
-    """The group of ``matrix`` on the (-1)-skew space in ``dim`` variables,
-    with brute-force traces reconstructed from a cutoff-12 truncation."""
+def brute_force_group(dim, *matrices):
+    """The group the matrices generate on the (-1)-skew space in ``dim``
+    variables, with brute-force traces reconstructed from a cutoff-12
+    truncation."""
     trunc = build_truncation(quantum_affine(skew_symmetric_q(dim)), 12)
-    group = closure([CyclotomicMatrix(matrix)], cap=10)
+    group = closure([CyclotomicMatrix(m) for m in matrices], cap=20)
     traces = tuple(reconstruct(brute_force_trace(g, trunc), 0, dim)
                    for g in group.elements)
     return group, TraceAssignment(group, traces,
@@ -493,6 +537,95 @@ class TestMolienCommonDenominator:
         got = molien(group, assignment)
         want = normalize(P(1, -1, 1), P(1, -2, 2, -3, 3, -2, 2, -1))
         assert got == want == pairwise_molien(group, assignment)
+
+
+def galois_orbits(values, N):
+    """The distinct values grouped into orbits under z -> z^j, j prime to N,
+    for values whose coefficients lie in Q(zeta_N)."""
+    def conjugate(f, j):
+        return f.map_coefficients(
+            lambda c: c.galois(j) if isinstance(c, CyclotomicNumber) else c)
+    orbits = []
+    for f in dict.fromkeys(values):
+        if not any(f in orbit for orbit in orbits):
+            orbits.append({conjugate(f, j) for j in range(1, N)
+                           if gcd(j, N) == 1})
+    return orbits
+
+
+class TestMolienGaloisOrbits:
+    """An orbit of conjugate traces with one count is summed as the trace of
+    one quotient; every other value is summed alone."""
+
+    def test_orbit_sum_matches_pairwise_oracle(self, monkeypatch):
+        rng = random.Random(2024)
+        quotients = spy_calls(monkeypatch, groups, "series_quotient")
+        orbits_summed = 0
+        for N in (3, 4, 5, 8, 12):
+            for dim in (2, 3):
+                group = random_monomial_group(rng, N, dim)
+                assignment = assign_charpoly_traces(group)
+                quotients.clear()
+                got = molien(group, assignment)
+                assert got == pairwise_molien(group, assignment), (N, dim)
+                orbits = galois_orbits(assignment.traces, N)
+                assert len(quotients) == len(orbits), (N, dim)
+                orbits_summed += sum(len(orbit) > 1 for orbit in orbits)
+        assert orbits_summed
+
+    def test_unequal_counts_are_summed_per_value(self, monkeypatch):
+        # f = 1/(1 - z t) twice and its conjugate g once: the irrational
+        # parts cancel only with h = 2/(1 - t) - f, whose conjugate is no
+        # trace, so no orbit has one count and each value takes its own
+        # quotient; x = 3/(1 - t) - f - g makes the sum 6/(1 - t)
+        group = closure([CyclotomicMatrix([[-z]])], cap=10)
+        one = RationalFunction.reciprocal(P(1, -1))
+        f, g = (RationalFunction.reciprocal(P(1, -c)) for c in (z, z ** 2))
+        h, x = 2 * one - f, 3 * one - f - g
+        traces = (one, f, f, g, h, x)
+        assignment = TraceAssignment(group, traces, (PROVENANCE_USER,) * 6)
+        means = spy_calls(monkeypatch, groups, "_mean_trace")
+        quotients = spy_calls(monkeypatch, groups, "series_quotient")
+        got = molien(group, assignment)
+        assert got == pairwise_molien(group, assignment) == one
+        assert len(quotients) == len(set(traces)) and not means
+        # with the counts made equal the orbit {f, g} takes one quotient
+        equal = TraceAssignment(group, (one, f, g, x, one, one),
+                                (PROVENANCE_USER,) * 6)
+        quotients.clear()
+        assert molien(group, equal) == pairwise_molien(group, equal) == one
+        assert len(quotients) == 3 and means
+
+    @pytest.mark.parametrize("generators, widenings", [
+        # the swap's trace widens (1 - t^6)^3 by the rational 1 + t^2; the
+        # orbit of z's traces is summed over the widened denominator
+        ([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, z]]],
+         [True]),
+        # then irrational factors widen it too, and values are summed alone
+        # until the widened denominator is rational again
+        ([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[z, 0, 0], [0, z, 0], [0, 0, 1]]],
+         [True, False, False]),
+    ])
+    def test_brute_force_widenings(self, monkeypatch, generators, widenings):
+        group, assignment = brute_force_group(3, *generators)
+        gcds = spy_calls(monkeypatch, groups, "poly_gcd")
+        means = spy_calls(monkeypatch, groups, "_mean_trace")
+        got = molien(group, assignment)
+        assert got == pairwise_molien(group, assignment)
+        widens = [d.exact_div(poly_gcd(common, d)) for common, d in gcds]
+        assert [all(type(c) in (int, Fraction) for c in w.coeffs)
+                for w in widens] == widenings
+        assert means
+
+    def test_irrational_sum_over_a_rational_denominator_is_rejected(self):
+        # f's conjugate is no trace, so the sum keeps f's irrational part
+        group = closure([CyclotomicMatrix([[-z]])], cap=10)
+        one = RationalFunction.reciprocal(P(1, -1))
+        f = RationalFunction.reciprocal(P(1, -z))
+        assignment = TraceAssignment(group, (one,) * 5 + (f,),
+                                     (PROVENANCE_USER,) * 6)
+        with pytest.raises(NonRationalResultError):
+            molien(group, assignment)
 
 
 class TestMultiplicationTable:
@@ -606,8 +739,8 @@ class TestMolienOncePerAssignment:
 
     @pytest.fixture
     def sums(self, monkeypatch):
-        """The number of series_quotient calls, one per distinct trace of
-        each common-denominator sum."""
+        """The number of series_quotient calls, one per Galois orbit of
+        distinct traces of each common-denominator sum."""
         calls = []
         original = groups.series_quotient
 
@@ -622,7 +755,7 @@ class TestMolienOncePerAssignment:
         assignment = assign_charpoly_traces(group)
         series = molien(group, assignment)
         once = len(sums)
-        assert once == len(set(assignment.traces))
+        assert once == len(galois_orbits(assignment.traces, 3))
         report = classify_group(group, assignment, 3)
         assert len(sums) == once
         assert report.hilbert_series == series

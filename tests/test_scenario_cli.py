@@ -509,6 +509,28 @@ class TestClassTraces:
             assert assignment.traces[i] != assignment.traces[1]
             assert not assignment.traces[i].is_rational()
 
+    def test_each_generator_is_checked_once(self, monkeypatch):
+        # (1 2) is a class representative, which its brute force checks;
+        # (2 3) is its conjugate, and only the runner checks it
+        checked = []
+        original = gs.algebras.check_automorphism
+
+        def spy(g, trunc):
+            checked.append(g)
+            return original(g, trunc)
+        monkeypatch.setattr(gs.algebras, "check_automorphism", spy)
+        monkeypatch.setattr(scenario_module, "check_automorphism", spy)
+        pres = gs.quantum_affine(gs.skew_symmetric_q(3))
+        first = signed_permutation((1, 0, 2), (1, 1, 1))
+        second = signed_permutation((0, 2, 1), (1, 1, 1))
+        group = gs.closure([first, second])
+        assert group.rational_classes()[group.index_of(second)][0] == \
+            group.index_of(first)
+        self.assignment(pres, group, 8, 3)
+        assert checked[0] == second
+        assert len(checked) == len(set(checked)) == 3
+        assert {first, second} <= set(checked)
+
     def test_provenance_names_the_representative(self):
         bindings = parse_scenario(
             gs.load_bundled_scenario("mystic_bireflection.scn")).bindings
