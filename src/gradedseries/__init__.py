@@ -15,8 +15,8 @@ from .algebras import (
     brute_force_trace,
     build_truncation,
     euler_check,
+    ext_growth,
     free_algebra,
-    growth_estimate,
     monomial_quotient,
     normal_quotient,
     quantum_affine,

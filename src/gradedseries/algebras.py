@@ -50,17 +50,24 @@ where it falls short is the nullspace of d_i taken, its images read at the
 pivot keys of K_{i-1,alpha}'s echelon form, and the nullspace vectors that
 enlarge the span are the minimal generators.  Each basis product is
 computed once per ``betti_numbers`` call and kept only for that call.
+
+The growth of Ext_A(k, k) is read exactly from the Betti totals P(1, t):
+``ext_growth`` reconstructs their closed form and reports it finite,
+polynomial (with the pole order at t = 1), exponential or undetermined, for
+the data up to the cutoff (never as a global claim).  Nothing here is
+floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
 
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber
-from .exact import (Immutable, Series, _reduce_vec, _rref_add, _simplify,
-                    expand, scalar_inverse)
+from .cyclotomic import factor_cyclotomic
+from .exact import (Immutable, NonUnitConstantError, NoSolutionError, Series,
+                    _reduce_vec, _rref_add, _simplify, expand, reconstruct,
+                    scalar_inverse)
 
 
 class NotNormalError(ValueError):
@@ -274,20 +281,25 @@ class Truncation(Immutable):
         return deg, self.project(deg, {(i,): _ONE})
 
     def grading(self):
-        """(digits, generators) for ``betti_numbers``.  A label's weight is the
-        sum of its letters' digits: powers of cutoff + 1, so that it reads the
-        letter counts, or the generator degrees when a row of the ideal has
-        two words and so letter counts do not grade it (a nondecreasing word
-        is fixed by its letter counts).  The generators are the (weight,
-        degree, vector) triples of the nonzero ones."""
+        """(weight, generators) for ``betti_numbers``: weight maps a basis
+        label to its weight, the sum of its letters' digits.  The digits are
+        powers of cutoff + 1, so that a weight reads the letter counts, or
+        the generator degrees when a row of the ideal has two words and so
+        letter counts do not grade it (a nondecreasing word is fixed by its
+        letter counts).  The generators are the (weight, degree, vector)
+        triples of the nonzero ones."""
         ngens = self.presentation.ngens
         if any(len(row) > 1
                for rows in self.ideal or () for row in rows.values()):
             digits = self.presentation.degrees
         else:
             digits = [(self.cutoff + 1) ** i for i in range(ngens)]
+
+        def weight(label):
+            return sum(digits[i] for i in label)
+
         vectors = map(self.generator_vector, range(ngens))
-        return digits, [(w, d, x) for w, (d, x) in zip(digits, vectors) if x]
+        return weight, [(w, d, x) for w, (d, x) in zip(digits, vectors) if x]
 
 
 def build_truncation(presentation, cutoff):
@@ -565,12 +577,13 @@ def betti_numbers(trunc):
     is finer than the degree, and each level is one pass over the weight
     blocks of F_i in increasing degree:
 
-    * the weights come from ``Truncation.grading``: a label's weight is the
-      sum of its letters' digits, its letter counts read as one int in base
-      cutoff + 1 or, when the ideal is not spanned by words, its degree;
-      the generators come with theirs.  A block keeps its degree beside its
-      weight: alpha - wt(x_k) can borrow across digits and land on a block
-      of another degree, already built when that degree is alpha's;
+    * the weights come from ``Truncation.grading``, which maps each basis
+      label to its weight (for a word, its letter counts read as one int in
+      base cutoff + 1 or, when the ideal is not spanned by words, its
+      degree); the generators come with theirs.  A block keeps its degree
+      beside its weight: alpha - wt(x_k) can borrow across digits and land
+      on a block of another degree, already built when that degree is
+      alpha's;
     * the dimension of each block of K_i is known before any elimination.
       d_i maps F_{i,alpha} onto K_{i-1,alpha}, since F_i is generated by
       the minimal generators of K_{i-1} and these generate it in every
@@ -595,14 +608,13 @@ def betti_numbers(trunc):
       it entry by entry.  The products live only as long as the call.
     """
     cutoff = trunc.cutoff
-    digits, generators = trunc.grading()
+    weight, generators = trunc.grading()
     blocks = {}  # weight -> (degree, basis labels of that weight)
     degree_of = {}
     for j in range(cutoff + 1):
         for lab in trunc.bases[j]:
             degree_of[lab] = j
-            weight = sum(digits[i] for i in lab)
-            blocks.setdefault(weight, (j, []))[1].append(lab)
+            blocks.setdefault(weight(lab), (j, []))[1].append(lab)
     products = {}
 
     def left_mul(e, a_vec, vec, keep=None):
@@ -727,50 +739,45 @@ def tor_inequalities(table_a, table_b, omega_degree):
     return verdicts
 
 
-@dataclass(frozen=True)
-class GrowthHint:
-    kind: str                  # "zero" | "estimate" | "divergent"
-    value: float | None
-    window: tuple | None
+def ext_growth(table):
+    """(kind, pole_order) of the growth of Ext_A(k, k), read off the Betti
+    totals P(1, t) = sum_j (sum_i b(i, j)) t^j for j <= the cutoff.
 
+    The closed forms (num, den) are tried in order of num + den, then den,
+    while num + 2 den + 4 <= cutoff, which leaves two coefficients beyond
+    what ``reconstruct`` needs; the first fit it accepts is read:
 
-def _least_squares_slope(points):
-    n = len(points)
-    mx = sum(x for x, _ in points) / n
-    my = sum(y for _, y in points) / n
-    cov = sum((x - mx) * (y - my) for x, y in points)
-    var = sum((x - mx) ** 2 for x, _ in points)
-    return cov / var
+    * ``finite``: a constant denominator, pole order 0;
+    * ``polynomial``: a product of cyclotomic polynomials, with the pole
+      order at t = 1, the GK dimension of the Ext algebra (the totals are
+      nonnegative, so no other root of unity is a higher pole);
+    * ``exponential``: any other denominator, pole order None.  It has
+      integer coefficients and den(0) = 1, so it has a root inside the unit
+      disc (Kronecker);
+    * ``undetermined``: no fit, pole order None.
 
-
-def growth_estimate(table):
-    """Log-log slope of the cumulative Betti row sums: a growth-exponent hint,
-    never a verdict.  Zero when the resolution stops inside the window."""
+    The verdict reads the data up to the cutoff and is no global claim.
+    """
     cutoff = table.cutoff
-    if cutoff < 6:
-        raise ValueError("growth estimation needs cutoff >= 6")
-    rows = [table.row_sum(i) for i in range(cutoff + 1)]
-    if rows[-1] == 0:
-        return GrowthHint("zero", 0.0, None)
-    totals = []
-    acc = 0
-    for r in rows:
-        acc += r
-        totals.append(acc)
-    lo = max(2, cutoff // 2)
-    points = [(log(n), log(totals[n])) for n in range(lo, cutoff + 1)]
-    slope = _least_squares_slope(points)
-    half = len(points) // 2
-    tail = points[half:]
-    tail_slope = _least_squares_slope(tail) if len(tail) >= 2 else slope
-    if tail_slope > slope + 0.75:
-        return GrowthHint("divergent", None, (lo, cutoff))
-    return GrowthHint("estimate", slope, (lo, cutoff))
+    totals = [0] * (cutoff + 1)
+    for (_, j), c in table.entries.items():
+        totals[j] += c
+    series = Series(totals)
+    for size in range(cutoff - 3):
+        for den in range(min(size, cutoff - 4 - size) + 1):
+            try:
+                f = reconstruct(series, size - den, den)
+            except (NoSolutionError, NonUnitConstantError):
+                continue
+            if not factor_cyclotomic(f.den).is_cyclotomic:
+                return "exponential", None
+            return ("polynomial" if f.den.degree else "finite",
+                    f.pole_order_at_one())
+    return "undetermined", None
 
 
 __all__ = [
     "BettiTable",
-    "GrowthHint",
     "NotAnAutomorphismError",
     "NotNormalError",
     "NotRegularError",
@@ -782,8 +789,8 @@ __all__ = [
     "build_truncation",
     "check_automorphism",
     "euler_check",
+    "ext_growth",
     "free_algebra",
-    "growth_estimate",
     "identity_trace",
     "monomial_quotient",
     "normal_quotient",

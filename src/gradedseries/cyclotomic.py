@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
 
 from .exact import (
     Poly,
@@ -318,14 +317,6 @@ def gorenstein_symmetry(f):
     return SymmetryVerdict(ns is not None and ds is not None, ns, ds)
 
 
-def squarefree_order_lcm(fact):
-    """lcm of the cyclotomic orders present (t^L - 1 kills the squarefree part)."""
-    L = 1
-    for n in fact.exponents:
-        L = L // gcd(L, n) * n
-    return L
-
-
 __all__ = [
     "BinomialProfile",
     "CyclotomicFactorization",
@@ -339,5 +330,4 @@ __all__ = [
     "is_cyclotomic",
     "mobius",
     "multiplicity_at_one",
-    "squarefree_order_lcm",
 ]

@@ -46,8 +46,8 @@ from .algebras import (
     build_truncation,
     check_automorphism,
     euler_check,
+    ext_growth,
     free_algebra,
-    growth_estimate,
     identity_trace,
     monomial_quotient,
     normal_quotient,
@@ -950,20 +950,14 @@ class _Runner:
         trunc = self.truncation(presentation, cutoff)
         table = betti_numbers(trunc)
         residual = euler_check(table, trunc.hilbert_coefficients(), cutoff)
-        growth = growth_estimate(table) if cutoff >= 6 else None
-        result = {
+        kind, pole_order = ext_growth(table)
+        return {
             "dims": trunc.dims(),
             "row_sums": [table.row_sum(i) for i in range(table.max_index() + 1)],
             "betti": {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())},
             "euler_zero": not any(residual),
+            "growth": {"kind": kind, "pole_order": pole_order},
         }
-        if growth is not None:
-            result["growth"] = {
-                "kind": growth.kind,
-                "value": round(growth.value, 4) if growth.value is not None else None,
-                "window": list(growth.window) if growth.window else None,
-            }
-        return result
 
     def run_cyc(self, args):
         f = self.resolve_series(args["series"])

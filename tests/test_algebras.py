@@ -15,8 +15,8 @@ from gradedseries.algebras import (
     build_truncation,
     check_automorphism,
     euler_check,
+    ext_growth,
     free_algebra,
-    growth_estimate,
     identity_trace,
     monomial_quotient,
     normal_quotient,
@@ -272,7 +272,11 @@ class TestNormalSequences:
         assert trunc.hilbert_coefficients() == expand(
             quotient_series([1, 1, 1], [2, 2]), cutoff)
         # the ideal is spanned by words, so letter counts grade it
-        assert trunc.grading()[0] == [1, cutoff + 1, (cutoff + 1) ** 2]
+        weight = trunc.grading()[0]
+        base = cutoff + 1
+        assert [weight((i,)) for i in range(3)] == [1, base, base ** 2]
+        assert weight(()) == 0
+        assert weight((0, 1, 2, 2)) == 1 + base + 2 * base ** 2
         assert betti_numbers(trunc).entries == {
             (i, i): 2 * i + 1 for i in range(cutoff + 1)}
 
@@ -288,8 +292,9 @@ class TestNormalSequences:
         assert trunc.hilbert_coefficients() == expand(
             quotient_series([1] * 4, [2, 2]), cutoff)
         # x^2 + y^2 is a row of two words: the grading is the degree
-        digits, generators = trunc.grading()
-        assert digits == (1, 1, 1, 1)
+        weight, generators = trunc.grading()
+        assert [weight((i,)) for i in range(4)] == [1, 1, 1, 1]
+        assert weight((0, 1, 3)) == 3
         assert generators == [(1, 1, {(i,): 1}) for i in range(4)]
         assert betti_numbers(trunc).entries == {
             (0, 0): 1, **{(i, i): 4 * i for i in range(1, cutoff + 1)}}
@@ -1184,28 +1189,130 @@ class TestTorInequalities:
 
 
 class TestGrowthEstimate:
+    """``ext_growth``, the exact Ext growth verdict read off P(1, t)."""
+
     def test_linear_row_growth(self):
+        # row sums 1, 2, 3, ...: P(1, t) = 1/(1 - t)^2
         trunc = build_truncation(koszul_dual_square_zero(), 12)
-        hint = growth_estimate(betti_numbers(trunc))
-        assert hint.kind == "estimate"
-        # the log-log slope of n(n+1)/2-type sums converges to 2 from below
-        assert 1.4 < hint.value < 2.2
+        assert ext_growth(betti_numbers(trunc)) == ("polynomial", 2)
 
     def test_finite_resolution(self):
         ones = [[1, 1], [1, 1]]
-        hint = growth_estimate(betti_numbers(
-            build_truncation(quantum_affine(ones), 8)))
-        assert hint.kind == "zero"
-        assert hint.value == 0.0
+        assert ext_growth(betti_numbers(
+            build_truncation(quantum_affine(ones), 8))) == ("finite", 0)
+        assert ext_growth(betti_numbers(
+            build_truncation(free_algebra(2), 8))) == ("finite", 0)
 
     def test_hypersurface_is_one(self):
         pres = normal_quotient(skew_symmetric_q(2), [{(2, 0): 1}])
-        hint = growth_estimate(betti_numbers(build_truncation(pres, 10)))
-        assert hint.kind == "estimate"
-        assert abs(hint.value - 1) < 0.2
+        assert ext_growth(betti_numbers(build_truncation(pres, 10))) == \
+            ("polynomial", 1)
 
     def test_exponential_is_divergent(self):
         pres = monomial_quotient(["x", "y"], [(0, 0), (0, 1), (1, 0), (1, 1)])
         trunc = build_truncation(pres, 8)
-        hint = growth_estimate(betti_numbers(trunc))
-        assert hint.kind == "divergent"
+        assert ext_growth(betti_numbers(trunc)) == ("exponential", None)
+
+    @pytest.mark.parametrize("cutoff, verdict", [
+        (0, ("undetermined", None)),
+        (4, ("undetermined", None)),
+        (5, ("undetermined", None)),
+        (8, ("polynomial", 2)),
+    ])
+    def test_square_zero_needs_two_surplus_coefficients(self, cutoff, verdict):
+        # 1/(1 - t)^2 is the fit (0, 2), which needs order 0 + 4 + 4 = 8
+        trunc = build_truncation(koszul_dual_square_zero(), cutoff)
+        assert ext_growth(betti_numbers(trunc)) == verdict
+
+    @pytest.mark.parametrize("relations, cutoff, verdict", [
+        # k[x]/(x^3): rows 1, 1, 1, ... at degrees 0, 1, 3, 4, 6, ..., so
+        # P(1, t) = (1 + t)/(1 - t^3), the fit (1, 3), which needs order 11
+        ([(0, 0, 0)], 9, ("undetermined", None)),
+        ([(0, 0, 0)], 12, ("polynomial", 1)),
+        # k<x,y>/(x^3, y^3): rows 2, 2, 2, ... at the same degrees, so
+        # P(1, t) = (1 + 2t + t^3)/(1 - t^3), the fit (3, 3): order 13
+        ([(0, 0, 0), (1, 1, 1)], 12, ("undetermined", None)),
+        ([(0, 0, 0), (1, 1, 1)], 13, ("polynomial", 1)),
+    ])
+    def test_a_non_koszul_resolution_does_not_stop(self, relations, cutoff,
+                                                  verdict):
+        # row `cutoff` is empty, since its internal degrees exceed the
+        # cutoff, yet the resolution does not stop
+        pres = monomial_quotient(["x", "y"][:len(relations)], relations)
+        table = betti_numbers(build_truncation(pres, cutoff))
+        assert table.row_sum(2) == len(relations)
+        assert ext_growth(table) == verdict
+
+
+def koszul_dual(pres):
+    """A^! of a quantum affine space or a quadratic monomial algebra.
+
+    k_q[x_1..x_n]^! is k_{q'}[x_1..x_n]/(x_i^2) with q'_ij = -1/q_ij, a
+    normal quotient; the dual of a monomial algebra on length-2 relation
+    words is the monomial algebra on the other length-2 words."""
+    n = pres.ngens
+    if pres.q is not None:
+        q = [[1 if i == j else -1 / Fraction(pres.q[i][j]) for j in range(n)]
+             for i in range(n)]
+        squares = [{tuple(2 * (k == i) for k in range(n)): 1}
+                   for i in range(n)]
+        return normal_quotient(q, squares, pres.names)
+    assert all(len(r) == 2 for r in pres.relations)
+    return monomial_quotient(pres.names, [w for w in _words(n, 2)
+                                          if w not in pres.relations])
+
+
+def seeded_quantum_spaces(rng, count):
+    """count quantum affine spaces on 2 to 4 generators, each q_ij (i < j)
+    drawn from +-1, +-2, 3 and their inverses."""
+    values = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        q = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                q[i][j] = rng.choice(values)
+                q[j][i] = 1 / Fraction(q[i][j])
+        yield quantum_affine(q)
+
+
+def seeded_quadratic_monomial_algebras(rng, count):
+    """count monomial algebras on 2 or 3 generators with 1 to n^2 - 1
+    relation words of length 2."""
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        words = _words(n, 2)
+        relations = rng.sample(words, rng.randint(1, len(words) - 1))
+        yield monomial_quotient([f"x{k}" for k in range(n)], relations)
+
+
+class TestKoszulDual:
+    """A Koszul algebra A has Ext_A(k, k) = A^! (Priddy, Trans. AMS 152,
+    1970): its Betti table is diagonal with the dims of A^!, and A^! is
+    Koszul with dual A.  Quantum affine spaces and quadratic monomial
+    algebras are Koszul, and the builders already build their duals."""
+
+    @staticmethod
+    def assert_dual_pair(pres, cutoff):
+        a = build_truncation(pres, cutoff)
+        dual = build_truncation(koszul_dual(pres), cutoff)
+        for x, y in ((a, dual), (dual, a)):
+            assert betti_numbers(x).entries == {
+                (i, i): d for i, d in enumerate(y.dims()) if d}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_quantum_affine_spaces(self, seed):
+        for pres in seeded_quantum_spaces(random.Random(seed), 4):
+            self.assert_dual_pair(pres, 6)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_quadratic_monomial_algebras(self, seed):
+        for pres in seeded_quadratic_monomial_algebras(random.Random(seed), 4):
+            self.assert_dual_pair(pres, 7)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ext_growth_of_the_dual_is_the_pole_order_of_the_space(self, n):
+        # E(k_{-1}[x_1..x_n]^!) = k_{-1}[x_1..x_n], with H = 1/(1 - t)^n
+        dual = koszul_dual(quantum_affine(skew_symmetric_q(n)))
+        table = betti_numbers(build_truncation(dual, 2 * n + 4))
+        assert ext_growth(table) == ("polynomial", n)

@@ -12,7 +12,6 @@ from gradedseries.cyclotomic import (
     gorenstein_symmetry,
     is_cyclotomic,
     mobius,
-    squarefree_order_lcm,
 )
 from gradedseries.cyclotomic import BinomialProfile
 from gradedseries.exact import Poly, expand, normalize, one_minus_power
@@ -83,17 +82,6 @@ class TestFactorCyclotomic:
                 continue
             fact = factor_cyclotomic(p)  # internal assert checks the product
             assert fact.rebuild() == p
-
-    def test_squarefree_part_divides(self):
-        p = one_minus_power(2) ** 2 * one_minus_power(3)
-        fact = factor_cyclotomic(p)
-        assert fact.is_cyclotomic
-        L = squarefree_order_lcm(fact)
-        squarefree = Poly((1,))
-        for n in fact.exponents:
-            squarefree = squarefree * cyclotomic_polynomial(n)
-        t_L_minus_1 = Poly((-1,) + (0,) * (L - 1) + (1,))
-        t_L_minus_1.exact_div(squarefree)  # raises if not divisible
 
 
 def factor_by_trial_division(p):
