@@ -48,8 +48,8 @@ lies in it: that span, held as a reduced echelon form, fills K_{i,alpha}
 from below (every degree above the row index, for a Koszul algebra).  Only
 where it falls short is the nullspace of d_i taken, its images read at the
 pivot keys of K_{i-1,alpha}'s echelon form, and the nullspace vectors that
-enlarge the span are the minimal generators.  Each basis product is
-computed once per ``betti_numbers`` call and kept only for that call.
+enlarge the span are the minimal generators.  Free-module keys are ints
+ordered as their (generator, label) pairs; each basis product is made once.
 
 The growth of Ext_A(k, k) is read exactly from the Betti totals P(1, t):
 ``ext_growth`` reconstructs their closed form and reports it finite,
@@ -580,10 +580,11 @@ def betti_numbers(trunc):
     * the weights come from ``Truncation.grading``, which maps each basis
       label to its weight (for a word, its letter counts read as one int in
       base cutoff + 1 or, when the ideal is not spanned by words, its
-      degree); the generators come with theirs.  A block keeps its degree
-      beside its weight: alpha - wt(x_k) can borrow across digits and land
-      on a block of another degree, already built when that degree is
-      alpha's;
+      degree); the generators come with theirs.  A's blocks are indexed by
+      degree, so a generator of degree ds meets only those of degree <=
+      cutoff - ds, and a kernel block keeps its degree beside its weight:
+      alpha - wt(x_k) can borrow across digits and land on a block of
+      another degree, already built when that degree is alpha's;
     * the dimension of each block of K_i is known before any elimination.
       d_i maps F_{i,alpha} onto K_{i-1,alpha}, since F_i is generated by
       the minimal generators of K_{i-1} and these generate it in every
@@ -592,9 +593,9 @@ def betti_numbers(trunc):
     * K_{i,alpha} is first filled from below: K_i is the whole kernel below
       the cutoff, so it is a left submodule and (m K_i)_alpha = sum_k x_k
       K_{i,alpha - wt(x_k)} lies in it.  The span is held as a reduced
-      echelon form in the coordinates of F_i and stops growing once it has
-      dim K_{i,alpha} rows: it is then all of K_{i,alpha}, and alpha has no
-      minimal generator;
+      echelon form in the coordinates of F_i, counting its rows, and stops
+      once it has dim K_{i,alpha}: it is then all of K_{i,alpha}, and alpha
+      has no minimal generator;
     * only a span that falls short takes the nullspace of d_i on
       F_{i,alpha}.  The images lie in K_{i-1,alpha}, whose echelon rows are
       1 at their own pivot and 0 at the other pivots, so an image is fixed
@@ -603,79 +604,85 @@ def betti_numbers(trunc):
       equal the predicted dimension, which checks that d_i is onto wherever
       it is evaluated.  The nullspace vectors that enlarge the span are the
       minimal generators at alpha;
-    * each basis product a * b is computed once per call, in a dict keyed
-      by (a, b) (a label fixes its degree), and left multiplication reads
-      it entry by entry.  The products live only as long as the call.
+    * a label's id is its rank among all L labels and F_i's key (s, b) is
+      s * L + id(b), so keys compare as the pairs do and the pivots are
+      theirs.  Each basis product is computed once per call and kept under
+      a * L + b as (id, coefficient) pairs.
     """
     cutoff = trunc.cutoff
-    weight, generators = trunc.grading()
-    blocks = {}  # weight -> (degree, basis labels of that weight)
-    degree_of = {}
-    for j in range(cutoff + 1):
-        for lab in trunc.bases[j]:
-            degree_of[lab] = j
-            blocks.setdefault(weight(lab), (j, []))[1].append(lab)
-    products = {}
+    weight, gens = trunc.grading()
+    labels = sorted(((j, lab) for j, basis in enumerate(trunc.bases)
+                     for lab in basis), key=lambda pair: pair[1])
+    size = len(labels)
+    ids = {lab: i for i, (_, lab) in enumerate(labels)}
+    blocks = [{} for _ in range(cutoff + 1)]  # degree -> weight -> label ids
+    for i, (j, lab) in enumerate(labels):
+        blocks[j].setdefault(weight(lab), []).append(i)
+    gens = [(w, d, {ids[k]: c for k, c in x.items()}) for w, d, x in gens]
+    memo = {}  # a * size + b -> [(id, coefficient)] of a * b
 
-    def left_mul(e, a_vec, vec, keep=None):
-        # a_vec (degree e) times vec, a vector of a free module keyed by
-        # (generator, label); read at the keys in keep, if given
+    def left_mul(a_vec, vec, keep=None):
+        # a_vec times vec, a vector of a free module keyed by s * size + b;
+        # read at the keys in keep, if given
         out = {}
-        for (s, lab), c in vec.items():
-            for la, ca in a_vec.items():
-                prod = products.get((la, lab))
+        for key, c in vec.items():
+            b = key % size
+            base = key - b
+            for a, ca in a_vec.items():
+                prod = memo.get(a * size + b)
                 if prod is None:
-                    prod = products[la, lab] = trunc.mul_basis(
-                        e, la, degree_of[lab], lab)
+                    prod = trunc.mul_basis(*labels[a], *labels[b]).items()
+                    prod = memo[a * size + b] = [(ids[k], x) for k, x in prod]
                 c2 = ca * c
-                for lab2, c3 in prod.items():
-                    key = (s, lab2)
-                    if keep is None or key in keep:
-                        out[key] = out.get(key, 0) + c2 * c3
+                for i, c3 in prod:
+                    i += base
+                    if keep is None or i in keep:
+                        out[i] = out.get(i, 0) + c2 * c3
         return out
 
     entries = {(0, 0): 1}
     # F_0 = A on one generator of weight and degree 0, mapped onto k: the
-    # kernel one level down is k, held as one block at weight 0
-    kernel = {0: (0, {(0, ()): {(0, ()): _ONE}})}
-    mingens = [(0, 0, {(0, ()): _ONE})]  # (weight, degree, vector)
+    # kernel one level down is k, held as one block at weight 0 (id 0 is ())
+    kernel = {0: (0, {0: {0: _ONE}})}
+    mingens = [(0, 0, {0: _ONE})]  # (weight, degree, vector)
     for index in range(cutoff):
-        # F_index: the pairs (s, a) with wt(g_s) + wt(a) = alpha.  A sum of
-        # weights of degree <= cutoff carries no digit, so alpha fixes the
+        # F_index: the keys s * size + b with wt(g_s) + wt(b) = alpha.  A sum
+        # of weights of degree <= cutoff carries no digit, so alpha fixes the
         # degree and the lookup of K_{index-1, alpha} needs no degree check
-        domains = {}  # alpha -> [degree, dimension, (s, labels) pairs]
+        domains = {}  # alpha -> [degree, dimension, (s * size, ids) pairs]
         for s, (ws, ds, _) in enumerate(mingens):
-            for w, (jb, labels) in blocks.items():
-                if ds + jb <= cutoff:
-                    block = domains.setdefault(ws + w, [ds + jb, 0, []])
-                    block[1] += len(labels)
-                    block[2].append((s, labels))
+            for jb in range(cutoff - ds + 1):
+                for w, block in blocks[jb].items():
+                    domain = domains.setdefault(ws + w, [ds + jb, 0, []])
+                    domain[1] += len(block)
+                    domain[2].append((s * size, block))
         new_kernel, new_mingens = {}, []
-        for alpha, (j, size, parts) in sorted(domains.items(),
-                                              key=lambda item: item[1][0]):
+        for alpha, (j, dim, parts) in sorted(domains.items(),
+                                             key=lambda item: item[1][0]):
             image = kernel[alpha][1] if alpha in kernel else {}
-            dim = size - len(image)
+            dim -= len(image)
             if not dim:
                 continue
-            rows = {}
-            for w, d, x in generators:
+            rows, found = {}, 0
+            for w, d, x in gens:
                 below = new_kernel.get(alpha - w)
                 if below is None or below[0] != j - d:
                     continue
                 for v in below[1].values():
-                    _rref_add(rows, left_mul(d, x, v))
-                    if len(rows) == dim:
-                        break
-                if len(rows) == dim:
+                    if _rref_add(rows, left_mul(x, v)) is not None:
+                        found += 1
+                        if found == dim:
+                            break
+                if found == dim:
                     break
-            if len(rows) < dim:
-                domain = [(s, lab) for s, labels in parts for lab in labels]
+            if found < dim:
+                domain = [base + b for base, block in parts for b in block]
                 if image:
                     null = [{domain[k]: x for k, x in vec.items()}
                             for vec in _nullspace([
-                                left_mul(j - mingens[s][1], {lab: _ONE},
-                                         mingens[s][2], image)
-                                for s, lab in domain])]
+                                left_mul({key % size: _ONE},
+                                         mingens[key // size][2], image)
+                                for key in domain])]
                 else:
                     null = [{key: _ONE} for key in domain]
                 if len(null) != dim:
@@ -685,7 +692,8 @@ def betti_numbers(trunc):
                 for vec in null:
                     if _rref_add(rows, vec) is not None:
                         new_mingens.append((alpha, j, vec))
-                        if len(rows) == dim:
+                        found += 1
+                        if found == dim:
                             break
             new_kernel[alpha] = (j, rows)
         if not new_mingens:

@@ -159,10 +159,15 @@ def _divide_out(p, n, at_two, limit):
     divides it: Phi_n is monic, so Phi_n | p leaves an integer quotient q for
     an integer p (Gauss), and p(2) = Phi_n(2) q(2).  divmod confirms every
     factor; at_two = 0 (a root at 2, or no filter) tries every division.
+    Phi_1(2) = 1 and Phi_2(2) = 3 filter almost nothing, so Phi_1 = t - 1
+    and Phi_2 = t + 1 are decided by the root test p(1) = 0, p(-1) = 0
+    instead, and divided out only when they divide.
     """
     phi_at_two = _phi_at_two(n)
     k = 0
     while k < limit and not at_two % phi_at_two:
+        if n <= 2 and p(1 if n == 1 else -1):
+            break
         phi_n = cyclotomic_polynomial(n)
         if p.degree < phi_n.degree:
             break

@@ -692,17 +692,19 @@ def _rref_add(rows, vec):
     rows is a reduced row echelon form held as in ``_reduce_vec``; columns
     are any mutually comparable keys.  vec is reduced against it; a nonzero
     residual is scaled to 1 at its least column, which becomes its pivot,
-    cleared from the other rows and stored under that pivot.  Returns the
-    stored row, or None when vec lies in the row span.  The pivot rule is
-    that of the dense RREF, so for a fixed column order the result is the
-    unique RREF of the rows added.
+    cleared from the other rows and stored under that pivot; one already 1
+    there is stored as reduced, a fresh dict and never the caller's vec.
+    Returns the stored row, or None when vec lies in the row span.  The
+    pivot rule is that of the dense RREF, so for a fixed column order the
+    result is the unique RREF of the rows added.
     """
     vec = _reduce_vec(rows, vec)
     if not vec:
         return None
     piv = min(vec)
-    inv = scalar_inverse(vec[piv])
-    vec = {k: c * inv for k, c in vec.items()}
+    if vec[piv] != 1:
+        inv = scalar_inverse(vec[piv])
+        vec = {k: c * inv for k, c in vec.items()}
     for row in rows.values():
         c = row.get(piv)
         if c:

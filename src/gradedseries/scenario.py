@@ -53,9 +53,9 @@ from .algebras import (
     normal_quotient,
     quantum_affine,
 )
-from .cyclofield import CyclotomicMatrix, CyclotomicNumber
+from .cyclofield import CyclotomicMatrix, CyclotomicNumber, power_galois
 from .cyclotomic import cyc_number, is_cyclotomic
-from .exact import NonUnitConstantError, RationalFunction, reconstruct
+from .exact import NonUnitConstantError, RationalFunction, Series, reconstruct
 from .groups import (
     PROVENANCE_BRUTE_FORCE,
     PROVENANCE_DIMS,
@@ -888,16 +888,40 @@ class _Runner:
         """(series, closed form) of g's trace on the algebra in ``args``,
         truncated at ``truncation`` and reconstructed within
         ``num_bound``/``den_bound``, computed once per run.  The series is
-        series_of(truncation) when that is given, else the brute force."""
+        series_of(truncation) when that is given, else read off a cached
+        brute-force assignment on the same truncation (``class_series``),
+        else the brute force."""
         presentation, cutoff, num_bound, den_bound = self.trace_args(args)
         key = (presentation, cutoff, g, num_bound, den_bound)
         if key not in self.traces:
             trunc = self.truncation(presentation, cutoff)
             series = (series_of(trunc) if series_of
-                      else brute_force_trace(g, trunc))
+                      else self.class_series(presentation, cutoff, g))
+            if series is None:
+                series = brute_force_trace(g, trunc)
             self.traces[key] = (series,
                                 reconstruct(series, num_bound, den_bound))
         return self.traces[key]
+
+    def class_series(self, presentation, cutoff, g):
+        """g's trace series from a cached brute-force assignment on the same
+        (presentation, cutoff) whose group holds g as h x^k h^-1, x its class
+        representative: sigma_k of x's cached series, coefficient by
+        coefficient (``cyclofield.power_galois``).  None if no such group
+        holds g.  Its generators were checked to be automorphisms, so g is
+        one."""
+        for group, mode, *trace_args in self.assignments:
+            if mode != "bruteforce" or trace_args[:2] != [presentation, cutoff]:
+                continue
+            try:
+                r, k, m = group.rational_classes()[group.index_of(g)]
+            except KeyError:
+                continue  # g is not in this group
+            series = self.traces[presentation, cutoff, group.elements[r],
+                                 *trace_args[2:]][0]
+            sigma = power_galois(tuple(series), k, m)
+            return series if sigma is None else Series(map(sigma, series))
+        return None
 
     def run_molien(self, args):
         group = self.lookup(args["group"], "group")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedseries import algebras
+from gradedseries import algebras, load_bundled_scenario
 from gradedseries.algebras import (
     NotAnAutomorphismError,
     NotNormalError,
@@ -28,13 +28,17 @@ from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber, FieldFra
 from gradedseries.exact import Poly, Series, expand, normalize, one_minus_power, reconstruct
 from gradedseries.groups import (
     PROVENANCE_BRUTE_FORCE,
+    PROVENANCE_DIMS,
     TraceAssignment,
+    assign_class_traces,
+    CapExceededError,
     closure,
     hdet,
     molien,
     reciprocal_charpoly_trace,
 )
 from gradedseries.hilbert import quotient_series
+from gradedseries.scenario import parse_scenario
 
 
 def P(*coeffs):
@@ -746,6 +750,84 @@ class TestMolienWithBruteForce:
             assert len(labels) - rank == series[d]
 
 
+def fixed_dims(group, trunc):
+    """dim A^G_d for d <= the cutoff: the nullity of g - 1 stacked over the
+    group's generators on A_d (``algebras._nullspace``), each basis word
+    sent to the product of its letters' images."""
+    images = [algebras._generator_images(g, trunc) for g in group.generators]
+    dims = [1]
+    for d in range(1, trunc.cutoff + 1):
+        columns = []
+        for word in trunc.bases[d]:
+            column = {}
+            for s, gens in enumerate(images):
+                for lab, c in _apply_to_word(trunc, gens, word).items():
+                    column[s, lab] = c
+                column[s, word] = column.get((s, word), 0) - 1
+            columns.append({k: x for k, x in column.items() if x})
+        dims.append(len(algebras._nullspace(columns)))
+    return dims
+
+
+def brute_force_molien(group, trunc, den_bound):
+    """molien with the traces a ``traces=bruteforce`` task assigns: the
+    dims for the identity, a brute force per other class representative."""
+    assignment = assign_class_traces(
+        group, (reconstruct(identity_trace(trunc, group.dim), 0, den_bound),
+                PROVENANCE_DIMS),
+        lambda g: reconstruct(brute_force_trace(g, trunc), 0, den_bound),
+        PROVENANCE_BRUTE_FORCE)
+    return molien(group, assignment)
+
+
+def seeded_skew_groups(rng, count):
+    """(n, group) pairs: groups of monomial matrices on k_{-1}[x_1..x_n],
+    n = 2 or 3, made by one or two generators with entries +-1, +-i or
+    powers of zeta_3; every monomial matrix preserves the skew relations."""
+    roots = [1, -1, CyclotomicNumber.zeta(4), CyclotomicNumber.zeta(3)]
+    while count:
+        n = rng.choice((2, 3))
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            perm = rng.sample(range(n), n)
+            gens.append(CyclotomicMatrix([
+                [rng.choice(roots) if perm[j] == i else 0 for j in range(n)]
+                for i in range(n)]))
+        try:
+            group = closure(gens, cap=24)
+        except CapExceededError:
+            continue
+        count -= 1
+        yield n, group
+
+
+class TestFixedRingOracle:
+    """The brute-force Molien series against the fixed ring's dimensions,
+    computed in A as the common kernel of g - 1 over the generators."""
+
+    @pytest.mark.parametrize("name", ["mystic_bireflection.scn",
+                                      "double_transposition.scn"])
+    def test_bundled_groups(self, name):
+        # the algebra B and the matrix g of the file, at its molien task's
+        # truncation and den_bound
+        bindings = parse_scenario(load_bundled_scenario(name)).bindings
+        pres, g = bindings["B"][1], bindings["g"][1]
+        group = closure([g], cap=10)
+        series = brute_force_molien(group, build_truncation(pres, 12),
+                                    pres.ngens)
+        assert list(expand(series, 8)) == fixed_dims(group,
+                                                     build_truncation(pres, 8))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_groups_on_skew_spaces(self, seed):
+        for n, group in seeded_skew_groups(random.Random(seed), 4):
+            pres = quantum_affine(skew_symmetric_q(n))
+            series = brute_force_molien(group, build_truncation(pres, 2 * n + 2),
+                                        n)
+            assert list(expand(series, 8)) == fixed_dims(
+                group, build_truncation(pres, 8)), group.generators
+
+
 class TestBetti:
     def test_square_zero_row_sums(self):
         trunc = build_truncation(koszul_dual_square_zero(), 8)
@@ -915,6 +997,56 @@ class TestBetti:
     def test_normal_quotient_tables(self, normal, degrees, cutoff, want):
         pres = normal_quotient(skew_symmetric_q(3), [normal], degrees=degrees)
         trunc = build_truncation(pres, cutoff)
+        table = betti_numbers(trunc)
+        assert table.entries == want
+        assert not any(euler_check(table, trunc.hilbert_coefficients(),
+                                   cutoff))
+
+    @pytest.mark.parametrize("relations, want", [
+        ([(0, 1), (2, 0), (1, 2, 1)],
+         {(0, 0): 1, (1, 1): 2, (1, 2): 1, (2, 2): 1, (2, 3): 1, (2, 4): 1,
+          (3, 4): 1, (3, 5): 1, (3, 7): 1, (4, 7): 1, (4, 8): 1}),
+        ([(0, 0, 1), (2, 2), (1, 0)],
+         {(0, 0): 1, (1, 1): 2, (1, 2): 1, (2, 2): 1, (2, 3): 1, (2, 4): 1,
+          (3, 4): 2, (3, 6): 1, (4, 5): 1, (4, 6): 1, (4, 8): 1, (5, 7): 2,
+          (6, 8): 1}),
+        ([(0, 2), (2, 1), (1, 1, 0)],
+         {(0, 0): 1, (1, 1): 2, (1, 2): 1, (2, 3): 3, (3, 4): 1, (3, 5): 2,
+          (4, 6): 2, (4, 7): 1, (5, 8): 3}),
+    ])
+    def test_pinned_tables_with_a_degree_two_letter(self, relations, want):
+        # z has degree 2, so a degree holds labels of two lengths (z and
+        # xy, say) and label order is not degree order; the free-module
+        # keys follow label order.  The tables were recorded before the
+        # keys became ints
+        pres = monomial_quotient("xyz", relations, (1, 1, 2))
+        trunc = build_truncation(pres, 8)
+        table = betti_numbers(trunc)
+        assert table.entries == want
+        assert want == anick_chain_betti(3, relations, 8, (1, 1, 2))
+        assert not any(euler_check(table, trunc.hilbert_coefficients(), 8))
+
+    @pytest.mark.parametrize("normal, cutoff, want", [
+        # x3 = -x1^2 in the quotient, which is k_{-1}[x1, x2]
+        ({(2, 0, 0): 1, (0, 0, 1): 1}, 8,
+         {(0, 0): 1, (1, 1): 2, (2, 2): 1}),
+        ({(0, 0, 2): 1, (4, 0, 0): 1}, 9,
+         {(0, 0): 1, (1, 1): 2, (1, 2): 1, (2, 2): 1, (2, 3): 2, (2, 4): 1,
+          (3, 4): 1, (3, 5): 2, (3, 6): 1, (4, 6): 1, (4, 7): 2, (4, 8): 1,
+          (5, 8): 1, (5, 9): 2}),
+        ({(2, 0, 0): 1, (0, 2, 0): -1}, 8,
+         {(0, 0): 1, (1, 1): 2, (1, 2): 1, (2, 2): 2, (2, 3): 2, (3, 3): 2,
+          (3, 4): 2, (4, 4): 2, (4, 5): 2, (5, 5): 2, (5, 6): 2, (6, 6): 2,
+          (6, 7): 2, (7, 7): 2, (7, 8): 2, (8, 8): 2}),
+    ])
+    def test_pinned_tables_graded_by_degree(self, normal, cutoff, want):
+        # a central element of two words: the ideal's rows hold two words,
+        # so the blocks are whole degrees, and with x3 in degree 2 a block
+        # holds labels of two lengths.  Recorded before the keys became ints
+        q = [[1, -1, 1], [-1, 1, 1], [1, 1, 1]]
+        trunc = build_truncation(normal_quotient(q, [normal], degrees=(1, 1, 2)),
+                                 cutoff)
+        assert any(len(row) > 1 for rows in trunc.ideal for row in rows.values())
         table = betti_numbers(trunc)
         assert table.entries == want
         assert not any(euler_check(table, trunc.hilbert_coefficients(),

@@ -148,6 +148,30 @@ class TestFilteredFactorization:
                 if present)
         assert kinds == {"root at 2", "negative", "t-power", "fraction"}
 
+    def test_phi_one_and_two_by_root_test(self, monkeypatch):
+        # Phi_1(2) = 1 and Phi_2(2) = 3 filter almost nothing; p(1) = 0 and
+        # p(-1) = 0 decide them, so no division by t - 1 or t + 1 fails
+        products = list(self.seeded_products())
+        oracle = [factor_by_trial_division(p) for p in products]
+        low = (cyclotomic_polynomial(1), cyclotomic_polynomial(2))
+        tried, failed = [], []
+        original = Poly.__divmod__
+
+        def spy(self, other):
+            q, r = original(self, other)
+            if other in low:
+                tried.append(other)
+                if r:
+                    failed.append((self, other))
+            return q, r
+        monkeypatch.setattr(Poly, "__divmod__", spy)
+        for p, want in zip(products, oracle):
+            fact = factor_cyclotomic(p)
+            assert (fact.exponents, fact.remainder, fact.unit,
+                    fact.t_power) == want, p
+        assert set(tried) == set(low)
+        assert failed == []
+
     def test_filter_skips_divisions(self, monkeypatch):
         # (1 + 2t)^3 Phi_12: 12 is tried, and most other orders never are
         tried = []

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedseries.algebras import build_truncation, normal_quotient, skew_symmetric_q
 from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber
@@ -378,6 +380,92 @@ class TestRref:
                 assert sum((a * b for a, b in zip(row, sol)), 0) == r
             # the same left-hand side twice with two right-hand sides
             assert _solve_linear(matrix + [matrix[0]], rhs + [rhs[0] + 1]) is None
+
+
+ZETA_5 = CyclotomicNumber.zeta(5)
+# int keys, and (generator, word) keys as a free module's would be
+RREF_KEYS = {"int": list(range(6)),
+             "tuple": [(s, w) for s in range(2) for w in ((), (0,), (0, 1), (1,))]}
+
+
+def dense_rref(vectors, columns):
+    """Gauss-Jordan on the dense rows of vectors, columns in the given order:
+    the oracle for ``_rref_add``, as {pivot: sparse row}."""
+    rows = [[v.get(k, 0) for k in columns] for v in vectors]
+    rank = 0
+    for c in range(len(columns)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = scalar_inverse(rows[rank][c])
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[rank])]
+        rank += 1
+    return {columns[min(c for c, x in enumerate(row) if x)]:
+            {columns[c]: x for c, x in enumerate(row) if x}
+            for row in rows[:rank]}
+
+
+@st.composite
+def rref_inputs(draw):
+    """(field, key kind, vectors): sparse vectors over Q or Q(zeta_5), some
+    combinations of the earlier ones, with 1 a frequent entry so that many
+    residuals need no rescaling."""
+    field = draw(st.sampled_from(["Q", "Q(zeta_5)"]))
+    kind = draw(st.sampled_from(sorted(RREF_KEYS)))
+
+    def scalar():
+        if draw(st.booleans()):
+            return draw(st.sampled_from([0, 1]))
+        if field == "Q":
+            x = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            return x.numerator if x.denominator == 1 else x
+        return sum((draw(st.integers(-2, 2)) * ZETA_5 ** k for k in range(3)),
+                   0)
+
+    vectors = []
+    for _ in range(draw(st.integers(1, 6))):
+        if vectors and draw(st.booleans()):
+            vec = {}
+            for v in vectors:
+                c = scalar()
+                for k, x in v.items():
+                    vec[k] = vec.get(k, 0) + c * x
+        else:
+            keys = draw(st.lists(st.sampled_from(RREF_KEYS[kind]),
+                                 max_size=4, unique=True))
+            vec = {k: scalar() for k in keys}
+        vectors.append(vec)
+    return field, kind, vectors
+
+
+class TestRrefProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rref_inputs())
+    def test_incremental_rows_are_the_dense_rref(self, inputs):
+        _, kind, vectors = inputs
+        columns = sorted(RREF_KEYS[kind])
+        rows, added = {}, []
+        for n, vec in enumerate(vectors):
+            before = dict(vec)
+            got = _rref_add(rows, vec)
+            added.append((vec, before))
+            want = dense_rref(vectors[:n + 1], columns)
+            assert rows == want
+            # None exactly when vec lies in the span of the earlier vectors
+            assert (got is None) == (len(want) == len(dense_rref(vectors[:n],
+                                                                 columns)))
+            assert got is None or rows[min(got)] is got
+            for p, row in rows.items():
+                assert row[p] == 1 and not (set(row) & set(rows)) - {p}
+            # the caller's dict is left as it was and is never stored
+            assert vec == before
+            assert all(row is not vec for row in rows.values())
+        # nor reached by the later additions
+        assert all(vec == before for vec, before in added)
 
 
 class TestSeries:

@@ -388,6 +388,37 @@ class TestAssignmentCache:
         assert len(sums) == assignments  # one Molien sum per assignment
 
 
+    @pytest.mark.parametrize("header, closure, matrix, calls", [
+        # g^3 = sigma_3(g) on the mystic group: g and g^2 are brute-forced
+        (MYSTIC, CLOSURE, "[[0, 1, 0], [-1, 0, 0], [0, 0, -1]]", 2),
+        # g^2 on a diagonal group over Q(zeta_3), where sigma_2 moves the
+        # coefficients: g alone is brute-forced
+        ("zeta_order: 3\n" + MYSTIC.split("let g")[0]
+         + "let g = matrix [[z, 0, 0], [0, 1, 0], [0, 0, 1]]\n",
+         CLOSURE, "[[z^2, 0, 0], [0, 1, 0], [0, 0, 1]]", 1),
+        # the identity reads the dims
+        (MYSTIC, CLOSURE, "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", 2),
+    ], ids=["mystic-cube", "zeta3-square", "identity"])
+    def test_trace_after_molien_reads_its_class(self, monkeypatch, header,
+                                                closure, matrix, calls):
+        # the trace's own bounds differ from the assignment's
+        tasks = [closure, f"task molien group=cg {self.BRUTE}",
+                 "task trace algebra=B matrix=h truncation=10 den_bound=4"]
+        text = header + f"let h = matrix {matrix}\n"
+        brute = self.spy(monkeypatch, "brute_force_trace")
+        reports, passed = run_scenario(parse_scenario(
+            text + "\n".join(tasks) + "\n"))
+        assert passed and len(brute) == calls
+        # the trace first: it is brute-forced, and every report is the same
+        brute.clear()
+        first, _ = run_scenario(parse_scenario(
+            text + "\n".join(tasks[2:] + tasks[:2]) + "\n"))
+        assert len(brute) == calls + 1
+        for got in reports + first:
+            del got["line"]
+        assert first == reports[2:] + reports[:2]
+
+
 def skew_q(rng, n):
     """A random symmetric matrix of +-1 parameters with unit diagonal."""
     q = [[1] * n for _ in range(n)]
