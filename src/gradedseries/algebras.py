@@ -475,12 +475,13 @@ def brute_force_trace(g, trunc):
     g acts on the degree-1 generators; the precondition that it preserve the
     relations is checked first, on every call, by ``check_automorphism``.
     The image of a word is the image of its prefix times one generator
-    image, so degree d's images are products of degree d - 1's with the
-    generator images, in the order ``_apply_to_word`` multiplies.  The
-    images are keyed by word, since a prefix of a basis word need not be a
-    basis label (a normal quotient's basis is not prefix-closed): the words
-    kept are the prefix closure of the basis words up to the cutoff, and
-    only one degree's images are held at a time.  Coefficients follow the
+    image, in the order ``_apply_to_word`` multiplies.  The images are keyed
+    by word, since a prefix of a basis word need not be a basis label (a
+    normal quotient's basis is not prefix-closed): the words visited are the
+    prefix closure of the basis words up to the cutoff, depth-first in
+    sorted order, so each comes after its prefix and only one path of images
+    is held at a time.  An image is a vector of basis labels, so a prefix
+    that is no basis label adds 0 to the trace.  Coefficients follow the
     scalar rule: ints and Fractions when rational, CyclotomicNumbers
     otherwise.
 
@@ -492,28 +493,24 @@ def brute_force_trace(g, trunc):
     if not isinstance(g, CyclotomicMatrix):
         g = CyclotomicMatrix(g)
     check_automorphism(g, trunc)
-    cutoff = trunc.cutoff
     gen_vectors = _generator_images(g, trunc)
-    # words[d]: the basis words of degree d and the prefixes of longer ones
-    words = [None] * (cutoff + 1)
-    prefixes = set()
-    for d in range(cutoff, 0, -1):
-        words[d] = prefixes.union(trunc.bases[d])
-        prefixes = {w[:-1] for w in words[d]}
-    coefficients = [1]
-    for d in range(1, cutoff + 1):
+    words = set()
+    for basis in trunc.bases[1:]:
+        for w in basis:
+            while w and w not in words:
+                words.add(w)
+                w = w[:-1]
+    coefficients = [1] + [0] * trunc.cutoff
+    path = [None] * (trunc.cutoff + 1)  # path[k]: the image of w[:k]
+    for w in sorted(words):
+        d = len(w)
         if d == 1:
-            images = {w: gen_vectors[w[0]] for w in words[1]}
+            image = gen_vectors[w[0]]
         else:
-            previous, images = images, {}
-            for w in words[d]:
-                head = previous[w[:-1]]
-                images[w] = head and trunc.mul(d - 1, head, 1,
-                                               gen_vectors[w[-1]])
-        total = 0
-        for lab in trunc.bases[d]:
-            total = total + images[lab].get(lab, 0)
-        coefficients.append(total)
+            head = path[d - 1]
+            image = head and trunc.mul(d - 1, head, 1, gen_vectors[w[-1]])
+        path[d] = image
+        coefficients[d] += image.get(w, 0)
     return Series(coefficients)
 
 

@@ -435,10 +435,6 @@ class RationalFunction(Immutable):
     def is_zero(self):
         return not self.num
 
-    @property
-    def is_one(self):
-        return self.num == self.den
-
     def __bool__(self):
         return bool(self.num)
 
@@ -617,11 +613,6 @@ class Series(Immutable):
     def section(self, r):
         """Every r-th coefficient: degree n picks out coefficient rn."""
         return Series(self.coeffs[::r])
-
-    def prefix(self, n):
-        if n > self.order:
-            raise ValueError("not enough coefficients")
-        return Series(self.coeffs[:n + 1])
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r})"

@@ -722,15 +722,17 @@ class _Runner:
     def __init__(self, scenario):
         self.scenario = scenario
         self.env = dict(scenario.bindings)
-        # computed once per run: truncations by (presentation, cutoff),
-        # (series, closed form) of brute-force traces by (presentation,
-        # cutoff, matrix, num_bound, den_bound), and trace assignments by
-        # (group, mode) plus, for brute force, those trace arguments but the
-        # matrix.  An assignment keeps its Molien sum, so the molien and
-        # classify tasks of one group and mode share it.
+        # computed once per run, each keyed by what fixes it: truncations by
+        # (presentation, cutoff), brute-force trace series by (truncation,
+        # matrix), and trace assignments by (group,) for charpoly or (group,
+        # truncation, num_bound, den_bound) for brute force, whose group is
+        # then listed under its truncation in brute_force_groups.  An
+        # assignment keeps its Molien sum, so the molien and classify tasks
+        # of one group and mode share it.
         self.truncations = {}
-        self.traces = {}
+        self.series = {}
         self.assignments = {}
+        self.brute_force_groups = {}
 
     def lookup(self, value, category):
         if isinstance(value, Ref):
@@ -838,37 +840,39 @@ class _Runner:
         return {"count": len(subs), "orders": orders}
 
     def assignment_for(self, args, group):
-        mode = args.get("traces", Ref("charpoly")).name
-        key = (group, mode)
-        if mode == "bruteforce":
-            key += self.trace_args(args)
+        if args.get("traces", Ref("charpoly")).name == "charpoly":
+            key, build = (group,), assign_charpoly_traces
+        else:
+            key = (group, *self.trace_args(args))
+            build = self.brute_force_assignment
         if key not in self.assignments:
-            self.assignments[key] = (
-                assign_charpoly_traces(group) if mode == "charpoly"
-                else self.brute_force_assignment(args, group))
+            self.assignments[key] = build(*key)
         return self.assignments[key]
 
-    def brute_force_assignment(self, args, group):
-        """The group's traces on the algebra in ``args`` by
-        ``assign_class_traces``: the truncation's dims for the identity, a
-        brute force for each other class representative.  The generators
-        that are not class representatives are checked to be automorphisms
-        first, in order; ``brute_force_trace`` checks each representative
-        (or did, when its trace was cached), and ``identity_trace`` the
-        identity's input.  The generators generate the group, so every
-        element whose trace is derived is one."""
-        _, identity = self.trace_pair(
-            args, group.elements[0],
-            lambda trunc: identity_trace(trunc, group.dim))
-        trunc = self.truncation(*self.trace_args(args)[:2])
+    def brute_force_assignment(self, group, trunc, num_bound, den_bound):
+        """The group's traces on the truncation by ``assign_class_traces``,
+        reconstructed within num_bound/den_bound: the truncation's dims for
+        the identity, a brute force for each other class representative.
+        The generators that are not class representatives are checked to be
+        automorphisms first, in order; ``brute_force_trace`` checks each
+        representative (or did, when its series was cached), and
+        ``identity_trace`` the identity's input.  The generators generate the
+        group, so every element whose trace is derived is one."""
+        def closed_form(g):
+            return reconstruct(self.trace_series(trunc, g), num_bound,
+                               den_bound)
+
+        self.series[trunc, group.elements[0]] = identity_trace(trunc, group.dim)
+        identity = closed_form(group.elements[0])
         classes = group.rational_classes()
         for g in group.generators:
             i = group.index_of(g)
             if classes[i][0] != i:
                 check_automorphism(g, trunc)
-        return assign_class_traces(group, (identity, PROVENANCE_DIMS),
-                                   lambda g: self.trace_pair(args, g)[1],
-                                   PROVENANCE_BRUTE_FORCE)
+        assignment = assign_class_traces(group, (identity, PROVENANCE_DIMS),
+                                         closed_form, PROVENANCE_BRUTE_FORCE)
+        self.brute_force_groups.setdefault(trunc, []).append(group)
+        return assignment
 
     def truncation(self, presentation, cutoff):
         key = (presentation, cutoff)
@@ -877,48 +881,36 @@ class _Runner:
         return self.truncations[key]
 
     def trace_args(self, args):
-        """(presentation, cutoff, num_bound, den_bound) of a brute-force
-        trace task, with their defaults."""
+        """(truncation, num_bound, den_bound) of a brute-force trace task,
+        with their defaults."""
         presentation = self.lookup(args["algebra"], "algebra")
-        return (presentation, args.get("truncation", 12),
+        return (self.truncation(presentation, args.get("truncation", 12)),
                 args.get("num_bound", 0),
                 args.get("den_bound", presentation.ngens))
 
-    def trace_pair(self, args, g, series_of=None):
-        """(series, closed form) of g's trace on the algebra in ``args``,
-        truncated at ``truncation`` and reconstructed within
-        ``num_bound``/``den_bound``, computed once per run.  The series is
-        series_of(truncation) when that is given, else read off a cached
-        brute-force assignment on the same truncation (``class_series``),
-        else the brute force."""
-        presentation, cutoff, num_bound, den_bound = self.trace_args(args)
-        key = (presentation, cutoff, g, num_bound, den_bound)
-        if key not in self.traces:
-            trunc = self.truncation(presentation, cutoff)
-            series = (series_of(trunc) if series_of
-                      else self.class_series(presentation, cutoff, g))
-            if series is None:
-                series = brute_force_trace(g, trunc)
-            self.traces[key] = (series,
-                                reconstruct(series, num_bound, den_bound))
-        return self.traces[key]
+    def trace_series(self, trunc, g):
+        """g's trace series on the truncation, computed once per run: read
+        off a brute-force assignment's group on it (``class_series``), else
+        the brute force."""
+        key = (trunc, g)
+        if key not in self.series:
+            series = self.class_series(trunc, g)
+            self.series[key] = (brute_force_trace(g, trunc) if series is None
+                                else series)
+        return self.series[key]
 
-    def class_series(self, presentation, cutoff, g):
-        """g's trace series from a cached brute-force assignment on the same
-        (presentation, cutoff) whose group holds g as h x^k h^-1, x its class
-        representative: sigma_k of x's cached series, coefficient by
-        coefficient (``cyclofield.power_galois``).  None if no such group
-        holds g.  Its generators were checked to be automorphisms, so g is
-        one."""
-        for group, mode, *trace_args in self.assignments:
-            if mode != "bruteforce" or trace_args[:2] != [presentation, cutoff]:
-                continue
+    def class_series(self, trunc, g):
+        """g's trace series from a group with a brute-force assignment on the
+        truncation that holds g as h x^k h^-1, x its class representative:
+        sigma_k of x's cached series, coefficient by coefficient
+        (``cyclofield.power_galois``).  None if no such group holds g.  Its
+        generators were checked to be automorphisms, so g is one."""
+        for group in self.brute_force_groups.get(trunc, ()):
             try:
                 r, k, m = group.rational_classes()[group.index_of(g)]
             except KeyError:
                 continue  # g is not in this group
-            series = self.traces[presentation, cutoff, group.elements[r],
-                                 *trace_args[2:]][0]
+            series = self.series[trunc, group.elements[r]]
             sigma = power_galois(tuple(series), k, m)
             return series if sigma is None else Series(map(sigma, series))
         return None
@@ -954,7 +946,9 @@ class _Runner:
     def run_trace(self, args):
         presentation = self.lookup(args["algebra"], "algebra")
         g = self.lookup(args["matrix"], "matrix")
-        series, closed = self.trace_pair(args, g)
+        trunc, num_bound, den_bound = self.trace_args(args)
+        series = self.trace_series(trunc, g)
+        closed = reconstruct(series, num_bound, den_bound)
         gk = args.get("gk", presentation.ngens)
         pole = classify_pole(closed, gk)
         result = {

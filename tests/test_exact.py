@@ -472,12 +472,11 @@ class TestSeries:
     def test_section_and_prefix(self):
         s = Series(range(10))
         assert s.section(3) == Series([0, 3, 6, 9])
-        assert s.prefix(2) == Series([0, 1, 2])
 
     def test_rational_function_algebra(self):
         f = normalize(P(1, 1), ONE_MINUS_T)
         assert f - f == RationalFunction(Poly(), P(1))
-        assert (f / f).is_one
+        assert f / f == RationalFunction(P(1), P(1))
         assert f ** 2 == f * f
         assert f.inflated(2) == normalize(P(1, 0, 1), one_minus_power(2))
 

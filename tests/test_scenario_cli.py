@@ -303,7 +303,7 @@ class TestRunnerCache:
         for got, want in zip(reports, alone, strict=True):
             del got["line"], want["line"]
             assert got == want
-        assert calls == {"brute_force_trace": 3, "build_truncation": 3}
+        assert calls == {"brute_force_trace": 2, "build_truncation": 3}
         # too small a den_bound or truncation fails after a cached success,
         # as it does alone
         for bad in ("task trace algebra=B matrix=g truncation=12 den_bound=1",
@@ -375,6 +375,7 @@ class TestAssignmentCache:
         alone = [self.run_alone(task) for task in tasks]
         built = self.spy(monkeypatch, "assign_class_traces")
         charpoly = self.spy(monkeypatch, "assign_charpoly_traces")
+        brute = self.spy(monkeypatch, "brute_force_trace")
         sums = []
         molien_sum = groups_module._molien_sum
         monkeypatch.setattr(groups_module, "_molien_sum",
@@ -386,6 +387,11 @@ class TestAssignmentCache:
             assert got == want
         assert len(built) + len(charpoly) == assignments
         assert len(sums) == assignments  # one Molien sum per assignment
+        # one brute force per truncation and non-identity rational class of
+        # the mystic group (there are two), whatever the bounds: 2 and 4
+        cutoffs = {task.split("truncation=")[1].split()[0]
+                   for task in tasks if "truncation=" in task}
+        assert len(brute) == 2 * len(cutoffs)
 
 
     @pytest.mark.parametrize("header, closure, matrix, calls", [
