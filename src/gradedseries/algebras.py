@@ -66,7 +66,7 @@ from fractions import Fraction
 from .cyclofield import CyclotomicMatrix, CyclotomicNumber
 from .cyclotomic import factor_cyclotomic
 from .exact import (Immutable, NonUnitConstantError, NoSolutionError, Series,
-                    _reduce_vec, _rref_add, _simplify, expand, reconstruct,
+                    _reduce_vec, _rref_add, _simplify, reconstruct,
                     scalar_inverse)
 
 
@@ -702,19 +702,16 @@ def betti_numbers(trunc):
 
 
 def euler_check(table, hilbert_series, order):
-    """Residual of (sum (-1)^i b(i,j) t^j) * H(t) - 1 up to the given order.
-
-    hilbert_series may be a RationalFunction or an already-expanded Series.
-    """
+    """Residual of (sum (-1)^i b(i,j) t^j) * H(t) - 1 up to the given order,
+    for H(t) given as a Series (``Truncation.hilbert_coefficients``, or
+    ``expand`` of a RationalFunction)."""
     signed = [0] * (order + 1)
     for (i, j), c in table.entries.items():
         if j <= order:
             signed[j] += c if i % 2 == 0 else -c
-    h = hilbert_series if isinstance(hilbert_series, Series) \
-        else expand(hilbert_series, order)
-    if h.order < order:
+    if hilbert_series.order < order:
         raise ValueError("series truncation shorter than the check order")
-    residual = list(Series(signed) * h)
+    residual = list(Series(signed) * hilbert_series)
     residual[0] -= 1
     return Series(residual)
 

@@ -26,15 +26,9 @@ from functools import cache
 
 from .exact import (
     Poly,
-    RationalFunction,
     multiplicity_at_one,
-    normalize,
     one_minus_power,
 )
-
-# Phi_n cache: populated once per order, then only read (safe for concurrent
-# readers; a racing duplicate insert writes the identical value).
-_PHI: dict[int, Poly] = {}
 
 _ONE = Poly((1,))
 
@@ -80,18 +74,15 @@ def mobius(n):
     return mu
 
 
+@cache
 def cyclotomic_polynomial(n):
     """The n-th cyclotomic polynomial, by dividing t^n - 1 by the proper Phi_d."""
     if n < 1:
         raise ValueError("order must be positive")
-    cached = _PHI.get(n)
-    if cached is not None:
-        return cached
     p = Poly((-1,) + (0,) * (n - 1) + (1,))  # t^n - 1
     for d in _divisors(n):
         if d < n:
             p = p.exact_div(cyclotomic_polynomial(d))
-    _PHI[n] = p
     return p
 
 
@@ -250,9 +241,6 @@ class BinomialProfile:
             else:
                 den = den * one_minus_power(a) ** (-e)
         return num, den
-
-    def as_rational_function(self):
-        return normalize(*self.fraction())
 
 
 def cyc_number(f, factors=None):

@@ -163,6 +163,9 @@ class Poly(Immutable):
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as one
+        if len(self.coeffs) <= 1:
+            return hash(self.constant_term)
         return hash(self.coeffs)
 
     def __neg__(self):
@@ -471,6 +474,9 @@ class RationalFunction(Immutable):
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # den(0) = 1, so a constant den is 1 and the value equals num
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __add__(self, other):

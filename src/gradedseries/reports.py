@@ -8,7 +8,7 @@ independent flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cyclotomic import (cyc_number, factor_series, gorenstein_symmetry,
                          is_cyclotomic)
@@ -64,27 +64,18 @@ def classify_group(group, assignment, gk_dim):
     (``pole_classifications``), and both the generation test and the pole
     orders read those verdicts.
     """
-    series = molien(group, assignment)
-    base = classify_series(series)
+    base = classify_series(molien(group, assignment))
     poles = pole_classifications(assignment, gk_dim)
     verdict, witnesses = generated_by_quasi_bireflections(group, poles)
-    return ClassificationReport(
-        hilbert_series=series,
-        is_cyclotomic=base.is_cyclotomic,
-        gorenstein_symmetric=base.gorenstein_symmetric,
-        cyc_number=base.cyc_number,
-        cyc_profile=base.cyc_profile,
-        qb_generated=verdict,
-        qb_witnesses=tuple(witnesses),
-        pole_orders=tuple(p.pole_order for p in poles),
-    )
+    return replace(base, qb_generated=verdict, qb_witnesses=tuple(witnesses),
+                   pole_orders=tuple(p.pole_order for p in poles))
 
 
 def report_payload(report):
-    """Orderly JSON-ready dict in the ``classify`` task's key schema;
-    polynomial strings are canonical."""
+    """Orderly dict in the ``classify`` task's key schema; the series stays
+    a RationalFunction, whose text is canonical, until it is printed."""
     payload = {
-        "series": str(report.hilbert_series),
+        "series": report.hilbert_series,
         "cyclotomic": report.is_cyclotomic,
         "gorenstein": report.gorenstein_symmetric,
         "cyclotomic_gorenstein": report.cyclotomic_gorenstein,

@@ -718,21 +718,31 @@ def _report_value(value):
     return str(value) if isinstance(value, RationalFunction) else value
 
 
+def _trace_series(trunc, g):
+    """g's trace series on the truncation: the dims for the identity, which
+    preserves every relation, else the brute force.  Both check the input
+    first, so a bad input gets the same error either way."""
+    if g == CyclotomicMatrix.identity(g.dim):
+        return identity_trace(trunc, g.dim)
+    return brute_force_trace(g, trunc)
+
+
 class _Runner:
     def __init__(self, scenario):
         self.scenario = scenario
         self.env = dict(scenario.bindings)
-        # computed once per run, each keyed by what fixes it: truncations by
-        # (presentation, cutoff), brute-force trace series by (truncation,
-        # matrix), and trace assignments by (group,) for charpoly or (group,
-        # truncation, num_bound, den_bound) for brute force, whose group is
-        # then listed under its truncation in brute_force_groups.  An
-        # assignment keeps its Molien sum, so the molien and classify tasks
-        # of one group and mode share it.
-        self.truncations = {}
-        self.series = {}
-        self.assignments = {}
-        self.brute_force_groups = {}
+        self.memo = {}  # (fn, *args) -> fn(*args), filled by ``once``
+
+    def once(self, fn, *args):
+        """fn(*args), computed once per run: truncations, trace series,
+        their closed forms and trace assignments are each keyed by the
+        function and the arguments that fix the value.  An assignment keeps
+        its Molien sum, so the molien and classify tasks of one group and
+        mode share it."""
+        key = (fn, *args)
+        if key not in self.memo:
+            self.memo[key] = fn(*args)
+        return self.memo[key]
 
     def lookup(self, value, category):
         if isinstance(value, Ref):
@@ -841,28 +851,25 @@ class _Runner:
 
     def assignment_for(self, args, group):
         if args.get("traces", Ref("charpoly")).name == "charpoly":
-            key, build = (group,), assign_charpoly_traces
-        else:
-            key = (group, *self.trace_args(args))
-            build = self.brute_force_assignment
-        if key not in self.assignments:
-            self.assignments[key] = build(*key)
-        return self.assignments[key]
+            return self.once(assign_charpoly_traces, group)
+        return self.once(self.brute_force_assignment, group,
+                         *self.trace_args(args))
 
     def brute_force_assignment(self, group, trunc, num_bound, den_bound):
         """The group's traces on the truncation by ``assign_class_traces``,
         reconstructed within num_bound/den_bound: the truncation's dims for
         the identity, a brute force for each other class representative.
         The generators that are not class representatives are checked to be
-        automorphisms first, in order; ``brute_force_trace`` checks each
-        representative (or did, when its series was cached), and
-        ``identity_trace`` the identity's input.  The generators generate the
-        group, so every element whose trace is derived is one."""
+        automorphisms first, in order; ``_trace_series`` checks each
+        representative's input (or did, when its series was computed).  The
+        generators generate the group, so every element is an automorphism,
+        and each member h x^k h^-1, x its class representative, leaves
+        sigma_k of x's series (``cyclofield.power_galois``) in the memo for
+        a later trace task, unless its series is there already."""
         def closed_form(g):
-            return reconstruct(self.trace_series(trunc, g), num_bound,
-                               den_bound)
+            return self.once(reconstruct, self.once(_trace_series, trunc, g),
+                             num_bound, den_bound)
 
-        self.series[trunc, group.elements[0]] = identity_trace(trunc, group.dim)
         identity = closed_form(group.elements[0])
         classes = group.rational_classes()
         for g in group.generators:
@@ -871,49 +878,22 @@ class _Runner:
                 check_automorphism(g, trunc)
         assignment = assign_class_traces(group, (identity, PROVENANCE_DIMS),
                                          closed_form, PROVENANCE_BRUTE_FORCE)
-        self.brute_force_groups.setdefault(trunc, []).append(group)
+        for h, (r, k, m) in zip(group.elements, classes):
+            series = self.memo[_trace_series, trunc, group.elements[r]]
+            sigma = power_galois(tuple(series), k, m)
+            self.memo.setdefault(
+                (_trace_series, trunc, h),
+                series if sigma is None else Series(map(sigma, series)))
         return assignment
-
-    def truncation(self, presentation, cutoff):
-        key = (presentation, cutoff)
-        if key not in self.truncations:
-            self.truncations[key] = build_truncation(presentation, cutoff)
-        return self.truncations[key]
 
     def trace_args(self, args):
         """(truncation, num_bound, den_bound) of a brute-force trace task,
         with their defaults."""
         presentation = self.lookup(args["algebra"], "algebra")
-        return (self.truncation(presentation, args.get("truncation", 12)),
+        return (self.once(build_truncation, presentation,
+                          args.get("truncation", 12)),
                 args.get("num_bound", 0),
                 args.get("den_bound", presentation.ngens))
-
-    def trace_series(self, trunc, g):
-        """g's trace series on the truncation, computed once per run: read
-        off a brute-force assignment's group on it (``class_series``), else
-        the brute force."""
-        key = (trunc, g)
-        if key not in self.series:
-            series = self.class_series(trunc, g)
-            self.series[key] = (brute_force_trace(g, trunc) if series is None
-                                else series)
-        return self.series[key]
-
-    def class_series(self, trunc, g):
-        """g's trace series from a group with a brute-force assignment on the
-        truncation that holds g as h x^k h^-1, x its class representative:
-        sigma_k of x's cached series, coefficient by coefficient
-        (``cyclofield.power_galois``).  None if no such group holds g.  Its
-        generators were checked to be automorphisms, so g is one."""
-        for group in self.brute_force_groups.get(trunc, ()):
-            try:
-                r, k, m = group.rational_classes()[group.index_of(g)]
-            except KeyError:
-                continue  # g is not in this group
-            series = self.series[trunc, group.elements[r]]
-            sigma = power_galois(tuple(series), k, m)
-            return series if sigma is None else Series(map(sigma, series))
-        return None
 
     def run_molien(self, args):
         group = self.lookup(args["group"], "group")
@@ -929,8 +909,7 @@ class _Runner:
             assignment = self.assignment_for(args, group)
             gk = args.get("gk", group.dim)
             report = classify_group(group, assignment, gk)
-        # the series stays a RationalFunction until the report prints it
-        return {**report_payload(report), "series": report.hilbert_series}
+        return report_payload(report)
 
     def run_veronese(self, args):
         f = self.resolve_series(args["series"])
@@ -947,8 +926,8 @@ class _Runner:
         presentation = self.lookup(args["algebra"], "algebra")
         g = self.lookup(args["matrix"], "matrix")
         trunc, num_bound, den_bound = self.trace_args(args)
-        series = self.trace_series(trunc, g)
-        closed = reconstruct(series, num_bound, den_bound)
+        series = self.once(_trace_series, trunc, g)
+        closed = self.once(reconstruct, series, num_bound, den_bound)
         gk = args.get("gk", presentation.ngens)
         pole = classify_pole(closed, gk)
         result = {
@@ -965,7 +944,7 @@ class _Runner:
     def run_betti(self, args):
         presentation = self.lookup(args["algebra"], "algebra")
         cutoff = args.get("truncation", 8)
-        trunc = self.truncation(presentation, cutoff)
+        trunc = self.once(build_truncation, presentation, cutoff)
         table = betti_numbers(trunc)
         residual = euler_check(table, trunc.hilbert_coefficients(), cutoff)
         kind, pole_order = ext_growth(table)

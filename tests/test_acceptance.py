@@ -282,7 +282,7 @@ def test_criterion_09_square_zero_resolution():
     assert [table.row_sum(i) for i in range(7)] == [1, 2, 3, 4, 5, 6, 7]
     m, _ = cyc_number(normalize(P(1, 2, 1), P(1)))
     assert m == 2
-    residual = euler_check(table, normalize(P(1, 2, 1), P(1)), 8)
+    residual = euler_check(table, expand(normalize(P(1, 2, 1), P(1)), 8), 8)
     assert not any(residual)
     ok(9, "dims [1,2,1]; Betti row sums 1..7; cyc = 2; Euler residual zero")
 
@@ -377,7 +377,7 @@ def test_criterion_12_property_suite():
         f = normalize(num, den)
         got = cyc_number(f)
         assert got is not None
-        assert got[1].as_rational_function() == f
+        assert normalize(*got[1].fraction()) == f
     # Lagrange divisibility and Molien nonnegativity over the Sklyanin group
     group = sklyanin_group()
     for s in subgroups(group):

@@ -1266,20 +1266,20 @@ class TestEulerCheck:
         trunc = build_truncation(koszul_dual_square_zero(), 8)
         table = betti_numbers(trunc)
         h = normalize(P(1, 2, 1), P(1))
-        assert not any(euler_check(table, h, 8))
+        assert not any(euler_check(table, expand(h, 8), 8))
 
     def test_free_algebra(self):
         trunc = build_truncation(free_algebra(2), 8)
         table = betti_numbers(trunc)
         h = normalize(P(1), P(1, -2))
-        assert not any(euler_check(table, h, 8))
+        assert not any(euler_check(table, expand(h, 8), 8))
 
     def test_quantum_plane_mod_square(self):
         pres = normal_quotient(skew_symmetric_q(2), [{(2, 0): 1}])
         trunc = build_truncation(pres, 8)
         table = betti_numbers(trunc)
         h = quotient_series([1, 1], [2])
-        assert not any(euler_check(table, h, 8))
+        assert not any(euler_check(table, expand(h, 8), 8))
 
     def test_wrong_series_leaves_the_exact_residual(self):
         # the free algebra on 2 generators has Betti polynomial 1 - 2t; the
@@ -1288,7 +1288,6 @@ class TestEulerCheck:
         table = betti_numbers(build_truncation(free_algebra(2), 6))
         assert table.entries == {(0, 0): 1, (1, 1): 2}
         want = Series([0, 0, -1, -2, -3, -4, -5])
-        assert euler_check(table, normalize(P(1), P(1, -1) ** 2), 6) == want
         assert euler_check(table, Series(range(1, 10)), 6) == want
 
 

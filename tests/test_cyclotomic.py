@@ -215,7 +215,7 @@ def cyc_number_by_normalize(f):
         if v:
             factors[a] = v
     profile = BinomialProfile(factors)
-    if profile.as_rational_function() != f:
+    if normalize(*profile.fraction()) != f:
         return None
     return profile.numerator_count(), profile
 
@@ -332,7 +332,7 @@ class TestCycNumber:
             got = cyc_number(f)
             assert got is not None
             m, profile = got
-            assert profile.as_rational_function() == f
+            assert normalize(*profile.fraction()) == f
             assert m == sum(e for e in factors.values() if e > 0)
 
 

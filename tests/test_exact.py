@@ -166,6 +166,19 @@ class TestPoly:
         assert poly_to_str(Poly()) == "0"
         assert poly_to_str(P(Fraction(1, 2), Fraction(3, 2))) == "1/2 + (3/2)t"
 
+    @pytest.mark.parametrize("scalar", [
+        3, -1, 0, Fraction(2, 3), Fraction(-5, 7),
+        CyclotomicNumber.zeta(3), CyclotomicNumber.zeta(8, 3) + 1])
+    def test_constants_hash_as_their_scalar(self, scalar):
+        # equal values hash alike, so a set or dict key does not split them
+        values = [RationalFunction([scalar])]
+        if not isinstance(scalar, CyclotomicNumber):
+            values.append(Poly((scalar,)))
+        for value in values:
+            assert value == scalar and hash(value) == hash(scalar)
+            assert len({scalar, value}) == 1
+        assert hash(Poly(())) == hash(0) and len({0, Poly(())}) == 1
+
 
 class TestNormalize:
     def test_stanley_forms(self):

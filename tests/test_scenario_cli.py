@@ -376,6 +376,7 @@ class TestAssignmentCache:
         built = self.spy(monkeypatch, "assign_class_traces")
         charpoly = self.spy(monkeypatch, "assign_charpoly_traces")
         brute = self.spy(monkeypatch, "brute_force_trace")
+        closed = self.spy(monkeypatch, "reconstruct")
         sums = []
         molien_sum = groups_module._molien_sum
         monkeypatch.setattr(groups_module, "_molien_sum",
@@ -392,21 +393,53 @@ class TestAssignmentCache:
         cutoffs = {task.split("truncation=")[1].split()[0]
                    for task in tasks if "truncation=" in task}
         assert len(brute) == 2 * len(cutoffs)
+        # one reconstruction per distinct series and bounds: a trace task
+        # and an assignment with its bounds share one
+        assert len(closed) == len(set(closed))
+
+    def test_identity_trace_reads_the_dims(self, monkeypatch):
+        # with no brute force, the report the brute force gives; a dimension
+        # that does not fit the algebra fails the same way too
+        cases = [("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+                  "truncation=10 den_bound=3"),
+                 ("[[1, 0], [0, 1]]", "")]
+
+        def outcomes():
+            got = []
+            for matrix, keys in cases:
+                text = (self.MYSTIC + f"let e = matrix {matrix}\n"
+                        f"task trace algebra=B matrix=e {keys}\n")
+                try:
+                    got.append(run_scenario(parse_scenario(text))[0])
+                except ScenarioExecutionError as exc:
+                    got.append(str(exc))
+            return got
+
+        brute = self.spy(monkeypatch, "brute_force_trace")
+        [report], error = outcomes()
+        assert not brute
+        assert report["coefficients"] == [(d + 1) * (d + 2) // 2
+                                          for d in range(11)]
+        assert "matrix dimension must match" in error
+        monkeypatch.setattr(
+            scenario_module, "identity_trace", lambda trunc, dim:
+            gs.brute_force_trace(CyclotomicMatrix.identity(dim), trunc))
+        assert outcomes() == [[report], error]
 
 
-    @pytest.mark.parametrize("header, closure, matrix, calls", [
+    @pytest.mark.parametrize("header, closure, matrix, calls, first", [
         # g^3 = sigma_3(g) on the mystic group: g and g^2 are brute-forced
-        (MYSTIC, CLOSURE, "[[0, 1, 0], [-1, 0, 0], [0, 0, -1]]", 2),
+        (MYSTIC, CLOSURE, "[[0, 1, 0], [-1, 0, 0], [0, 0, -1]]", 2, 3),
         # g^2 on a diagonal group over Q(zeta_3), where sigma_2 moves the
         # coefficients: g alone is brute-forced
         ("zeta_order: 3\n" + MYSTIC.split("let g")[0]
          + "let g = matrix [[z, 0, 0], [0, 1, 0], [0, 0, 1]]\n",
-         CLOSURE, "[[z^2, 0, 0], [0, 1, 0], [0, 0, 1]]", 1),
-        # the identity reads the dims
-        (MYSTIC, CLOSURE, "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", 2),
+         CLOSURE, "[[z^2, 0, 0], [0, 1, 0], [0, 0, 1]]", 1, 2),
+        # the identity reads the dims, in either order
+        (MYSTIC, CLOSURE, "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", 2, 2),
     ], ids=["mystic-cube", "zeta3-square", "identity"])
     def test_trace_after_molien_reads_its_class(self, monkeypatch, header,
-                                                closure, matrix, calls):
+                                                closure, matrix, calls, first):
         # the trace's own bounds differ from the assignment's
         tasks = [closure, f"task molien group=cg {self.BRUTE}",
                  "task trace algebra=B matrix=h truncation=10 den_bound=4"]
@@ -415,14 +448,15 @@ class TestAssignmentCache:
         reports, passed = run_scenario(parse_scenario(
             text + "\n".join(tasks) + "\n"))
         assert passed and len(brute) == calls
-        # the trace first: it is brute-forced, and every report is the same
+        # the trace first: it is brute-forced unless it is the identity, and
+        # every report is the same
         brute.clear()
-        first, _ = run_scenario(parse_scenario(
+        reordered, _ = run_scenario(parse_scenario(
             text + "\n".join(tasks[2:] + tasks[:2]) + "\n"))
-        assert len(brute) == calls + 1
-        for got in reports + first:
+        assert len(brute) == first
+        for got in reports + reordered:
             del got["line"]
-        assert first == reports[2:] + reports[:2]
+        assert reordered == reports[2:] + reports[:2]
 
 
 def skew_q(rng, n):
@@ -545,6 +579,47 @@ class TestClassTraces:
             # could give it
             assert assignment.traces[i] != assignment.traces[1]
             assert not assignment.traces[i].is_rational()
+
+    def test_member_traces_after_an_assignment(self, monkeypatch):
+        # a trace task on any member of a group with a brute-force assignment
+        # reads the series the assignment left, and prints the member's own
+        # brute force
+        z = CyclotomicNumber.zeta(5)
+        skew = gs.quantum_affine(gs.skew_symmetric_q(3))
+        cases = [
+            (skew, [signed_permutation((1, 0, 2), (1, 1, 1)),
+                    signed_permutation((1, 2, 0), (1, 1, 1)),
+                    signed_permutation((0, 1, 2), (-1, 1, 1))], 8, 0),
+            (gs.normal_quotient(gs.skew_symmetric_q(3),
+                                [{(2, 0, 0): 1, (0, 2, 0): z}]),
+             [CyclotomicMatrix([[0, 1, 0], [z, 0, 0], [0, 0, 1]])], 10, 2),
+        ]
+        calls = []
+        brute = scenario_module.brute_force_trace
+        monkeypatch.setattr(scenario_module, "brute_force_trace",
+                            lambda *a: calls.append(a) or brute(*a))
+        for pres, generators, cutoff, num_bound in cases:
+            group = gs.closure(generators, cap=100)
+            runner = scenario_module._Runner(
+                scenario_module.Scenario(bindings={"B": ("algebra", pres)}))
+            args = {"algebra": Ref("B"), "truncation": cutoff,
+                    "num_bound": num_bound, "den_bound": 3}
+            runner.assignment_for({**args, "traces": Ref("bruteforce")},
+                                  group)
+            assert calls  # one brute force per class representative
+            calls.clear()
+            trunc = gs.build_truncation(pres, cutoff)
+            for h in group.elements:
+                series = gs.brute_force_trace(h, trunc)
+                want = reconstruct(series, num_bound, 3)
+                runner.env["h"] = ("matrix", h)
+                got = runner.run_trace({
+                    **args, "matrix": Ref("h"),
+                    "index": want.den.degree - want.num.degree})
+                assert got["coefficients"] == [
+                    c if isinstance(c, int) else str(c) for c in series]
+                assert got["closed_form"] == want
+            assert not calls
 
     def test_each_generator_is_checked_once(self, monkeypatch):
         # (1 2) is a class representative, which its brute force checks;
