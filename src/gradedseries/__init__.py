@@ -67,12 +67,7 @@ from .groups import (
     reciprocal_charpoly_trace,
     subgroups,
 )
-from .hilbert import (
-    partition_count,
-    quotient_series,
-    veronese_section,
-    veronese_transform,
-)
+from .hilbert import quotient_series, veronese_section
 from .reports import ClassificationReport, classify_group, classify_series
 from .scenario import (
     ParseError,

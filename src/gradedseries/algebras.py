@@ -536,9 +536,6 @@ class BettiTable:
     entries: dict
     cutoff: int
 
-    def b(self, i, j):
-        return self.entries.get((i, j), 0)
-
     def row_sum(self, i):
         return sum(c for (i2, _), c in self.entries.items() if i2 == i)
 

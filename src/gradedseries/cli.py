@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand but ``run`` is a short scenario: it binds its ``--matrix``
-and ``--algebra`` literals, runs one task (``molien`` and ``subgroups`` run a
-``closure`` first) through ``run_scenario`` and prints that task's report,
-so its output keys are those of the same-named scenario task.  ``run``
-executes a scenario file.  Exit codes: 0 ok, 1 an embedded expected result
+Every subcommand but ``run`` is a short scenario: it runs one task
+(``molien`` and ``subgroups`` run a ``closure`` of their generators into
+``G`` first) through ``run_scenario`` and prints that task's report, so its
+output keys are those of the same-named scenario task.  Its options are its
+task's keys: each option's destination is the key it sets, and ``_task``
+reads them through the scenario's own key table, ``_TASK_KEYS``, binding a
+matrix, series or algebra literal under its key.  ``run`` executes a
+scenario file.  Exit codes: 0 ok, 1 an embedded expected result
 failed (``run``), 2 bad input.
 
 ``main`` parses with one parser, built on the first call and shared by every
@@ -27,7 +30,7 @@ import re
 import sys
 
 from .scenario import (
-    Lit,
+    _TASK_KEYS,
     Ref,
     Scenario,
     ScenarioExecutionError,
@@ -35,6 +38,7 @@ from .scenario import (
     parse_algebra_literal,
     parse_matrix_literal,
     parse_scenario,
+    parse_series_literal,
     run_scenario,
 )
 
@@ -52,6 +56,9 @@ MATRIX_HELP = ("matrix literal, e.g. '[[0,z,0],[0,0,z^2],[1,0,0]]'; "
 ALGEBRA_HELP = ("algebra literal, e.g. '{ kind: quantum_affine, degrees: "
                 "[1,1,1], q: [[1,-1,-1],[-1,1,-1],[-1,-1,1]] }'; "
                 "write one that starts with '-' as --algebra=TEXT")
+# the parser of each category of literal an option gives
+_LITERALS = {"matrix": parse_matrix_literal, "series": parse_series_literal,
+             "algebra": parse_algebra_literal}
 
 
 def _emit(payload, as_json):
@@ -88,59 +95,35 @@ def _flat(v):
     return v
 
 
-def _algebra_arg(text, args):
-    return ("algebra", parse_algebra_literal(text, args.zeta_order))
-
-
-def _matrix_arg(text, args):
-    return ("matrix", parse_matrix_literal(text, args.zeta_order))
-
-
-def _given(**task_args):
-    """Task args without the unset options, so the runner's defaults apply."""
-    return {k: v for k, v in task_args.items() if v is not None}
-
-
-def _on_series(args):
-    return {}, [Task(args.command, {"series": Lit(args.series, 1)})]
-
-
-def _veronese(args):
-    return {}, [Task("veronese", _given(
-        series=Lit(args.series, 1), r=args.stride,
-        num_bound=args.num_bound, den_bound=args.den_bound))]
-
-
-def _on_group(args):
-    bindings = {f"g{i}": _matrix_arg(text, args)
-                for i, text in enumerate(args.matrix, start=1)}
-    closure = _given(name=Ref("G"), generators=[Ref(n) for n in bindings],
-                     cap=args.cap)
-    return bindings, [Task("closure", closure),
-                      Task(args.command, {"group": Ref("G")})]
-
-
-def _bireflection(args):
-    return ({"g": _matrix_arg(args.matrix, args)},
-            [Task("bireflection", {"matrix": Ref("g")})])
-
-
-def _trace(args):
-    bindings = {"A": _algebra_arg(args.algebra, args),
-                "g": _matrix_arg(args.matrix, args)}
-    return bindings, [Task("trace", _given(
-        algebra=Ref("A"), matrix=Ref("g"), truncation=args.truncation,
-        num_bound=args.num_bound, den_bound=args.den_bound))]
-
-
-def _betti(args):
-    bindings = {"A": _algebra_arg(args.algebra, args)}
-    return bindings, [Task("betti", _given(algebra=Ref("A"),
-                                           truncation=args.truncation))]
+def _task(kind, args, bindings):
+    """The task of this kind that the options set, read through its keys
+    in ``_TASK_KEYS``: each option's destination is the key it sets.  A
+    literal is bound under its key (a list of them under the key and their
+    positions); an unset option is left out, so the runner's default
+    applies."""
+    task_args = {}
+    for key, category in _TASK_KEYS[kind].items():
+        value = getattr(args, key, None)
+        if value is None:
+            continue
+        if category in _LITERALS:
+            texts = ({key: value} if isinstance(value, str) else
+                     {f"{key}{i}": text for i, text in enumerate(value, 1)})
+            for name, text in texts.items():
+                bindings[name] = (category,
+                                  _LITERALS[category](text, args.zeta_order))
+            refs = [Ref(name) for name in texts]
+            value = refs[0] if isinstance(value, str) else refs
+        task_args[key] = value
+    return Task(kind, task_args)
 
 
 def cmd_task(args):
-    bindings, tasks = args.tasks(args)
+    """Run the subcommand's task, after a closure of its generators into G
+    for molien and subgroups, and print its report."""
+    bindings = {}
+    kinds = ["closure"] if "generators" in vars(args) else []
+    tasks = [_task(kind, args, bindings) for kind in kinds + [args.command]]
     reports, _ = run_scenario(Scenario(zeta_order=args.zeta_order,
                                        bindings=bindings, tasks=tasks))
     payload = {k: v for k, v in reports[-1].items()
@@ -237,39 +220,42 @@ def build_parser():
     p = sub.add_parser("classify", help="cyclotomic/Gorenstein verdicts of a series")
     p.add_argument("series", help=SERIES_HELP)
     common(p)
-    p.set_defaults(func=cmd_task, tasks=_on_series)
+    p.set_defaults(func=cmd_task)
 
     p = sub.add_parser("cyc", help="minimal binomial numerator count")
     p.add_argument("series", help=SERIES_HELP)
     common(p)
-    p.set_defaults(func=cmd_task, tasks=_on_series)
+    p.set_defaults(func=cmd_task)
 
     p = sub.add_parser("veronese", help="closed form of the r-section")
     p.add_argument("series", help=SERIES_HELP)
-    p.add_argument("-r", "--stride", type=_integer, required=True)
+    p.add_argument("-r", "--stride", dest="r", metavar="STRIDE",
+                   type=_integer, required=True)
     p.add_argument("--num-bound", type=_integer, default=None)
     p.add_argument("--den-bound", type=_integer, default=None)
     common(p)
-    p.set_defaults(func=cmd_task, tasks=_veronese)
+    p.set_defaults(func=cmd_task)
 
     p = sub.add_parser("molien", help="invariant Hilbert series of a matrix group")
-    p.add_argument("--matrix", action="append", required=True,
+    p.add_argument("--matrix", dest="generators", metavar="MATRIX",
+                   action="append", required=True,
                    help="generator " + MATRIX_HELP)
     p.add_argument("--cap", type=_positive, default=None)
     common(p)
-    p.set_defaults(func=cmd_task, tasks=_on_group)
+    p.set_defaults(func=cmd_task, name=Ref("G"), group=Ref("G"))
 
     p = sub.add_parser("subgroups", help="subgroup inventory of a small group")
-    p.add_argument("--matrix", action="append", required=True,
+    p.add_argument("--matrix", dest="generators", metavar="MATRIX",
+                   action="append", required=True,
                    help="generator " + MATRIX_HELP)
     p.add_argument("--cap", type=_positive, default=None)
     common(p)
-    p.set_defaults(func=cmd_task, tasks=_on_group)
+    p.set_defaults(func=cmd_task, name=Ref("G"), group=Ref("G"))
 
     p = sub.add_parser("bireflection", help="rank(g - I) test")
     p.add_argument("--matrix", required=True, help=MATRIX_HELP)
     common(p)
-    p.set_defaults(func=cmd_task, tasks=_bireflection)
+    p.set_defaults(func=cmd_task)
 
     p = sub.add_parser("trace", help="brute-force trace series of a matrix action")
     p.add_argument("--algebra", required=True, help=ALGEBRA_HELP)
@@ -278,13 +264,13 @@ def build_parser():
     p.add_argument("--num-bound", type=_integer, default=None)
     p.add_argument("--den-bound", type=_integer, default=None)
     common(p)
-    p.set_defaults(func=cmd_task, tasks=_trace)
+    p.set_defaults(func=cmd_task)
 
     p = sub.add_parser("betti", help="minimal free resolution Betti numbers")
     p.add_argument("--algebra", required=True, help=ALGEBRA_HELP)
     p.add_argument("--truncation", type=_integer, default=None)
     common(p)
-    p.set_defaults(func=cmd_task, tasks=_betti)
+    p.set_defaults(func=cmd_task)
 
     p = sub.add_parser("run", help="execute a scenario file")
     p.add_argument("scenario")

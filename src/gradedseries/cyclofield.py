@@ -40,7 +40,7 @@ from math import gcd, lcm
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
 from .exact import (_RATIONAL, Immutable, Poly, RationalFunction, _poly,
-                    _rref_add, _simplify, scalar_inverse)
+                    _rref_add, _simplify, poly_to_str, scalar_inverse)
 
 
 def _number(order, residue):
@@ -241,7 +241,7 @@ class CyclotomicNumber(Immutable):
         return value
 
     def __str__(self):
-        return self.residue.to_str("z")
+        return poly_to_str(self.residue, "z")
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {self})"
@@ -376,9 +376,6 @@ class CyclotomicMatrix(Immutable):
 
     def __hash__(self):
         return hash(self.rows)
-
-    def diagonal(self):
-        return tuple(row[i] for i, row in enumerate(self.rows))
 
     def inverse(self):
         n = self.dim

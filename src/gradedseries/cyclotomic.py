@@ -216,7 +216,7 @@ def is_cyclotomic(f, factors=None):
     both a trivial t-power and remainder 1.  ``factors`` is f's
     ``factor_series`` when the caller has it.
     """
-    if f.is_zero:
+    if not f:
         return True
     fn, fd = factors or factor_series(f)
     return fn.is_cyclotomic and fd.is_cyclotomic
@@ -303,7 +303,7 @@ class SymmetryVerdict:
 def gorenstein_symmetry(f):
     """Palindrome test on num and den, the Hilbert-series symmetry of a
     Gorenstein invariant ring."""
-    if f.is_zero:
+    if not f:
         return SymmetryVerdict(False, None, None)
     ns = _palindrome_sign(f.num)
     ds = _palindrome_sign(f.den)

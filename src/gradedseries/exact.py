@@ -92,6 +92,12 @@ class Immutable:
             if name != "_hash"))
 
 
+def _is_scalar(x):
+    """Whether x is a coefficient: an int, a Fraction or a CyclotomicNumber
+    (it has a residue)."""
+    return type(x) in _RATIONAL or hasattr(x, "residue")
+
+
 def _simplify(c):
     # Fractions with denominator 1 become ints so printing and hashing stay tidy
     if type(c) is Fraction and c.denominator == 1:
@@ -156,10 +162,10 @@ class Poly(Immutable):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if type(other) in _RATIONAL:
-            other = Poly((other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            other = Poly((other,))
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -172,7 +178,9 @@ class Poly(Immutable):
         return _poly([-c for c in self.coeffs])
 
     def __add__(self, other):
-        if type(other) in _RATIONAL:
+        if not isinstance(other, Poly):
+            if not _is_scalar(other):
+                return NotImplemented
             other = Poly((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -185,7 +193,9 @@ class Poly(Immutable):
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) in _RATIONAL:
+        if not isinstance(other, Poly):
+            if not _is_scalar(other):
+                return NotImplemented
             other = Poly((other,))
         a, b = self.coeffs, other.coeffs
         out = list(a) + [0] * (len(b) - len(a))
@@ -298,9 +308,6 @@ class Poly(Immutable):
         while not self.coeffs[k]:
             k += 1
         return Poly(self.coeffs[k:][::-1])
-
-    def to_str(self, var="t"):
-        return poly_to_str(self, var)
 
     def __str__(self):
         return poly_to_str(self)
@@ -434,10 +441,6 @@ class RationalFunction(Immutable):
         """1/den for a polynomial (or coefficient sequence) den."""
         return cls((1,), den)
 
-    @property
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 
@@ -461,8 +464,7 @@ class RationalFunction(Immutable):
         """other as a RationalFunction, or None for a foreign type."""
         if isinstance(other, RationalFunction):
             return other
-        # a scalar: an int, a Fraction or a CyclotomicNumber (it has a residue)
-        if type(other) in _RATIONAL or hasattr(other, "residue"):
+        if _is_scalar(other):
             return RationalFunction._wrap(Poly((other,)), Poly((1,)))
         return None
 
@@ -525,10 +527,6 @@ class RationalFunction(Immutable):
             return (1 / self) ** (-n)
         # powers of coprime polynomials stay coprime, and den(0)^n = 1
         return RationalFunction._wrap(self.num ** n, self.den ** n)
-
-    def expand(self, n):
-        """Power-series coefficients 0..n."""
-        return list(expand(self, n))
 
     def inflated(self, r):
         """Substitute t -> t^r; coprimality and den(0) = 1 are preserved."""

@@ -64,11 +64,12 @@ class MatrixGroup(Immutable):
     remembers its parent and its members' indices there, so that its
     multiplication table is read off the parent's.  A group made by
     ``closure`` keeps the right action of each generator on the element
-    indices, found by closure's own products, for its table.
+    indices, found by closure's own products, for its table.  The table and
+    the rational classes are each built once, when first asked for.
     """
 
     __slots__ = ("elements", "generators", "_index", "_table", "_parent",
-                 "_perms")
+                 "_perms", "_classes")
 
     def __init__(self, elements, generators, _parent=None, _perms=None):
         object.__setattr__(self, "elements", tuple(elements))
@@ -77,6 +78,7 @@ class MatrixGroup(Immutable):
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_parent", _parent)
         object.__setattr__(self, "_perms", _perms)
+        object.__setattr__(self, "_classes", None)
 
     @property
     def order(self):
@@ -125,20 +127,14 @@ class MatrixGroup(Immutable):
         return tuple(zip(*(columns[b] for b in range(self.order))))
 
     def exponent(self):
-        """The lcm of the element orders, read by walking powers in the
-        multiplication table."""
-        table = self.multiplication_table()
-        e = 1
-        for a in range(1, self.order):
-            row, x, k = table[a], a, 1
-            while x:
-                x, k = row[x], k + 1
-            e = lcm(e, k)
-        return e
+        """The lcm of the element orders, read off the rational classes:
+        h x^k h^-1 has the order m of its representative x."""
+        return lcm(*(m for _, _, m in self.rational_classes()))
 
     def rational_classes(self):
         """(r, k, m) per element index: the element is h x^k h^-1 for some h
-        in G, where x = elements[r] has order m and k is prime to m.
+        in G, where x = elements[r] has order m and k is prime to m.  The
+        walk (``_class_walk``) is made once per group.
 
         A class is the orbit of its representative x under x -> h x^k h^-1.
         Elements are walked in index order, so each representative is the
@@ -150,6 +146,11 @@ class MatrixGroup(Immutable):
         of order m costs c (generators + m) table reads, so an abelian
         group (c = 1) costs about |G| (generators + exponent) in all.
         """
+        if self._classes is None:
+            object.__setattr__(self, "_classes", self._class_walk())
+        return self._classes
+
+    def _class_walk(self):
         table = self.multiplication_table()
         inverse = [row.index(0) for row in table]
         gens = {self._index[g] for g in self.generators} - {0}
@@ -180,7 +181,7 @@ class MatrixGroup(Immutable):
                     y = powers[k]
                     if classes[y] is None:
                         classes[y] = (r, k, m)
-        return classes
+        return tuple(classes)
 
     def subset_closure(self, seed_indices):
         """Smallest closed subset (hence subgroup) containing the seeds.

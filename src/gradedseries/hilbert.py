@@ -2,60 +2,15 @@
 
 The r-th Veronese subring keeps the graded pieces in degrees divisible by r,
 so its Hilbert series is the r-section sum a_{rn} t^n of the ambient series.
-Two independent routes are provided:
-
-* ``veronese_transform`` uses the closed-form numerator rule for series with
-  denominator (1-t)^d, built from bounded-partition counts, and
-* ``veronese_section`` expands any rational series, strides it, and recovers
-  the closed form by exact linear algebra.
-
-They must agree on the overlap, which the test suite checks on a grid.
+``veronese_section`` expands any rational series, strides it, and recovers
+the closed form by exact linear algebra.  The test suite checks it against
+an independent route, the closed-form numerator rule for denominators
+(1-t)^d built from bounded-partition counts.
 """
 
 from __future__ import annotations
 
-from .exact import Poly, RationalFunction, expand, normalize, one_minus_power, reconstruct
-
-_ONE_MINUS_T = Poly((1, -1))
-
-
-def partition_count(bound, parts, total):
-    """Number of tuples (n_1..n_parts) with 0 <= n_i <= bound summing to total."""
-    if bound < 0 or parts < 0 or total < 0:
-        raise ValueError("arguments must be nonnegative")
-    ways = [1] + [0] * total
-    for _ in range(parts):
-        acc = [0] * (total + 1)
-        for c in range(total + 1):
-            lo = max(0, c - bound)
-            acc[c] = sum(ways[lo:c + 1])
-        ways = acc
-    return ways[total]
-
-
-def veronese_transform(numerator, d, r):
-    """r-section of (h_0 + ... + h_s t^s) / (1-t)^d in closed form.
-
-    The new numerator coefficients are h'_i = sum_j C(r-1, d, i*r - j) h_j
-    for i up to max(s, d); the denominator exponent d is unchanged.
-    """
-    if r < 1:
-        raise ValueError("stride must be >= 1")
-    if d < 0:
-        raise ValueError("denominator exponent must be >= 0")
-    h = numerator if isinstance(numerator, Poly) else Poly(numerator)
-    if not h:
-        return normalize(Poly(), Poly((1,)))
-    s = h.degree
-    m = max(s, d)
-    coeffs = []
-    for i in range(m + 1):
-        acc = 0
-        for j, hj in enumerate(h.coeffs):
-            if hj and i * r - j >= 0:
-                acc += partition_count(r - 1, d, i * r - j) * hj
-        coeffs.append(acc)
-    return normalize(Poly(coeffs), _ONE_MINUS_T ** d)
+from .exact import Poly, expand, normalize, one_minus_power, reconstruct
 
 
 def veronese_section(f, r, num_bound=None, den_bound=None):
@@ -97,8 +52,6 @@ def quotient_series(generator_degrees, relation_degrees=()):
 
 
 __all__ = [
-    "partition_count",
     "quotient_series",
     "veronese_section",
-    "veronese_transform",
 ]

@@ -28,10 +28,15 @@ betti, cyc, bireflection.
 
 An algebra literal or a task gives each key (and each ``expect`` field) at
 most once, and only the keys its kind reads (``_ALGEBRA_KEYS``,
-``_TASK_KEYS``).  A task key that names no declared input takes one Kind of
-value, such as a nonnegative integer or one of ``charpoly``, ``bruteforce``;
-any other value is an error located at the value.  A key the task cannot run
-without (``_REQUIRED_KEYS``) is an error located at the task kind.
+``_TASK_KEYS``).  Every task value is checked once, where it stands: a key
+that names a declared input takes a declared input of that category, and
+any other key one Kind of value, such as a nonnegative integer or one of
+``charpoly``, ``bruteforce``; a quoted series (a task value or an ``expect``
+field) is parsed there, with the ``zeta_order`` in effect at its line, as a
+``let`` is.  A bad value is an error located at the value.  Which keys a
+task reads follows from its keys (``_keys_read``): a key it does not read is
+an error located at the key, and a declared input it reads but lacks one
+located at the task kind.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ class ScenarioExecutionError(RuntimeError):
 
 Token = namedtuple("Token", "kind value line col")
 Ref = namedtuple("Ref", "name")
-Lit = namedtuple("Lit", "text line")
+Lit = namedtuple("Lit", "text line value")  # a quoted series, parsed
 
 _SYMBOLS = set("[]{}(),=:^+-*/")
 # str.isdigit also takes digits such as '²' or '٣', which int() rejects or
@@ -119,28 +124,17 @@ _TASK_KEYS = {
                  "series": "series", "gk": _NATURAL},
     "veronese": {"series": "series", "r": _POSITIVE, "num_bound": _NATURAL,
                  "den_bound": _NATURAL},
-    "trace": {"matrix": "matrix", **_TRACE_KEYS, "gk": _NATURAL,
+    "trace": {**_TRACE_KEYS, "matrix": "matrix", "gk": _NATURAL,
               "index": _INTEGER},
     "betti": {"algebra": "algebra", "truncation": _NATURAL},
     "cyc": {"series": "series"},
     "bireflection": {"matrix": "matrix"},
 }
 TASK_KINDS = tuple(_TASK_KEYS)
-# the keys each task kind reads with no default; classify reads a series or a
-# group, and a brute-force assignment of a group an algebra as well
-_REQUIRED_KEYS = {
-    "subgroups": ("group",),
-    "molien": ("group",),
-    "classify": ("group",),
-    "veronese": ("series",),
-    "trace": ("algebra", "matrix"),
-    "betti": ("algebra",),
-    "cyc": ("series",),
-    "bireflection": ("matrix",),
-}
 
 
-def _scan_line(raw, line_no):
+def _scan_line(raw, line_no, offset=0):
+    """The tokens of one line, each located at its column plus offset."""
     tokens = []
     i = 0
     n = len(raw)
@@ -151,7 +145,7 @@ def _scan_line(raw, line_no):
         if ch in " \t\r":
             i += 1
             continue
-        col = i + 1
+        col = offset + i + 1
         if ch == '"':
             end = raw.find('"', i + 1)
             if end < 0:
@@ -358,11 +352,12 @@ def _parse_value(cur, what, zeta_order):
     return value
 
 
-def _parse_literal(what, text, zeta_order, line):
-    """A one-line literal that holds exactly one ``what``."""
-    cur = _Cursor(_scan_line(text, line))
+def _parse_literal(what, text, zeta_order, line, offset=0):
+    """A one-line literal that holds exactly one ``what``, its columns
+    shifted by offset (a quoted value's text starts past its quote)."""
+    cur = _Cursor(_scan_line(text, line, offset))
     if cur.done():
-        raise ParseError(f"empty {what} literal", line, 1)
+        raise ParseError(f"empty {what} literal", line, offset + 1)
     return _parse_value(cur, what, zeta_order)
 
 
@@ -567,7 +562,7 @@ class Scenario:
     tasks: list = field(default_factory=list)
 
 
-def _parse_task_value(cur):
+def _parse_task_value(cur, zeta_order):
     tok = cur.peek()
     if tok is None:
         cur.error("expected a value")
@@ -575,7 +570,8 @@ def _parse_task_value(cur):
         return cur.expect_int()
     if tok.kind == "string":
         cur.next()
-        return Lit(tok.value, tok.line)
+        return Lit(tok.value, tok.line, _parse_literal(
+            "series", tok.value, zeta_order, tok.line, tok.col))
     if tok.kind == "ident":
         cur.next()
         if tok.value == "true":
@@ -602,9 +598,30 @@ def _parse_task_value(cur):
     cur.error("expected a value")
 
 
-def _parse_key_values(cur, kind):
-    args = {}
-    expect = {}
+def _keys_read(kind, args):
+    """The keys (with their categories) that a task of this kind with these
+    args reads, and why it reads no other key of its kind: a classify task
+    with a series reads only the series, and molien and classify read the
+    brute-force keys only with traces=bruteforce."""
+    keys = dict(_TASK_KEYS[kind])
+    if kind == "classify":
+        if "series" in args:
+            return {"series": "series"}, "with a series"
+        del keys["series"]
+    if "traces" in keys and args.get("traces") != Ref("bruteforce"):
+        for key in _TRACE_KEYS:
+            del keys[key]
+    return keys, "without traces=bruteforce"
+
+
+def _parse_task(cur, kind_tok, declared, zeta_order):
+    """The args and expect fields of a task, each value checked where it
+    stands: a plain value by its Kind, a reference against its declared
+    category.  Then a key the task does not read is an error located at
+    the key, and a declared input it reads but lacks (a closure's
+    generators default to none) one located at the task kind."""
+    kind = kind_tok.value
+    args, expect, key_toks = {}, {}, {}
     target = args
     while not cur.done():
         tok = cur.expect_ident()
@@ -620,40 +637,33 @@ def _parse_key_values(cur, kind):
                 f"{tok.value!r} is given twice", tok.line, tok.col)
         cur.expect_symbol("=")
         start = cur.peek()
-        value = target[tok.value] = _parse_task_value(cur)
-        kind_of = _TASK_KEYS[kind].get(tok.value) if target is args else None
-        if isinstance(kind_of, Kind) and not kind_of.accepts(value):
-            raise ParseError(f"task {kind!r} key {tok.value!r} must be "
-                             f"{kind_of.what}", start.line, start.col)
-    return args, expect
-
-
-def _validate_refs(task, declared):
-    for key, category in _TASK_KEYS[task.kind].items():
-        value = task.args.get(key)
+        value = target[tok.value] = _parse_task_value(cur, zeta_order)
+        if target is expect:
+            continue
+        key_toks[tok.value] = tok
+        category = _TASK_KEYS[kind][tok.value]
+        if isinstance(category, Kind):
+            if not category.accepts(value):
+                raise ParseError(f"task {kind!r} key {tok.value!r} must be "
+                                 f"{category.what}", start.line, start.col)
+            continue
         for ref in value if isinstance(value, list) else [value]:
-            if (isinstance(category, str) and isinstance(ref, Ref)
-                    and declared.get(ref.name) != category):
+            if isinstance(ref, Ref) and declared.get(ref.name) != category:
                 raise UndeclaredInputError(
-                    f"task {task.kind!r} references undeclared {category} "
-                    f"{ref.name!r}", task.line)
-
-
-def _check_required_keys(kind_tok, args):
-    """A ParseError, located at the task kind, for the first key the task
-    cannot run without."""
-    kind = kind_tok.value
-    if kind == "classify" and "series" in args:
-        return
-    required = _REQUIRED_KEYS.get(kind, ())
-    if args.get("traces") == Ref("bruteforce"):
-        required += ("algebra",)
-    for key in required:
-        if key not in args:
+                    f"task {kind!r} references undeclared {category} "
+                    f"{ref.name!r}", start.line, start.col)
+    read, why = _keys_read(kind, args)
+    for key, tok in key_toks.items():
+        if key not in read:
+            raise ParseError(f"task {kind!r} reads no key {key!r} {why}",
+                             tok.line, tok.col)
+    for key, category in read.items():
+        if isinstance(category, str) and key not in (*args, "generators"):
             alternative = (" or 'series'"
                            if (kind, key) == ("classify", "group") else "")
             raise ParseError(f"task {kind!r} needs key {key!r}{alternative}",
                              kind_tok.line, kind_tok.col)
+    return args, expect
 
 
 def parse_scenario(text):
@@ -698,12 +708,10 @@ def parse_scenario(text):
             if kind_tok.value not in TASK_KINDS:
                 raise ParseError(f"unknown task kind {kind_tok.value!r}",
                                  kind_tok.line, kind_tok.col)
-            args, expect = _parse_key_values(cur, kind_tok.value)
-            task = Task(kind_tok.value, args, expect, head.line)
-            _validate_refs(task, declared)
-            _check_required_keys(kind_tok, args)
-            if kind_tok.value == "closure" and "name" in args:
-                declared[args["name"].name] = "group"
+            task = Task(kind_tok.value, *_parse_task(
+                cur, kind_tok, declared, scenario.zeta_order), head.line)
+            if task.kind == "closure" and "name" in task.args:
+                declared[task.args["name"].name] = "group"
             scenario.tasks.append(task)
             continue
         raise ParseError(f"unknown statement {head.value!r}", head.line,
@@ -755,8 +763,7 @@ class _Runner:
 
     def resolve_series(self, value):
         if isinstance(value, Lit):
-            return parse_series_literal(value.text, self.scenario.zeta_order,
-                                        value.line)
+            return value.value
         return self.lookup(value, "series")
 
     def run(self):
@@ -766,8 +773,6 @@ class _Runner:
             handler = getattr(self, f"run_{task.kind}")
             try:
                 result = handler(task.args)
-            except ParseError:
-                raise
             except Exception as exc:
                 where = f" (line {task.line})" if task.line else ""
                 raise ScenarioExecutionError(
@@ -803,9 +808,7 @@ class _Runner:
             got = result[key]
             if isinstance(want, Lit):
                 # expected series compare exactly after normalization; a
-                # series result is compared as computed, not re-parsed
-                want_series = parse_series_literal(
-                    want.text, self.scenario.zeta_order, want.line)
+                # series result is compared as computed, a text result parsed
                 got_series = got if isinstance(got, RationalFunction) else None
                 if isinstance(got, str):
                     try:
@@ -817,8 +820,8 @@ class _Runner:
                     raise ScenarioExecutionError(
                         f"line {want.line}: expect {key}=\"{want.text}\": "
                         f"the {key!r} field is {got!r}, not a series")
-                if want_series != got_series:
-                    failures.append(f"{key}: expected {want_series}, got {got}")
+                if want.value != got_series:
+                    failures.append(f"{key}: expected {want.value}, got {got}")
                 continue
             got = _report_value(got)
             if isinstance(want, Ref):

@@ -200,7 +200,7 @@ def bundled_series():
 def cyc_number_by_normalize(f):
     """cyc_number with the profile compared by normalizing it: the oracle
     for the cross-multiplied comparison."""
-    if f.is_zero:
+    if not f:
         return None
     fn, fd = factor_cyclotomic(f.num), factor_cyclotomic(f.den)
     if not fn.is_cyclotomic or not fd.is_cyclotomic:

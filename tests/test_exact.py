@@ -179,6 +179,18 @@ class TestPoly:
             assert len({scalar, value}) == 1
         assert hash(Poly(())) == hash(0) and len({0, Poly(())}) == 1
 
+    def test_cyclotomic_scalars_meet_polys(self):
+        # a CyclotomicNumber is a scalar to + - and == as it is to *, on
+        # either side, and a constant Poly of it equals it
+        z = CyclotomicNumber.zeta(5)
+        one = Poly((1,))
+        assert one + z == z + one == Poly((1 + z,))
+        assert one - z == Poly((1 - z,)) and z - one == Poly((z - 1,))
+        assert Poly((1, 1)) * z == Poly((z, z))
+        assert Poly((z,)) == z and z == Poly((z,))
+        assert Poly((z,)) != CyclotomicNumber.zeta(5, 2)
+        assert len({z, Poly((z,))}) == 1
+
 
 class TestNormalize:
     def test_stanley_forms(self):
@@ -543,8 +555,8 @@ class TestScalarRuleAtConstructors:
         z = CyclotomicNumber.zeta(3)
         assert z * True == z and z / True == z and z * False == 0
         assert z + True == z + 1 and z != True
-        assert types(CyclotomicMatrix([[True, 0], [0, True]]).diagonal()) \
-            == (bool, bool)
+        rows = CyclotomicMatrix([[True, 0], [0, True]]).rows
+        assert types((rows[0][0], rows[1][1])) == (bool, bool)
 
     @pytest.mark.parametrize("field", ["int", "fraction", "cyclotomic"])
     def test_constant_num_or_den_matches_the_gcd_path(self, field):

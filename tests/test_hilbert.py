@@ -4,12 +4,7 @@ import pytest
 
 from gradedseries.cyclotomic import is_cyclotomic
 from gradedseries.exact import Poly, Series, expand, normalize, one_minus_power
-from gradedseries.hilbert import (
-    partition_count,
-    quotient_series,
-    veronese_section,
-    veronese_transform,
-)
+from gradedseries.hilbert import quotient_series, veronese_section
 
 
 def P(*coeffs):
@@ -17,6 +12,48 @@ def P(*coeffs):
 
 
 ONE_MINUS_T = P(1, -1)
+
+
+# The closed-form route to a Veronese section, for denominators (1-t)^d: the
+# independent oracle that veronese_section is checked against.
+
+def partition_count(bound, parts, total):
+    """Number of tuples (n_1..n_parts) with 0 <= n_i <= bound summing to total."""
+    if bound < 0 or parts < 0 or total < 0:
+        raise ValueError("arguments must be nonnegative")
+    ways = [1] + [0] * total
+    for _ in range(parts):
+        acc = [0] * (total + 1)
+        for c in range(total + 1):
+            lo = max(0, c - bound)
+            acc[c] = sum(ways[lo:c + 1])
+        ways = acc
+    return ways[total]
+
+
+def veronese_transform(numerator, d, r):
+    """r-section of (h_0 + ... + h_s t^s) / (1-t)^d in closed form.
+
+    The new numerator coefficients are h'_i = sum_j C(r-1, d, i*r - j) h_j
+    for i up to max(s, d); the denominator exponent d is unchanged.
+    """
+    if r < 1:
+        raise ValueError("stride must be >= 1")
+    if d < 0:
+        raise ValueError("denominator exponent must be >= 0")
+    h = numerator if isinstance(numerator, Poly) else Poly(numerator)
+    if not h:
+        return normalize(Poly(), Poly((1,)))
+    s = h.degree
+    m = max(s, d)
+    coeffs = []
+    for i in range(m + 1):
+        acc = 0
+        for j, hj in enumerate(h.coeffs):
+            if hj and i * r - j >= 0:
+                acc += partition_count(r - 1, d, i * r - j) * hj
+        coeffs.append(acc)
+    return normalize(Poly(coeffs), ONE_MINUS_T ** d)
 
 
 def brute_partition_count(a, b, c):

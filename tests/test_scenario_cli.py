@@ -119,8 +119,8 @@ TASK_KEY_USES = {
     "subgroups": "group=G max_order=8",
     "molien": "group=G traces=bruteforce algebra=A truncation=4 num_bound=0 "
               "den_bound=2",
-    "classify": "group=G traces=charpoly algebra=A truncation=4 num_bound=0 "
-                "den_bound=2 series=H gk=2",
+    "classify": "group=G traces=bruteforce algebra=A truncation=4 "
+                "num_bound=0 den_bound=2 gk=2",
     "veronese": "series=H r=2 num_bound=1 den_bound=3",
     "trace": "matrix=g algebra=A truncation=4 num_bound=0 den_bound=2 gk=2 "
              "index=2",
@@ -198,6 +198,83 @@ class TestTaskKeys:
                                                 line, value, message):
         # located at the value, one column past its "="
         assert_located(tmp_path, capsys, line, value, message, 1)
+
+    def test_a_classify_task_with_a_series_reads_only_it(self):
+        scenario = parse_scenario(f"{TASK_PREAMBLE}task classify series=H\n")
+        assert scenario.tasks[-1].args == {"series": Ref("H")}
+
+    @pytest.mark.parametrize("line, key, message", [
+        ("task classify series=H group=G", "group",
+         "task 'classify' reads no key 'group' with a series"),
+        ("task classify series=H gk=2", "gk",
+         "task 'classify' reads no key 'gk' with a series"),
+        ("task classify series=H traces=charpoly", "traces",
+         "task 'classify' reads no key 'traces' with a series"),
+        ("task molien group=G algebra=A truncation=4", "algebra",
+         "task 'molien' reads no key 'algebra' without traces=bruteforce"),
+        ("task classify group=G traces=charpoly den_bound=2", "den_bound",
+         "task 'classify' reads no key 'den_bound' without "
+         "traces=bruteforce"),
+    ])
+    def test_keys_the_task_does_not_read_are_located(self, tmp_path, capsys,
+                                                     line, key, message):
+        assert_located(tmp_path, capsys, line, key, message)
+
+    def test_a_forgotten_traces_key_is_located(self, tmp_path, capsys):
+        # without traces=bruteforce, the mystic file's molien task would sum
+        # the commutative charpoly traces; its brute-force keys say otherwise
+        text = gs.load_bundled_scenario("mystic_bireflection.scn")
+        line = "task molien group=cg traces=bruteforce algebra=B"
+        assert text.count(line) == 1
+        text = text.replace(line, line.replace("traces=bruteforce ", ""))
+        path = tmp_path / "forgot.scn"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        row = text[:text.index("task molien")].count("\n") + 1
+        col = len("task molien group=cg ") + 1
+        assert capsys.readouterr().err == (
+            f"error: line {row}, col {col}: task 'molien' reads no key "
+            "'algebra' without traces=bruteforce\n")
+
+    @pytest.mark.parametrize("line, value, message", [
+        ("task molien group=nowhere", "=nowhere",
+         "task 'molien' references undeclared group 'nowhere'"),
+        ("task closure generators=[g, H]", "=[g",
+         "task 'closure' references undeclared matrix 'H'"),
+        ("task trace algebra=A matrix=G", "=G",
+         "task 'trace' references undeclared matrix 'G'"),
+    ])
+    def test_undeclared_references_are_located_at_the_value(
+            self, tmp_path, capsys, line, value, message):
+        assert_located(tmp_path, capsys, line, value, message, 1)
+
+    @pytest.mark.parametrize("line", [
+        'task cyc series="1 + (t"',
+        'task veronese series=H r=2\n  expect section="1 + (t"',
+    ])
+    def test_quoted_series_are_parsed_where_they_stand(self, tmp_path, capsys,
+                                                       monkeypatch, line):
+        # located in the file, before the closure ahead of it runs
+        calls = []
+        monkeypatch.setattr(scenario_module, "closure",
+                            lambda *a, **k: calls.append(a))
+        assert_located(tmp_path, capsys, line, "(t", "expected ')'", 1)
+        assert not calls
+
+    def test_a_quoted_series_is_read_once(self, monkeypatch):
+        text = ('zeta_order: 3\n'
+                'task veronese series="1/(1-t)^3" r=2\n'
+                '  expect section="(1 + 3t)/(1 - t)^3"\n'
+                'task classify series="1/((1-t)(1-z t)(1-z^2 t))"\n')
+        scenario = parse_scenario(text)
+        series = scenario.tasks[1].args["series"]
+        assert series.value == parse_series_literal(series.text, 3)
+        calls = []
+        monkeypatch.setattr(scenario_module, "parse_series_literal",
+                            lambda *a: calls.append(a))
+        reports, passed = run_scenario(scenario)
+        assert passed and not calls
+        assert reports[1]["series"] == "(1) / (1 - t^3)"
 
     def test_task_lists_keep_their_loose_grammar(self):
         scenario = parse_scenario(
@@ -396,6 +473,20 @@ class TestAssignmentCache:
         # one reconstruction per distinct series and bounds: a trace task
         # and an assignment with its bounds share one
         assert len(closed) == len(set(closed))
+
+    def test_one_class_walk_per_group(self, monkeypatch):
+        # both kinds of assignment, their Molien sums' exponent and the
+        # runner's generator checks all read one walk over the classes
+        walks = []
+        walk = groups_module.MatrixGroup._class_walk
+        monkeypatch.setattr(groups_module.MatrixGroup, "_class_walk",
+                            lambda group: walks.append(group) or walk(group))
+        tasks = [self.CLOSURE, f"task molien group=cg {self.BRUTE}",
+                 f"task classify group=cg {self.BRUTE} gk=3",
+                 "task molien group=cg", "task classify group=cg gk=3"]
+        _, passed = run_scenario(parse_scenario(
+            self.MYSTIC + "\n".join(tasks) + "\n"))
+        assert passed is True and len(walks) == 1
 
     def test_identity_trace_reads_the_dims(self, monkeypatch):
         # with no brute force, the report the brute force gives; a dimension
