@@ -6,9 +6,11 @@ Every subcommand but ``run`` is a short scenario: it runs one task
 output keys are those of the same-named scenario task.  Its options are its
 task's keys: each option's destination is the key it sets, and ``_task``
 reads them through the scenario's own key table, ``_TASK_KEYS``, binding a
-matrix, series or algebra literal under its key.  ``run`` executes a
-scenario file.  Exit codes: 0 ok, 1 an embedded expected result
-failed (``run``), 2 bad input.
+matrix, series or algebra literal under its key.  It then checks the task
+with the parser's ``_check_task``, so a bad option value is an error with a
+file's text, less its location, before any task runs.  ``run`` executes a
+scenario file, whose header sets its ``zeta_order``.  Exit codes: 0 ok, 1
+an embedded expected result failed (``run``), 2 bad input.
 
 ``main`` parses with one parser, built on the first call and shared by every
 later call in the process (``build_parser`` is cached): building it costs
@@ -31,6 +33,7 @@ import sys
 
 from .scenario import (
     _TASK_KEYS,
+    _check_task,
     Ref,
     Scenario,
     ScenarioExecutionError,
@@ -95,35 +98,40 @@ def _flat(v):
     return v
 
 
-def _task(kind, args, bindings):
+def _task(kind, args, bindings, declared):
     """The task of this kind that the options set, read through its keys
-    in ``_TASK_KEYS``: each option's destination is the key it sets.  A
-    literal is bound under its key (a list of them under the key and their
+    in ``_TASK_KEYS`` and checked by ``_check_task``, as a file's task is:
+    each option's destination is the key it sets.  A literal is bound and
+    declared under its key (a list of them under the key and their
     positions); an unset option is left out, so the runner's default
     applies."""
     task_args = {}
-    for key, category in _TASK_KEYS[kind].items():
+    for key, value_kind in _TASK_KEYS[kind].items():
         value = getattr(args, key, None)
         if value is None:
             continue
+        category = value_kind.category
         if category in _LITERALS:
             texts = ({key: value} if isinstance(value, str) else
                      {f"{key}{i}": text for i, text in enumerate(value, 1)})
             for name, text in texts.items():
                 bindings[name] = (category,
                                   _LITERALS[category](text, args.zeta_order))
+                declared[name] = category
             refs = [Ref(name) for name in texts]
             value = refs[0] if isinstance(value, str) else refs
         task_args[key] = value
+    _check_task(kind, task_args, declared)
     return Task(kind, task_args)
 
 
 def cmd_task(args):
     """Run the subcommand's task, after a closure of its generators into G
     for molien and subgroups, and print its report."""
-    bindings = {}
+    bindings, declared = {}, {}
     kinds = ["closure"] if "generators" in vars(args) else []
-    tasks = [_task(kind, args, bindings) for kind in kinds + [args.command]]
+    tasks = [_task(kind, args, bindings, declared)
+             for kind in kinds + [args.command]]
     reports, _ = run_scenario(Scenario(zeta_order=args.zeta_order,
                                        bindings=bindings, tasks=tasks))
     payload = {k: v for k, v in reports[-1].items()
@@ -145,7 +153,7 @@ def cmd_run(args):
 def _integer(text):
     """An integer option's value: ASCII digits after an optional '-', as a
     scenario file writes an integer (``int`` alone would read '٣' as 3).
-    Its range is checked by the task that reads it."""
+    Its range is its key's Kind, checked as in a file."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}")
@@ -153,8 +161,8 @@ def _integer(text):
 
 
 def _positive(text):
-    """The --zeta-order and --cap values: a positive int in ASCII digits, as
-    in a scenario header and a closure task."""
+    """The --zeta-order value: a positive int in ASCII digits, as in a
+    scenario header."""
     if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, not {text!r}")
@@ -240,7 +248,7 @@ def build_parser():
     p.add_argument("--matrix", dest="generators", metavar="MATRIX",
                    action="append", required=True,
                    help="generator " + MATRIX_HELP)
-    p.add_argument("--cap", type=_positive, default=None)
+    p.add_argument("--cap", type=_integer, default=None)
     common(p)
     p.set_defaults(func=cmd_task, name=Ref("G"), group=Ref("G"))
 
@@ -248,7 +256,7 @@ def build_parser():
     p.add_argument("--matrix", dest="generators", metavar="MATRIX",
                    action="append", required=True,
                    help="generator " + MATRIX_HELP)
-    p.add_argument("--cap", type=_positive, default=None)
+    p.add_argument("--cap", type=_integer, default=None)
     common(p)
     p.set_defaults(func=cmd_task, name=Ref("G"), group=Ref("G"))
 
@@ -274,7 +282,8 @@ def build_parser():
 
     p = sub.add_parser("run", help="execute a scenario file")
     p.add_argument("scenario")
-    common(p)
+    # a file sets its zeta_order in its header
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_run)
 
     return parser

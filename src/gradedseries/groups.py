@@ -315,9 +315,6 @@ class TraceAssignment:
         if len(self.traces) != self.group.order:
             raise ValueError("need one trace per group element")
 
-    def __getitem__(self, i):
-        return self.traces[i]
-
     @cached_property
     def molien_series(self):
         return _molien_sum(self.group, self.traces)

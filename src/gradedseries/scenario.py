@@ -28,15 +28,19 @@ betti, cyc, bireflection.
 
 An algebra literal or a task gives each key (and each ``expect`` field) at
 most once, and only the keys its kind reads (``_ALGEBRA_KEYS``,
-``_TASK_KEYS``).  Every task value is checked once, where it stands: a key
-that names a declared input takes a declared input of that category, and
-any other key one Kind of value, such as a nonnegative integer or one of
-``charpoly``, ``bruteforce``; a quoted series (a task value or an ``expect``
-field) is parsed there, with the ``zeta_order`` in effect at its line, as a
-``let`` is.  A bad value is an error located at the value.  Which keys a
-task reads follows from its keys (``_keys_read``): a key it does not read is
-an error located at the key, and a declared input it reads but lacks one
-located at the task kind.
+``_TASK_KEYS``).  Each task key takes one Kind of value: a nonnegative
+integer, one of ``charpoly``, ``bruteforce``, and so on, or, for a key that
+names declared inputs, their category and shape: one declared input, a list
+of them (a closure's ``generators``), or for ``series`` a declared or a
+quoted series.  A quoted value is parsed as a series, with the
+``zeta_order`` in effect at its line as a ``let`` is, only as an ``expect``
+field or under a key whose Kind takes one.  ``_check_task`` checks each
+value by its Kind and each name in it against the inputs declared above,
+then which keys the task reads (``_keys_read``).  The parser locates a bad
+value at the value, a key the task does not read at the key, and a declared
+input it reads but lacks at the task kind.  The CLI checks the task it
+builds with the same function, so a value has one error text on both
+routes.
 """
 
 from __future__ import annotations
@@ -78,9 +82,12 @@ from .reports import classify_group, classify_series, report_payload
 
 
 class ParseError(ValueError):
+    """An input error, located at a line (and column) of a file; a task
+    built outside a file has no line."""
+
     def __init__(self, message, line, col=None):
         where = f"line {line}" + (f", col {col}" if col is not None else "")
-        super().__init__(f"{where}: {message}")
+        super().__init__(message if line is None else f"{where}: {message}")
         self.line = line
         self.col = col
 
@@ -102,33 +109,41 @@ _SYMBOLS = set("[]{}(),=:^+-*/")
 # reads as another number; an integer literal is ASCII digits only
 _DIGITS = frozenset("0123456789")
 
-# the kind of a plain task value: what it must be, and the test of a value
-Kind = namedtuple("Kind", "what accepts")
+# the kind of a task value: what it must be, the test of its shape, and for
+# a key that names declared inputs, their category
+Kind = namedtuple("Kind", "what accepts category", defaults=(None,))
 _INTEGER = Kind("an integer", lambda v: type(v) is int)
 _NATURAL = Kind("a nonnegative integer", lambda v: type(v) is int and v >= 0)
 _POSITIVE = Kind("a positive integer", lambda v: type(v) is int and v > 0)
+_GK = Kind("an integer >= 2", lambda v: type(v) is int and v >= 2)
 _NAME = Kind("an identifier", lambda v: isinstance(v, Ref))
 _TRACES = Kind("charpoly or bruteforce", lambda v: isinstance(v, Ref)
                and v.name in ("charpoly", "bruteforce"))
+_MATRIX, _GROUP, _ALGEBRA = (Kind(f"a declared {c}", _NAME.accepts, c)
+                             for c in ("matrix", "group", "algebra"))
+_MATRICES = Kind("a list of declared matrices", lambda v: isinstance(v, list)
+                 and all(isinstance(x, Ref) for x in v), "matrix")
+# the one Kind that takes a quoted series
+_SERIES = Kind("a declared or quoted series",
+               lambda v: isinstance(v, (Ref, Lit)), "series")
 
-# the keys each task kind reads, each with the category of the declared
-# input it names, or the Kind of a plain value; any other key is an error
-_TRACE_KEYS = {"algebra": "algebra", "truncation": _NATURAL,
+# the keys each task kind reads, each with the Kind of its value; any other
+# key is an error
+_TRACE_KEYS = {"algebra": _ALGEBRA, "truncation": _NATURAL,
                "num_bound": _NATURAL, "den_bound": _NATURAL}
 _TASK_KEYS = {
-    "closure": {"generators": "matrix", "name": _NAME, "cap": _POSITIVE,
+    "closure": {"generators": _MATRICES, "name": _NAME, "cap": _POSITIVE,
                 "dim": _POSITIVE},
-    "subgroups": {"group": "group", "max_order": _POSITIVE},
-    "molien": {"group": "group", "traces": _TRACES, **_TRACE_KEYS},
-    "classify": {"group": "group", "traces": _TRACES, **_TRACE_KEYS,
-                 "series": "series", "gk": _NATURAL},
-    "veronese": {"series": "series", "r": _POSITIVE, "num_bound": _NATURAL,
+    "subgroups": {"group": _GROUP, "max_order": _POSITIVE},
+    "molien": {"group": _GROUP, "traces": _TRACES, **_TRACE_KEYS},
+    "classify": {"group": _GROUP, "traces": _TRACES, **_TRACE_KEYS,
+                 "series": _SERIES, "gk": _GK},
+    "veronese": {"series": _SERIES, "r": _POSITIVE, "num_bound": _NATURAL,
                  "den_bound": _NATURAL},
-    "trace": {**_TRACE_KEYS, "matrix": "matrix", "gk": _NATURAL,
-              "index": _INTEGER},
-    "betti": {"algebra": "algebra", "truncation": _NATURAL},
-    "cyc": {"series": "series"},
-    "bireflection": {"matrix": "matrix"},
+    "trace": {**_TRACE_KEYS, "matrix": _MATRIX, "gk": _GK, "index": _INTEGER},
+    "betti": {"algebra": _ALGEBRA, "truncation": _NATURAL},
+    "cyc": {"series": _SERIES},
+    "bireflection": {"matrix": _MATRIX},
 }
 TASK_KINDS = tuple(_TASK_KEYS)
 
@@ -562,7 +577,9 @@ class Scenario:
     tasks: list = field(default_factory=list)
 
 
-def _parse_task_value(cur, zeta_order):
+def _parse_task_value(cur, zeta_order, series):
+    """A task value; a quoted one is parsed as a series only if ``series``,
+    else left unparsed for its key's Kind to reject."""
     tok = cur.peek()
     if tok is None:
         cur.error("expected a value")
@@ -571,7 +588,8 @@ def _parse_task_value(cur, zeta_order):
     if tok.kind == "string":
         cur.next()
         return Lit(tok.value, tok.line, _parse_literal(
-            "series", tok.value, zeta_order, tok.line, tok.col))
+            "series", tok.value, zeta_order, tok.line, tok.col)
+            if series else None)
     if tok.kind == "ident":
         cur.next()
         if tok.value == "true":
@@ -599,14 +617,14 @@ def _parse_task_value(cur, zeta_order):
 
 
 def _keys_read(kind, args):
-    """The keys (with their categories) that a task of this kind with these
-    args reads, and why it reads no other key of its kind: a classify task
-    with a series reads only the series, and molien and classify read the
+    """The keys (with their Kinds) that a task of this kind with these args
+    reads, and why it reads no other key of its kind: a classify task with a
+    series reads only the series, and molien and classify read the
     brute-force keys only with traces=bruteforce."""
     keys = dict(_TASK_KEYS[kind])
     if kind == "classify":
         if "series" in args:
-            return {"series": "series"}, "with a series"
+            return {"series": _SERIES}, "with a series"
         del keys["series"]
     if "traces" in keys and args.get("traces") != Ref("bruteforce"):
         for key in _TRACE_KEYS:
@@ -614,55 +632,69 @@ def _keys_read(kind, args):
     return keys, "without traces=bruteforce"
 
 
+def _check_task(kind, args, declared, toks=None):
+    """Check a task's args against ``_TASK_KEYS``: each key against its
+    kind's keys, each value by its key's Kind, and each name it holds
+    against ``declared`` (a name's category); then a key the task does not
+    read (``_keys_read``), and a declared input it reads but lacks.  A
+    closure's name is then declared a group.  ``toks`` maps each key to
+    the tokens of the key and its value, and None to the task kind's token,
+    where an error is located; an error of a task built outside a file has
+    no location."""
+    def fail(message, key=None, part=0, error=ParseError):
+        tok = toks[key][part] if toks else None
+        raise error(message, *((tok.line, tok.col) if tok else (None,)))
+
+    for key, value in args.items():
+        if key not in _TASK_KEYS[kind]:
+            fail(f"task kind {kind!r} takes no key {key!r}", key)
+        want = _TASK_KEYS[kind][key]
+        if not want.accepts(value):
+            fail(f"task {kind!r} key {key!r} must be {want.what}", key, 1)
+        for ref in value if isinstance(value, list) else [value]:
+            if (want.category and isinstance(ref, Ref)
+                    and declared.get(ref.name) != want.category):
+                fail(f"task {kind!r} references undeclared {want.category} "
+                     f"{ref.name!r}", key, 1, UndeclaredInputError)
+    read, why = _keys_read(kind, args)
+    for key in args:
+        if key not in read:
+            fail(f"task {kind!r} reads no key {key!r} {why}", key)
+    for key, want in read.items():
+        # a list of declared inputs may be empty, so such a key has a default
+        if want.category and key not in args and not want.accepts([]):
+            alternative = (" or 'series'"
+                           if (kind, key) == ("classify", "group") else "")
+            fail(f"task {kind!r} needs key {key!r}{alternative}")
+    if kind == "closure" and "name" in args:
+        declared[args["name"].name] = "group"
+
+
 def _parse_task(cur, kind_tok, declared, zeta_order):
-    """The args and expect fields of a task, each value checked where it
-    stands: a plain value by its Kind, a reference against its declared
-    category.  Then a key the task does not read is an error located at
-    the key, and a declared input it reads but lacks (a closure's
-    generators default to none) one located at the task kind."""
+    """The args and expect fields of a task, the args checked by
+    ``_check_task`` with each error located at the value, the key or the
+    task kind.  A quoted value is parsed as a series where it stands, with
+    the zeta_order in effect, when it is an expect field or the value of a
+    key of Kind ``_SERIES``."""
     kind = kind_tok.value
-    args, expect, key_toks = {}, {}, {}
+    args, expect, toks = {}, {}, {None: (kind_tok, kind_tok)}
     target = args
     while not cur.done():
         tok = cur.expect_ident()
         if tok.value == "expect":
             target = expect
             continue
-        if target is args and tok.value not in _TASK_KEYS[kind]:
-            raise ParseError(f"task kind {kind!r} takes no key {tok.value!r}",
-                             tok.line, tok.col)
         if tok.value in target:
             raise ParseError(
                 f"{'task' if target is args else 'expect'} key "
                 f"{tok.value!r} is given twice", tok.line, tok.col)
         cur.expect_symbol("=")
-        start = cur.peek()
-        value = target[tok.value] = _parse_task_value(cur, zeta_order)
-        if target is expect:
-            continue
-        key_toks[tok.value] = tok
-        category = _TASK_KEYS[kind][tok.value]
-        if isinstance(category, Kind):
-            if not category.accepts(value):
-                raise ParseError(f"task {kind!r} key {tok.value!r} must be "
-                                 f"{category.what}", start.line, start.col)
-            continue
-        for ref in value if isinstance(value, list) else [value]:
-            if isinstance(ref, Ref) and declared.get(ref.name) != category:
-                raise UndeclaredInputError(
-                    f"task {kind!r} references undeclared {category} "
-                    f"{ref.name!r}", start.line, start.col)
-    read, why = _keys_read(kind, args)
-    for key, tok in key_toks.items():
-        if key not in read:
-            raise ParseError(f"task {kind!r} reads no key {key!r} {why}",
-                             tok.line, tok.col)
-    for key, category in read.items():
-        if isinstance(category, str) and key not in (*args, "generators"):
-            alternative = (" or 'series'"
-                           if (kind, key) == ("classify", "group") else "")
-            raise ParseError(f"task {kind!r} needs key {key!r}{alternative}",
-                             kind_tok.line, kind_tok.col)
+        if target is args:
+            toks[tok.value] = (tok, cur.peek())
+        series = (target is expect
+                  or _TASK_KEYS[kind].get(tok.value) is _SERIES)
+        target[tok.value] = _parse_task_value(cur, zeta_order, series)
+    _check_task(kind, args, declared, toks)
     return args, expect
 
 
@@ -708,11 +740,8 @@ def parse_scenario(text):
             if kind_tok.value not in TASK_KINDS:
                 raise ParseError(f"unknown task kind {kind_tok.value!r}",
                                  kind_tok.line, kind_tok.col)
-            task = Task(kind_tok.value, *_parse_task(
-                cur, kind_tok, declared, scenario.zeta_order), head.line)
-            if task.kind == "closure" and "name" in task.args:
-                declared[task.args["name"].name] = "group"
-            scenario.tasks.append(task)
+            scenario.tasks.append(Task(kind_tok.value, *_parse_task(
+                cur, kind_tok, declared, scenario.zeta_order), head.line))
             continue
         raise ParseError(f"unknown statement {head.value!r}", head.line,
                          head.col)

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import random
@@ -14,6 +15,7 @@ from gradedseries.cli import main
 from gradedseries.cyclofield import CyclotomicMatrix, CyclotomicNumber
 from gradedseries.exact import Poly, normalize, one_minus_power, reconstruct
 from gradedseries.scenario import (
+    _TASK_KEYS,
     TASK_KINDS,
     ParseError,
     Ref,
@@ -193,11 +195,35 @@ class TestTaskKeys:
          "task 'closure' key 'name' must be an identifier"),
         ("task trace algebra=A matrix=g index=[2]", "=[2]",
          "task 'trace' key 'index' must be an integer"),
+        ("task classify group=G gk=1", "=1",
+         "task 'classify' key 'gk' must be an integer >= 2"),
+        ("task trace algebra=A matrix=g gk=0", "=0",
+         "task 'trace' key 'gk' must be an integer >= 2"),
+        # a key that names declared inputs takes one shape of them
+        ("task closure generators=g", "=g",
+         "task 'closure' key 'generators' must be a list of declared "
+         "matrices"),
+        ("task bireflection matrix=[g]", "=[g]",
+         "task 'bireflection' key 'matrix' must be a declared matrix"),
+        ("task molien group=[G]", "=[G]",
+         "task 'molien' key 'group' must be a declared group"),
+        ("task veronese series=[H]", "=[H]",
+         "task 'veronese' key 'series' must be a declared or quoted series"),
+        # a quoted value is a series only under a key that takes one
+        ('task trace algebra=A matrix="g"', '="g"',
+         "task 'trace' key 'matrix' must be a declared matrix"),
     ])
     def test_plain_values_are_typed_and_located(self, tmp_path, capsys,
-                                                line, value, message):
-        # located at the value, one column past its "="
+                                                monkeypatch, line, value,
+                                                message):
+        # every value, a plain one or a reference, is checked by its key's
+        # Kind: located at the value, one column past its "=", before the
+        # closure ahead of it runs
+        calls = []
+        monkeypatch.setattr(scenario_module, "closure",
+                            lambda *a, **k: calls.append(a))
         assert_located(tmp_path, capsys, line, value, message, 1)
+        assert not calls
 
     def test_a_classify_task_with_a_series_reads_only_it(self):
         scenario = parse_scenario(f"{TASK_PREAMBLE}task classify series=H\n")
@@ -766,6 +792,23 @@ class TestClassTraces:
 
 
 class TestCli:
+    def test_every_option_sets_a_key_of_a_task_the_subcommand_runs(self):
+        # so that _task, which reads the options through the key table,
+        # never drops one: each destination is a key of the subcommand's
+        # task, or of the closure that molien and subgroups run first, or a
+        # common option; run reads its file and --json only
+        parser = cli_module.build_parser()
+        [sub] = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        for command, p in sub.choices.items():
+            dests = {a.dest for a in p._actions} - {"help", "json"}
+            if command == "run":
+                assert dests == {"scenario"}
+                continue
+            kinds = [command] + (["closure"] if "generators" in dests else [])
+            keys = set().union(*(_TASK_KEYS[kind] for kind in kinds))
+            assert dests - {"zeta_order"} <= keys, command
+
     def test_run_bundled(self, tmp_path, capsys):
         path = tmp_path / "stanley.scn"
         path.write_text(gs.load_bundled_scenario("stanley.scn"))
@@ -929,6 +972,8 @@ class TestCli:
         ["cyc", "1 + t", "--zeta-order", "\u0663"],
         ["molien", "--zeta-order=-3", "--matrix", "[[0,1],[1,0]]"],
         ["run", "src/gradedseries/scenarios/stanley.scn", "--zeta-order", "0"],
+        # a file sets its zeta_order in its header; run has no such option
+        ["run", "src/gradedseries/scenarios/stanley.scn", "--zeta-order", "7"],
         ["molien", "--matrix", "[[1,1],[0,1]]", "--cap", "0"],
         ["subgroups", "--matrix", "[[0,1],[1,0]]", "--cap", "\u0663"],
         ["betti", "--algebra", "{ kind: quantum_affine, q: [[1,-1],[-1,1]] }",
@@ -947,31 +992,51 @@ class TestCli:
         assert "(line" not in err
 
     @pytest.mark.parametrize("argv, message", [
+        # an option value is checked by its key's Kind, as in a file
         (["trace", "--algebra", "{ kind: quantum_affine, q: [[1,-1],[-1,1]] }",
           "--matrix", "[[0,1],[1,0]]", "--den-bound", "-1"],
-         "degree bounds must be nonnegative"),
+         "task 'trace' key 'den_bound' must be a nonnegative integer"),
         # the swap does not preserve (x1^7), which lies above the cutoff
         (["trace", "--algebra", "{ kind: normal_quotient, q: [[1,1],[1,1]], "
           "normal: [x1^7] }", "--matrix", "[[0,1],[1,0]]",
           "--truncation", "6"],
-         "the image of the normal element 0 is not zero in the algebra"),
+         "task 'trace': the image of the normal element 0 is not zero in the "
+         "algebra"),
     ])
     def test_trace_input_errors_name_their_cause(self, capsys, argv, message):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: task 'trace': {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("task", [
-        "task closure generators=[1] cap=3",
-        "task trace algebra=A matrix=[g]",
+    @pytest.mark.parametrize("task, message", [
+        ("task closure generators=[1] cap=3",
+         "task 'closure' key 'generators' must be a list of declared "
+         "matrices"),
+        ("task trace algebra=A matrix=[g]",
+         "task 'trace' key 'matrix' must be a declared matrix"),
     ])
     def test_runner_errors_name_their_task_and_line(self, tmp_path, capsys,
-                                                    task):
+                                                    task, message):
+        # a value of the wrong shape is located at the value, before the
+        # closure ahead of it runs
         path = tmp_path / "refs.scn"
         path.write_text(TASK_PREAMBLE + task + "\n")
         assert main(["run", str(path)]) == 2
-        kind = task.split()[1]
-        assert capsys.readouterr().err == (
-            f"error: task {kind!r} (line 5): expected a matrix reference\n")
+        col = task.index("[") + 1
+        assert capsys.readouterr() == (
+            "", f"error: line 5, col {col}: {message}\n")
+
+    @pytest.mark.parametrize("argv, task", [
+        (["veronese", "1/(1-t)", "-r", "0"], "task veronese series=H r=0"),
+        (["molien", "--matrix", "[[0,1],[1,0]]", "--cap", "0"],
+         "task closure generators=[g] cap=0"),
+    ])
+    def test_option_values_get_the_file_routes_text(self, capsys, argv,
+                                                    task):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(TASK_PREAMBLE + task + "\n")
+        text = str(err.value).split(": ", 1)[1]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {text}\n")
 
     @pytest.mark.parametrize("task, message", [
         ("task closure name=K generators=[g] dim=3",
@@ -992,7 +1057,8 @@ class TestCli:
                      "{ kind: quantum_affine, q: [[1,-1],[-1,1]] }",
                      "--truncation", "-1"]) == 2
         assert capsys.readouterr().err == \
-            "error: task 'betti': cutoff must be nonnegative\n"
+            "error: task 'betti' key 'truncation' must be a nonnegative " \
+            "integer\n"
 
     def test_algebra_literal_sees_zeta_order(self, capsys):
         code = main(["trace", "--zeta-order", "4", "--algebra",
