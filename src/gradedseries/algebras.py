@@ -280,20 +280,24 @@ class Truncation(Immutable):
             return deg, {}  # above the cutoff, or killed by a relation
         return deg, self.project(deg, {(i,): _ONE})
 
-    def grading(self):
-        """(weight, generators) for ``betti_numbers``: weight maps a basis
-        label to its weight, the sum of its letters' digits.  The digits are
-        powers of cutoff + 1, so that a weight reads the letter counts, or
-        the generator degrees when a row of the ideal has two words and so
-        letter counts do not grade it (a nondecreasing word is fixed by its
-        letter counts).  The generators are the (weight, degree, vector)
-        triples of the nonzero ones."""
-        ngens = self.presentation.ngens
+    def digits(self):
+        """Each generator's digit: a word's weight, the sum of its letters'
+        digits, grades the truncation.  The digits are powers of cutoff + 1,
+        so that a weight reads the letter counts, or the generator degrees
+        when a row of the ideal has two words and so letter counts do not
+        grade it (a nondecreasing word is fixed by its letter counts)."""
         if any(len(row) > 1
                for rows in self.ideal or () for row in rows.values()):
-            digits = self.presentation.degrees
-        else:
-            digits = [(self.cutoff + 1) ** i for i in range(ngens)]
+            return self.presentation.degrees
+        return [(self.cutoff + 1) ** i for i in range(self.presentation.ngens)]
+
+    def grading(self):
+        """(weight, generators) for ``betti_numbers``: weight maps a basis
+        label to its weight, the sum of its letters' ``digits``.  The
+        generators are the (weight, degree, vector) triples of the nonzero
+        ones."""
+        ngens = self.presentation.ngens
+        digits = self.digits()
 
         def weight(label):
             return sum(digits[i] for i in label)
@@ -485,6 +489,15 @@ def brute_force_trace(g, trunc):
     scalar rule: ints and Fractions when rational, CyclotomicNumbers
     otherwise.
 
+    Only the basis words whose weight block g can fix are walked, with their
+    prefixes.  When every generator image is one term c_i x_sigma(i), g maps
+    the block of weight wt(w) (``Truncation.digits``) into that of
+    wt(sigma w), so the coefficient of w in g(w) is 0 unless the shifts
+    digit(sigma(i)) - digit(i) of w's letters sum to 0: one integer test per
+    basis word.  When an image has no term or several, or sigma moves no
+    digit (a diagonal g, or a truncation graded by degree), every word is
+    walked.
+
     The trace is a class function, and the traces of coprime powers are
     Galois images of it, so a group needs one call per rational class: the
     identity's trace is ``identity_trace``, and ``groups.assign_class_traces``
@@ -494,9 +507,16 @@ def brute_force_trace(g, trunc):
         g = CyclotomicMatrix(g)
     check_automorphism(g, trunc)
     gen_vectors = _generator_images(g, trunc)
+    digits = trunc.digits()
+    # digit(sigma(i)) - digit(i), read when each image is one term
+    shift = [digits[j] - digits[i]
+             for i, image in enumerate(gen_vectors) for (j,) in image]
+    moves = all(len(image) == 1 for image in gen_vectors) and any(shift)
     words = set()
     for basis in trunc.bases[1:]:
         for w in basis:
+            if moves and sum(map(shift.__getitem__, w)):
+                continue  # g moves w's weight block
             while w and w not in words:
                 words.add(w)
                 w = w[:-1]

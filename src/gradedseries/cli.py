@@ -19,8 +19,10 @@ more than most scenario files take to run.  Sharing is safe because
 ``Namespace``; an ``append`` option starts from its default, not from the
 last call's list; a subcommand parses into its own fresh namespace and copies
 it over; and an argparse error reaches ``main`` as an exception, which
-reports it on ``sys.stderr`` as looked up then, with the hint about literals
-that start with '-' only when argparse read such a token as an option.
+reports it on ``sys.stderr`` as looked up then, with the usage of the parser
+that met it (a stray option after a subcommand is the subcommand's error)
+and the hint about literals that start with '-' only when argparse read such
+a token as an option.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import sys
 from .scenario import (
     _TASK_KEYS,
     _check_task,
+    _declaration,
     Ref,
     Scenario,
     ScenarioExecutionError,
@@ -117,7 +120,7 @@ def _task(kind, args, bindings, declared):
             for name, text in texts.items():
                 bindings[name] = (category,
                                   _LITERALS[category](text, args.zeta_order))
-                declared[name] = category
+                declared[name] = _declaration(*bindings[name])
             refs = [Ref(name) for name in texts]
             value = refs[0] if isinstance(value, str) else refs
         task_args[key] = value
@@ -181,6 +184,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message, self.format_usage())
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Leave no argument unrecognized: a subcommand's parser reports a
+        stray one itself, with its own usage, not the top-level one."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _option_strings(parser):

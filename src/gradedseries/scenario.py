@@ -38,16 +38,19 @@ field or under a key whose Kind takes one.  ``_check_task`` checks each
 value by its Kind and each name in it against the inputs declared above,
 then which keys the task reads (``_keys_read``).  The parser locates a bad
 value at the value, a key the task does not read at the key, and a declared
-input it reads but lacks at the task kind.  The CLI checks the task it
-builds with the same function, so a value has one error text on both
-routes.
+input it reads but lacks, or a default ``gk`` below 2 (the sizes of the
+declared inputs are known as they are declared), at the task kind.  The CLI
+checks the task it builds with the same function, so a value has one error
+text on both routes.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .algebras import (
     betti_numbers,
@@ -334,11 +337,14 @@ def _parse_expr(cur, symbols):
     return value
 
 
+@functools.cache
 def _expression_symbols(zeta_order):
+    """The symbols an expression may use, built once per order and shared,
+    read-only, by every parse: the values are immutable."""
     symbols = {"t": RationalFunction([0, 1])}
     if zeta_order and zeta_order > 1:
         symbols["z"] = RationalFunction([CyclotomicNumber.zeta(zeta_order)])
-    return symbols
+    return MappingProxyType(symbols)
 
 
 def _to_rational_function(value, where):
@@ -632,12 +638,22 @@ def _keys_read(kind, args):
     return keys, "without traces=bruteforce"
 
 
+def _declaration(category, obj):
+    """A declared input's entry in ``declared``: its category, and its
+    size, which a task's default ``gk`` reads: a matrix's dimension or an
+    algebra's generator count (None for a series)."""
+    return category, getattr(obj, "dim", getattr(obj, "ngens", None))
+
+
 def _check_task(kind, args, declared, toks=None):
     """Check a task's args against ``_TASK_KEYS``: each key against its
     kind's keys, each value by its key's Kind, and each name it holds
-    against ``declared`` (a name's category); then a key the task does not
-    read (``_keys_read``), and a declared input it reads but lacks.  A
-    closure's name is then declared a group.  ``toks`` maps each key to
+    against ``declared`` (a name's ``_declaration``); then a key the task
+    does not read (``_keys_read``), a declared input it reads but lacks,
+    and a default ``gk`` below 2: a classify task's is its group's
+    dimension, a trace task's its algebra's generator count.  A closure's
+    name is then declared a group of its generators' dimension, or its
+    ``dim``.  ``toks`` maps each key to
     the tokens of the key and its value, and None to the task kind's token,
     where an error is located; an error of a task built outside a file has
     no location."""
@@ -653,7 +669,7 @@ def _check_task(kind, args, declared, toks=None):
             fail(f"task {kind!r} key {key!r} must be {want.what}", key, 1)
         for ref in value if isinstance(value, list) else [value]:
             if (want.category and isinstance(ref, Ref)
-                    and declared.get(ref.name) != want.category):
+                    and declared.get(ref.name, (None,))[0] != want.category):
                 fail(f"task {kind!r} references undeclared {want.category} "
                      f"{ref.name!r}", key, 1, UndeclaredInputError)
     read, why = _keys_read(kind, args)
@@ -666,8 +682,17 @@ def _check_task(kind, args, declared, toks=None):
             alternative = (" or 'series'"
                            if (kind, key) == ("classify", "group") else "")
             fail(f"task {kind!r} needs key {key!r}{alternative}")
+    source = {"classify": "group", "trace": "algebra"}.get(kind)
+    if source in read and "gk" not in args:
+        category, size = declared[args[source].name]
+        if size is not None and size < 2:
+            measure = "dimension" if category == "group" else "generator count"
+            fail(f"task {kind!r} needs key 'gk', {_GK.what}: its default, "
+                 f"the {category}'s {measure}, is {size}")
     if kind == "closure" and "name" in args:
-        declared[args["name"].name] = "group"
+        gens = args.get("generators", [])
+        declared[args["name"].name] = (
+            "group", declared[gens[0].name][1] if gens else args.get("dim"))
 
 
 def _parse_task(cur, kind_tok, declared, zeta_order):
@@ -733,7 +758,7 @@ def parse_scenario(text):
                 raise ParseError(f"{target.value!r} is declared twice",
                                  target.line, target.col)
             scenario.bindings[target.value] = (category, obj)
-            declared[target.value] = category
+            declared[target.value] = _declaration(category, obj)
             continue
         if head.value == "task":
             kind_tok = cur.expect_ident()

@@ -576,6 +576,11 @@ class TestPrefixImages:
             monomial_quotient(["x", "y"], [(0, 0), (1, 0, 1)]), 6),
         "shear-fixed normal quotient by x^2": (
             normal_quotient(skew_symmetric_q(2), [{(2, 0): 1}]), 6),
+        # graded by letter counts, with every signed permutation an
+        # automorphism that moves letters, so the walk skips weight blocks
+        "skew space k_{-1}[x1..x4]": (quantum_affine(skew_symmetric_q(4)), 8),
+        "squares quotient by x^2, y^2, z^2": (
+            monomial_quotient(["x", "y", "z"], [(0, 0), (1, 1), (2, 2)]), 6),
     }
     shear = CyclotomicMatrix([[1, 1], [0, 1]])
 
@@ -636,6 +641,29 @@ class TestPrefixImages:
             check_automorphism(self.shear, trunc)
         with pytest.raises(NotAnAutomorphismError):
             brute_force_trace(self.shear, trunc)
+
+    @pytest.mark.parametrize("q, rows, calls", [
+        # the double transposition on k_{-1}[x1..x4]: 1,827 products when
+        # every word is walked
+        (skew_symmetric_q(4),
+         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 114),
+        # the mystic g on k_{-1}[x, y, z]: 457 products when every word is
+        # walked
+        (skew_symmetric_q(3), [[0, -1, 0], [1, 0, 0], [0, 0, -1]], 73),
+    ])
+    def test_a_monomial_g_walks_only_the_blocks_it_fixes(self, monkeypatch,
+                                                         q, rows, calls):
+        # the count includes check_automorphism's products, one per word of
+        # a commutation relation
+        g = CyclotomicMatrix(rows)
+        trunc = build_truncation(quantum_affine(q), 12)
+        expected = word_by_word_trace(g, trunc, 12)
+        made = []
+        mul = algebras.Truncation.mul
+        monkeypatch.setattr(algebras.Truncation, "mul",
+                            lambda *args: made.append(1) or mul(*args))
+        assert brute_force_trace(g, trunc) == expected
+        assert len(made) == calls
 
     def test_relations_beyond_the_cutoff_are_checked(self):
         # the relation word xyx has length 3 > cutoff 2, and the swap sends

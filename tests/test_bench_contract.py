@@ -60,3 +60,13 @@ def test_every_first_seed_resolutions_job_passes_its_oracle():
     assert len(jobs) == len(workloads.RESOLUTION_SLOTS) == 30
     for job in jobs:
         assert job.check(job.run()) == [], job.label
+
+
+def test_every_first_seed_scenarios_job_passes_its_oracle():
+    # the brute-force trace speed claims are measured on these: the six
+    # bundled files and the generated ones, written under .bench_out/
+    workloads = bench_module("workloads")
+    jobs = workloads.build_scenarios(1, str(ROOT))
+    assert len(jobs) == 6 + len(workloads.SCENARIO_SLOTS) == 30
+    for job in jobs:
+        assert job.check(job.run()) == [], job.label

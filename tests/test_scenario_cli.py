@@ -225,6 +225,35 @@ class TestTaskKeys:
         assert_located(tmp_path, capsys, line, value, message, 1)
         assert not calls
 
+    @pytest.mark.parametrize("text, message", [
+        ("let m = matrix [[-1]]\ntask closure name=G generators=[m]\n"
+         "task classify group=G\n",
+         "task 'classify' needs key 'gk', an integer >= 2: its default, the "
+         "group's dimension, is 1"),
+        ("task closure name=G dim=1\ntask classify group=G\n",
+         "task 'classify' needs key 'gk', an integer >= 2: its default, the "
+         "group's dimension, is 1"),
+        ("let A = algebra { kind: free, degrees: [1] }\n"
+         "let m = matrix [[-1]]\ntask trace algebra=A matrix=m\n",
+         "task 'trace' needs key 'gk', an integer >= 2: its default, the "
+         "algebra's generator count, is 1"),
+    ])
+    def test_a_default_gk_below_2_is_located_at_the_task(
+            self, tmp_path, capsys, monkeypatch, text, message):
+        # the dimensions are known at parse time, so no task runs
+        calls = []
+        monkeypatch.setattr(scenario_module, "closure",
+                            lambda *a, **k: calls.append(a))
+        path = tmp_path / "gk.scn"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        row = text.count("\n")
+        assert capsys.readouterr() == (
+            "", f"error: line {row}, col 6: {message}\n")
+        assert not calls
+        # a stated gk is taken
+        parse_scenario(text.rstrip("\n") + " gk=2\n")
+
     def test_a_classify_task_with_a_series_reads_only_it(self):
         scenario = parse_scenario(f"{TASK_PREAMBLE}task classify series=H\n")
         assert scenario.tasks[-1].args == {"series": Ref("H")}
@@ -990,6 +1019,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "(line" not in err
+        # an argparse error shows the usage of the subcommand that met it
+        if "usage:" in err:
+            assert f"usage: gradedseries {argv[0]} " in err
+        if argv[-2:] == ["--zeta-order", "7"]:
+            assert err == ("error: unrecognized arguments: --zeta-order 7\n"
+                           "usage: gradedseries run [-h] [--json] scenario\n")
 
     @pytest.mark.parametrize("argv, message", [
         # an option value is checked by its key's Kind, as in a file
@@ -1002,10 +1037,15 @@ class TestCli:
           "--truncation", "6"],
          "task 'trace': the image of the normal element 0 is not zero in the "
          "algebra"),
+        # the default gk, the generator count, is checked before any task
+        (["trace", "--algebra", "{ kind: free, degrees: [1] }",
+          "--matrix", "[[-1]]"],
+         "task 'trace' needs key 'gk', an integer >= 2: its default, the "
+         "algebra's generator count, is 1"),
     ])
     def test_trace_input_errors_name_their_cause(self, capsys, argv, message):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("task, message", [
         ("task closure generators=[1] cap=3",
