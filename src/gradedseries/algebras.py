@@ -39,7 +39,8 @@ finer than the degree, unless its ideal is not spanned by words (as for a
 normal element that is no monomial), then by the degree alone.  The
 resolution splits into one block per weight, each eliminated on its own by
 sparse row reduction (``exact._rref_add``), in one pass per homological
-degree over the blocks in increasing degree.  The differential d_i maps
+degree over the blocks in increasing degree, bucketed by degree as they
+are counted.  The differential d_i maps
 F_{i,alpha} onto the kernel K_{i-1,alpha} one step down, so dim K_{i,alpha}
 = dim F_{i,alpha} - dim K_{i-1,alpha} is known before any elimination, and
 a block of dimension 0 costs nothing.  K_i is complete below the cutoff, so
@@ -594,34 +595,41 @@ def betti_numbers(trunc):
     * the weights come from ``Truncation.grading``, which maps each basis
       label to its weight (for a word, its letter counts read as one int in
       base cutoff + 1 or, when the ideal is not spanned by words, its
-      degree); the generators come with theirs.  A's blocks are indexed by
-      degree, so a generator of degree ds meets only those of degree <=
-      cutoff - ds, and a kernel block keeps its degree beside its weight:
-      alpha - wt(x_k) can borrow across digits and land on a block of
-      another degree, already built when that degree is alpha's;
+      degree); the generators come with theirs.  A's weight blocks are
+      listed once per call by degree, so a generator of degree ds meets only
+      those of degree <= cutoff - ds, and a kernel block keeps its degree
+      beside its weight: alpha - wt(x_k) can borrow across digits and land
+      on a block of another degree, already built when that degree is
+      alpha's;
     * the dimension of each block of K_i is known before any elimination.
       d_i maps F_{i,alpha} onto K_{i-1,alpha}, since F_i is generated by
       the minimal generators of K_{i-1} and these generate it in every
       degree up to the cutoff, so dim K_{i,alpha} = dim F_{i,alpha} -
-      dim K_{i-1,alpha}.  A block of dimension 0 costs nothing;
+      dim K_{i-1,alpha}.  Each level sums dim F_{i,alpha} into one bucket
+      per degree as it goes, so the pass needs no sort, and a block of
+      dimension 0 costs nothing;
     * K_{i,alpha} is first filled from below: K_i is the whole kernel below
       the cutoff, so it is a left submodule and (m K_i)_alpha = sum_k x_k
       K_{i,alpha - wt(x_k)} lies in it.  The span is held as a reduced
       echelon form in the coordinates of F_i, counting its rows, and stops
       once it has dim K_{i,alpha}: it is then all of K_{i,alpha}, and alpha
-      has no minimal generator;
+      has no minimal generator.  Each product x_k v is formed in the loop
+      that adds it, from the basis products, with no call per candidate,
+      and the first one meets an empty form, which ``_rref_add`` takes as
+      it is;
     * only a span that falls short takes the nullspace of d_i on
-      F_{i,alpha}.  The images lie in K_{i-1,alpha}, whose echelon rows are
-      1 at their own pivot and 0 at the other pivots, so an image is fixed
-      by its entries at those pivot keys and is read there only; if
-      K_{i-1,alpha} is 0 the nullspace is all of F_{i,alpha}.  Its size must
-      equal the predicted dimension, which checks that d_i is onto wherever
-      it is evaluated.  The nullspace vectors that enlarge the span are the
-      minimal generators at alpha;
+      F_{i,alpha}, whose keys are then listed.  The images lie in
+      K_{i-1,alpha}, whose echelon rows are 1 at their own pivot and 0 at
+      the other pivots, so an image is fixed by its entries at those pivot
+      keys and is read there only; if K_{i-1,alpha} is 0 the nullspace is
+      all of F_{i,alpha}.  Its size must equal the predicted dimension,
+      which checks that d_i is onto wherever it is evaluated.  The
+      nullspace vectors that enlarge the span are the minimal generators at
+      alpha;
     * a label's id is its rank among all L labels and F_i's key (s, b) is
       s * L + id(b), so keys compare as the pairs do and the pivots are
-      theirs.  Each basis product is computed once per call and kept under
-      a * L + b as (id, coefficient) pairs.
+      theirs.  Each basis product is computed once per call, in one place,
+      and kept under a * L + b as (id, coefficient) pairs.
     """
     cutoff = trunc.cutoff
     weight, gens = trunc.grading()
@@ -632,27 +640,33 @@ def betti_numbers(trunc):
     blocks = [{} for _ in range(cutoff + 1)]  # degree -> weight -> label ids
     for i, (j, lab) in enumerate(labels):
         blocks[j].setdefault(weight(lab), []).append(i)
-    gens = [(w, d, {ids[k]: c for k, c in x.items()}) for w, d, x in gens]
+    sizes = [[(w, len(block)) for w, block in by_weight.items()]
+             for by_weight in blocks]  # degree -> [(weight, block size)]
+    # a generator's vector as (id * size, coefficient) pairs
+    gens = [(w, d, [(ids[k] * size, c) for k, c in x.items()])
+            for w, d, x in gens]
     memo = {}  # a * size + b -> [(id, coefficient)] of a * b
 
-    def left_mul(a_vec, vec, keep=None):
-        # a_vec times vec, a vector of a free module keyed by s * size + b;
-        # read at the keys in keep, if given
+    def product(ab):
+        # a * b for ab = a * size + b, computed and kept on the first read
+        a, b = divmod(ab, size)
+        prod = memo[ab] = [(ids[k], y) for k, y in
+                           trunc.mul_basis(*labels[a], *labels[b]).items()]
+        return prod
+
+    def image(key, keep):
+        # d(key) = b * m_s for key = s * size + b, read at the keys in keep
+        a = key % size * size
         out = {}
-        for key, c in vec.items():
-            b = key % size
-            base = key - b
-            for a, ca in a_vec.items():
-                prod = memo.get(a * size + b)
-                if prod is None:
-                    prod = trunc.mul_basis(*labels[a], *labels[b]).items()
-                    prod = memo[a * size + b] = [(ids[k], x) for k, x in prod]
-                c2 = ca * c
-                for i, c3 in prod:
-                    i += base
-                    if keep is None or i in keep:
-                        out[i] = out.get(i, 0) + c2 * c3
-        return out
+        for k, c in mingens[key // size][2].items():
+            b = k % size
+            prod = memo.get(a + b)
+            if prod is None:
+                prod = product(a + b)
+            for i, y in prod:
+                i += k - b
+                out[i] = out.get(i, 0) + c * y
+        return {i: c for i, c in out.items() if i in keep}
 
     entries = {(0, 0): 1}
     # F_0 = A on one generator of weight and degree 0, mapped onto k: the
@@ -663,53 +677,65 @@ def betti_numbers(trunc):
         # F_index: the keys s * size + b with wt(g_s) + wt(b) = alpha.  A sum
         # of weights of degree <= cutoff carries no digit, so alpha fixes the
         # degree and the lookup of K_{index-1, alpha} needs no degree check
-        domains = {}  # alpha -> [degree, dimension, (s * size, ids) pairs]
-        for s, (ws, ds, _) in enumerate(mingens):
+        dims = [{} for _ in range(cutoff + 1)]  # degree -> alpha -> dim
+        for ws, ds, _ in mingens:
             for jb in range(cutoff - ds + 1):
-                for w, block in blocks[jb].items():
-                    domain = domains.setdefault(ws + w, [ds + jb, 0, []])
-                    domain[1] += len(block)
-                    domain[2].append((s * size, block))
+                bucket = dims[ds + jb]
+                for w, n in sizes[jb]:
+                    bucket[ws + w] = bucket.get(ws + w, 0) + n
         new_kernel, new_mingens = {}, []
-        for alpha, (j, dim, parts) in sorted(domains.items(),
-                                             key=lambda item: item[1][0]):
-            image = kernel[alpha][1] if alpha in kernel else {}
-            dim -= len(image)
-            if not dim:
-                continue
-            rows, found = {}, 0
-            for w, d, x in gens:
-                below = new_kernel.get(alpha - w)
-                if below is None or below[0] != j - d:
+        for j, bucket in enumerate(dims):
+            for alpha, dim in bucket.items():
+                onto = kernel[alpha][1] if alpha in kernel else {}
+                dim -= len(onto)  # K_{index-1, alpha}, d's target
+                if not dim:
                     continue
-                for v in below[1].values():
-                    if _rref_add(rows, left_mul(x, v)) is not None:
-                        found += 1
-                        if found == dim:
-                            break
-                if found == dim:
-                    break
-            if found < dim:
-                domain = [base + b for base, block in parts for b in block]
-                if image:
-                    null = [{domain[k]: x for k, x in vec.items()}
-                            for vec in _nullspace([
-                                left_mul({key % size: _ONE},
-                                         mingens[key // size][2], image)
-                                for key in domain])]
-                else:
-                    null = [{key: _ONE} for key in domain]
-                if len(null) != dim:
-                    raise RuntimeError(
-                        f"d_{index} is not onto K_{index - 1} at weight "
-                        f"{alpha}, degree {j}")
-                for vec in null:
-                    if _rref_add(rows, vec) is not None:
-                        new_mingens.append((alpha, j, vec))
-                        found += 1
-                        if found == dim:
-                            break
-            new_kernel[alpha] = (j, rows)
+                rows, found = {}, 0
+                for w, d, x in gens:
+                    below = new_kernel.get(alpha - w)
+                    if below is None or below[0] != j - d:
+                        continue
+                    for v in below[1].values():
+                        vec = {}
+                        for key, c in v.items():
+                            b = key % size
+                            base = key - b
+                            for a, ca in x:
+                                prod = memo.get(a + b)
+                                if prod is None:
+                                    prod = product(a + b)
+                                c2 = ca * c
+                                for i, c3 in prod:
+                                    i += base
+                                    vec[i] = vec.get(i, 0) + c2 * c3
+                        if _rref_add(rows, vec) is not None:
+                            found += 1
+                            if found == dim:
+                                break
+                    if found == dim:
+                        break
+                if found < dim:
+                    domain = [s * size + b
+                              for s, (ws, ds, _) in enumerate(mingens)
+                              if ds <= j
+                              for b in blocks[j - ds].get(alpha - ws, ())]
+                    if onto:
+                        null = [{domain[k]: x for k, x in vec.items()}
+                                for vec in _nullspace([
+                                    image(key, onto) for key in domain])]
+                    else:
+                        null = [{key: _ONE} for key in domain]
+                    if len(null) != dim:
+                        raise RuntimeError(
+                            f"d_{index} is not onto K_{index - 1} at weight "
+                            f"{alpha}, degree {j}")
+                    for vec in null:
+                        if _rref_add(rows, vec) is not None:
+                            new_mingens.append((alpha, j, vec))
+                            found += 1
+                            if found == dim:
+                                break
+                new_kernel[alpha] = (j, rows)
         if not new_mingens:
             break
         for _, j, _ in new_mingens:

@@ -35,7 +35,9 @@ coefficients, basis unit vectors) follow the same rule.  The rule is tested
 by exact type against one set, ``_RATIONAL`` (int, bool and Fraction), here
 and in ``cyclofield`` and ``groups``; a bool counts as an int, as it always
 has.  Only a Fraction can need simplifying, so ``Poly`` and ``Series`` look
-at each coefficient only when a Fraction is among them.
+at each coefficient only when a Fraction is among them, and the sparse
+eliminations look only at the entries that a row operation, or a rational
+pivot other than +-1, computes.
 
 All values are immutable after construction; operations are pure functions.
 """
@@ -667,17 +669,21 @@ def _reduce_vec(rows, vec):
 
     rows maps each pivot column to its row, a dict of column -> nonzero
     entry with 1 at the pivot and no other pivot column; vec is a dict of
-    column -> entry, whose zero entries are dropped.
+    column -> entry, whose zero entries are dropped.  Each entry a row
+    operation computes follows the scalar rule: an integral Fraction is
+    stored as its numerator.
     """
     out = {k: c for k, c in vec.items() if c}
     for p in [k for k in out if k in rows]:
         c = out[p]  # no other row touches column p
         for k, x in rows[p].items():
             y = out.get(k, 0) - c * x
-            if y:
-                out[k] = y
-            else:
+            if not y:
                 del out[k]
+            elif type(y) is Fraction and y.denominator == 1:
+                out[k] = y.numerator
+            else:
+                out[k] = y
     return out
 
 
@@ -685,30 +691,46 @@ def _rref_add(rows, vec):
     """Incremental Gauss-Jordan over any exact field, on sparse rows.
 
     rows is a reduced row echelon form held as in ``_reduce_vec``; columns
-    are any mutually comparable keys.  vec is reduced against it; a nonzero
-    residual is scaled to 1 at its least column, which becomes its pivot,
-    cleared from the other rows and stored under that pivot; one already 1
-    there is stored as reduced, a fresh dict and never the caller's vec.
-    Returns the stored row, or None when vec lies in the row span.  The
-    pivot rule is that of the dense RREF, so for a fixed column order the
-    result is the unique RREF of the rows added.
+    are any mutually comparable keys.  vec is reduced against it; an empty
+    form takes vec's nonzero entries as they are, with no reduction pass.  A
+    nonzero residual is scaled to 1 at its least column, which becomes its
+    pivot, cleared from the other rows and stored under that pivot; one
+    already 1 there is stored as reduced, a fresh dict and never the
+    caller's vec.  Returns the stored row, or None when vec lies in the row
+    span.  The pivot rule is that of the dense RREF, so for a fixed column
+    order the result is the unique RREF of the rows added.
+
+    Stored entries follow the scalar rule when vec's do: an integral
+    Fraction is stored as its numerator.  Only a computed entry can break
+    it, so the test is made where a row operation computes one, and over
+    the row scaled by a rational pivot other than +-1.  A pivot of 1 or -1
+    leaves each entry's kind as it was, a CyclotomicNumber's arithmetic
+    keeps the rule itself, and an empty form computes nothing.
     """
-    vec = _reduce_vec(rows, vec)
+    if rows:
+        vec = _reduce_vec(rows, vec)
+    else:
+        vec = {k: c for k, c in vec.items() if c}
     if not vec:
         return None
     piv = min(vec)
     if vec[piv] != 1:
         inv = scalar_inverse(vec[piv])
-        vec = {k: c * inv for k, c in vec.items()}
+        if inv == -1 or type(inv) not in _RATIONAL:
+            vec = {k: c * inv for k, c in vec.items()}
+        else:
+            vec = {k: _simplify(c * inv) for k, c in vec.items()}
     for row in rows.values():
         c = row.get(piv)
         if c:
             for k, x in vec.items():
                 y = row.get(k, 0) - c * x
-                if y:
-                    row[k] = y
-                else:
+                if not y:
                     del row[k]
+                elif type(y) is Fraction and y.denominator == 1:
+                    row[k] = y.numerator
+                else:
+                    row[k] = y
     rows[piv] = vec
     return vec
 

@@ -1030,6 +1030,44 @@ class TestBetti:
         assert not any(euler_check(table, trunc.hilbert_coefficients(),
                                    cutoff))
 
+    @pytest.mark.parametrize("pres, cutoff, ci", [
+        (normal_quotient([[1] * 3] * 3,
+                         [{(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3}]), 8, 1),
+        (quantum_affine([[1, 2, 3], [Fraction(1, 2), 1, 5],
+                         [Fraction(1, 3), Fraction(1, 5), 1]]), 9, 0),
+        (normal_quotient(skew_symmetric_q(3, 2), [{(2, 0, 0): 1}]), 8, 1),
+    ], ids=["x2+2y2+3z2", "fraction-q", "q=2 mod x2"])
+    def test_tables_with_non_unit_pivots(self, pres, cutoff, ci):
+        # eliminations over Q whose pivots are not all +-1.  Each algebra is
+        # a quantum affine space on three generators modulo ci regular
+        # quadrics, so its table is the diagonal of (1+t)^3/(1-t^2)^ci
+        trunc = build_truncation(pres, cutoff)
+        diagonal = expand(normalize(Poly((1, 1)) ** 3,
+                                    one_minus_power(2) ** ci), cutoff)
+        want = {(i, i): c for i, c in enumerate(diagonal) if c}
+        assert betti_numbers(trunc).entries == want
+
+    def test_the_work_of_a_koszul_table(self, monkeypatch):
+        # k_{-1}[x1..x4] at cutoff 5: _rref_add counts the fill candidates
+        # tried, the rows of each nullspace and the nullspace vectors tried;
+        # mul_basis counts the distinct basis products, each made once
+        trunc = build_truncation(quantum_affine(skew_symmetric_q(4)), 5)
+        calls = {"_rref_add": 0, "mul_basis": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(algebras, "_rref_add",
+                            counted("_rref_add", algebras._rref_add))
+        monkeypatch.setattr(algebras.Truncation, "mul_basis",
+                            counted("mul_basis", algebras.Truncation.mul_basis))
+        table = betti_numbers(trunc)
+        assert table.entries == {(i, i): c for i, c in enumerate((1, 4, 6, 4, 1))}
+        assert calls == {"_rref_add": 377, "mul_basis": 153}
+
     @pytest.mark.parametrize("relations, want", [
         ([(0, 1), (2, 0), (1, 2, 1)],
          {(0, 0): 1, (1, 1): 2, (1, 2): 1, (2, 2): 1, (2, 3): 1, (2, 4): 1,

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedseries.algebras import build_truncation, normal_quotient, skew_symmetric_q
@@ -21,6 +21,7 @@ from gradedseries.exact import (
     ZeroDenominatorError,
     _reduce_vec,
     _rref_add,
+    _simplify,
     _solve_linear,
     expand,
     multiplicity_at_one,
@@ -491,6 +492,37 @@ class TestRrefProperties:
             assert all(row is not vec for row in rows.values())
         # nor reached by the later additions
         assert all(vec == before for vec, before in added)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rref_inputs())
+    # a row operation makes an integral Fraction: 0 - 2 * (1/2) while vec
+    # is reduced, and 3/2 - (1/2) * (-1) while a stored row is cleared
+    @example(("Q", "int", [{0: 2, 1: 1}, {0: 2}]))
+    @example(("Q", "int", [{0: 1, 1: Fraction(1, 2), 2: Fraction(3, 2)},
+                           {1: 1, 2: -1}]))
+    def test_stored_entries_keep_the_scalar_rule(self, inputs):
+        # inputs that follow the scalar rule (a combination of Fractions can
+        # be integral) give rows and residuals that follow it, whatever the
+        # pivots; an empty form stores the row the dense RREF has
+        _, kind, vectors = inputs
+        columns = sorted(RREF_KEYS[kind])
+        vectors = [{k: _simplify(x) for k, x in vec.items()} for vec in vectors]
+
+        def integral_fractions(row):
+            return [x for x in row.values()
+                    if type(x) is Fraction and x.denominator == 1]
+
+        rows = {}
+        for vec in vectors:
+            assert not integral_fractions(_reduce_vec(rows, vec))
+            _rref_add(rows, vec)
+            for row in rows.values():
+                assert not integral_fractions(row), rows
+            alone = {}
+            got = _rref_add(alone, vec)
+            assert alone == dense_rref([vec], columns)
+            assert got is None or got is alone[min(got)]
+            assert got is None or not integral_fractions(got)
 
 
 class TestSeries:
