@@ -247,8 +247,10 @@ class Truncation(Immutable):
         return Series(self.dims())
 
     def project(self, degree, vec):
+        """``vec``, a fresh dict that the caller gives up, reduced modulo the
+        ideal in ``degree``: with no ideal, ``vec`` itself."""
         if self.ideal is None:
-            return dict(vec)
+            return vec
         return _reduce_vec(self.ideal[degree], vec)
 
     def mul_basis(self, d1, a, d2, b):

@@ -7,18 +7,29 @@ constructor and every operation that can land in Q (a sum, a product, a
 power of zeta) returns an int or a Fraction there, so no caller converts.
 
 A ``CyclotomicNumber`` of order N is an ``exact.Poly`` over Q, its residue
-modulo Phi_N, of degree between 1 and phi(N) - 1.  A sum adds the residues'
-coefficient tuples.  A product is their convolution into one list, reduced
-in place against the monic Phi_N, whose lower coefficients come from a table
-built on the first use of each order (``_modulus``); the residue is built
-from what is left, with no Poly in between.  An inverse comes from the
-extended Euclid of the residue and Phi_N.  The residue's coefficients, and
-so the ``coords`` padded to phi(N) entries, follow the scalar rule.  A
-number is the one place where orders meet: an int or Fraction operand scales
-the residue or shifts its constant term (a 0 or a 1 returns the result with
-no arithmetic: ``x + 0`` and ``x * 1`` are ``x``, ``x * 0`` is 0), and only
-two numbers of different orders are lifted into Q(zeta_lcm), where z_N
-becomes z_M^(M/N), reduced mod Phi_M in the same way.  A number hashes as
+modulo Phi_N, of degree between 1 and phi(N) - 1.  Every result comes from
+one constructor, ``_value``, which takes a coefficient sequence already
+reduced below phi(N), strips its trailing zeros, applies the scalar rule,
+and returns an int or a Fraction when at most one coordinate is left, or
+else the number with its residue built directly, with no Poly arithmetic in
+between.  Two numbers of the same order, the common case, meet on their
+residues' coefficient tuples: a sum adds them, and a product over a field of
+degree 2 (N = 3, 4, 6, where Phi_N = z^2 + c1 z + c0) is the closed form
+(a0 + a1 z)(b0 + b1 z) = (a0 b0 - c0 a1 b1) + (a0 b1 + a1 b0 - c1 a1 b1) z.
+Over a field of higher degree a product is the convolution of the two tuples
+into one list, folded in place against the monic Phi_N, whose lower
+coefficients come from a table built on the first use of each order
+(``_modulus``).  Those degrees keep the fold: one loop serves every such
+modulus, and a closed form for each would add code for products that the
+paper's examples, all over Q(i) and Q(zeta_3), never make.  An inverse comes
+from the extended Euclid of the residue and Phi_N.  The residue's
+coefficients, and so the ``coords`` padded to phi(N) entries, follow the
+scalar rule.  A number is the one place where orders meet: an int or
+Fraction operand scales the residue or shifts its constant term (a 0 or a 1
+returns the result with no arithmetic: ``x + 0`` and ``x * 1`` are ``x``,
+``x * 0`` is 0), and two numbers of different orders are lifted into
+Q(zeta_lcm), where z_N becomes z_M^(M/N), reduced mod Phi_M in the same way,
+and then take the same-order code.  A number hashes as
 its normalized trace Tr(x)/phi(N), which lifting leaves unchanged, so equal
 numbers hash alike whatever orders they carry; the hash is computed once per
 value and kept with it.  ``galois(k)`` is the automorphism z -> z^k, the
@@ -39,40 +50,50 @@ from functools import cache
 from math import gcd, lcm
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
-from .exact import (_RATIONAL, Immutable, Poly, RationalFunction, _poly,
-                    _rref_add, _simplify, poly_to_str, scalar_inverse)
-
-
-def _number(order, residue):
-    """The value of this residue modulo Phi_order: its constant term (an int
-    or a Fraction) when the degree is at most 0, otherwise a
-    CyclotomicNumber."""
-    if residue.degree > 0:
-        return CyclotomicNumber._raw(order, residue)
-    return residue.constant_term
+from .exact import (_RATIONAL, Immutable, Poly, RationalFunction, _rref_add,
+                    _set_coeffs, _simplified, _simplify, poly_to_str,
+                    scalar_inverse)
 
 
 @cache
 def _modulus(order):
-    """phi(order) and the reduction rule of Phi_order, which is monic: the
-    pairs (j, -c_j) of its nonzero lower coefficients c_j, so that
-    z^phi = sum of -c_j z^j."""
+    """phi(order), the reduction rule of Phi_order, which is monic (the pairs
+    (j, -c_j) of its nonzero lower coefficients c_j, so that z^phi = sum of
+    -c_j z^j), and all its lower coefficients c_0, ..., c_(phi-1)."""
     phi = cyclotomic_polynomial(order)
-    return phi.degree, tuple((j, -c) for j, c in enumerate(phi.coeffs[:-1])
-                             if c)
+    lower = phi.coeffs[:-1]
+    return phi.degree, tuple((j, -c) for j, c in enumerate(lower) if c), lower
+
+
+def _value(order, out):
+    """The value in Q(zeta_order) of the coefficient sequence ``out``, already
+    reduced below phi(order), under the scalar rule: its trailing zeros are
+    stripped and its Fractions simplified; an int or a Fraction when at most
+    one coordinate is left, otherwise a CyclotomicNumber built directly."""
+    n = len(out)
+    while n and not out[n - 1]:
+        n -= 1
+    if n < 2:
+        return _simplify(out[0]) if n else 0
+    residue = object.__new__(Poly)
+    _set_coeffs(residue, _simplified(out[:n]))
+    number = object.__new__(CyclotomicNumber)
+    _set_order(number, order)
+    _set_residue(number, residue)
+    return number
 
 
 def _reduced(order, out):
     """The value of the coefficient list ``out`` modulo Phi_order.  Each
     coefficient from the top down to z^phi is folded into the lower ones, in
-    place, and the rest become the residue with no Poly in between."""
-    phi, rule = _modulus(order)
+    place, and the rest is the value's residue."""
+    phi, rule, _ = _modulus(order)
     for i in range(len(out) - 1, phi - 1, -1):
         c = out[i]
         if c:
             for j, p in rule:
                 out[i - phi + j] += c * p
-    return _number(order, _poly(out[:phi]))
+    return _value(order, out[:phi])
 
 
 class CyclotomicNumber(Immutable):
@@ -88,7 +109,7 @@ class CyclotomicNumber(Immutable):
     def __new__(cls, order, coords):
         if len(coords) != cyclotomic_polynomial(order).degree:
             raise ValueError("coordinate length must be phi(order)")
-        return _number(order, Poly(coords))
+        return _value(order, coords)
 
     @classmethod
     def zeta(cls, order, power=1):
@@ -119,14 +140,6 @@ class CyclotomicNumber(Immutable):
             out[i * k % n] += c
         return _reduced(n, out)
 
-    @classmethod
-    def _raw(cls, order, residue):
-        """A number from a residue of degree between 1 and phi(order) - 1."""
-        self = object.__new__(cls)
-        _set_order(self, order)
-        _set_residue(self, residue)
-        return self
-
     @property
     def coords(self):
         """The phi(order) coordinates in the power basis 1, z, z^2, ..."""
@@ -134,58 +147,77 @@ class CyclotomicNumber(Immutable):
         return c + (0,) * (_modulus(self.order)[0] - len(c))
 
     def _pair(self, other):
-        """The two numbers in one order: the lcm order if theirs differ."""
-        if self.order == other.order:
-            return self, other
-        m = self.order * other.order // gcd(self.order, other.order)
+        """The two numbers, of different orders, lifted into the lcm order."""
+        m = lcm(self.order, other.order)
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
+        if type(other) is CyclotomicNumber:
+            if other.order != self.order:
+                self, other = self._pair(other)
+            a, b = self.residue.coeffs, other.residue.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] += c
+            return _value(self.order, out)
         if type(other) in _RATIONAL:
             if not other:
                 return self
             c = self.residue.coeffs
-            return self._raw(self.order, _poly([c[0] + other, *c[1:]]))
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = self._pair(other)
-        return _number(a.order, a.residue + b.residue)
+            return _value(self.order, (c[0] + other, *c[1:]))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.order, -self.residue)
+        return _value(self.order, [-c for c in self.residue.coeffs])
 
     def __sub__(self, other):
+        if type(other) is CyclotomicNumber:
+            if other.order != self.order:
+                self, other = self._pair(other)
+            a, b = self.residue.coeffs, other.residue.coeffs
+            out = list(a) + [0] * (len(b) - len(a))
+            for i, c in enumerate(b):
+                out[i] -= c
+            return _value(self.order, out)
         if type(other) in _RATIONAL:
             return self + -other
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = self._pair(other)
-        return _number(a.order, a.residue - b.residue)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is CyclotomicNumber:
+            if other.order != self.order:
+                self, other = self._pair(other)
+            n = self.order
+            x, y = self.residue.coeffs, other.residue.coeffs
+            phi, _, lower = _modulus(n)
+            if phi == 2:
+                # Phi_n = z^2 + c1 z + c0, so z^2 = -c1 z - c0
+                (a0, a1), (b0, b1), (c0, c1) = x, y, lower
+                t = a1 * b1
+                return _value(n, (a0 * b0 - c0 * t, a0 * b1 + a1 * b0 - c1 * t))
+            # the convolution of the two tuples, over y's nonzero terms
+            terms = [(j, c) for j, c in enumerate(y) if c]
+            out = [0] * (len(x) + len(y) - 1)
+            for i, c in enumerate(x):
+                if c:
+                    for j, d in terms:
+                        out[i + j] += c * d
+            return _reduced(n, out)
         if type(other) in _RATIONAL:
             if other == 1:
                 return self
             if not other:
                 return 0
-            return self._raw(self.order, self.residue * other)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = self._pair(other)
-        # the convolution of the two coefficient tuples, over b's nonzero terms
-        terms = [(j, y) for j, y in enumerate(b.residue.coeffs) if y]
-        x = a.residue.coeffs
-        out = [0] * (len(x) + len(b.residue.coeffs) - 1)
-        for i, c in enumerate(x):
-            if c:
-                for j, y in terms:
-                    out[i + j] += c * y
-        return _reduced(a.order, out)
+            return _value(self.order, [c * other if c else c
+                                       for c in self.residue.coeffs])
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -199,7 +231,7 @@ class CyclotomicNumber(Immutable):
             s0, s1 = s1, s0 - q * s1
         if r0.degree != 0:
             raise ArithmeticError("Phi_n is squarefree; gcd must be constant")
-        return self._raw(self.order, s0 * scalar_inverse(r0.leading))
+        return _value(self.order, (s0 * scalar_inverse(r0.leading)).coeffs)
 
     def __truediv__(self, other):
         if type(other) in _RATIONAL:
@@ -224,12 +256,11 @@ class CyclotomicNumber(Immutable):
         return result
 
     def __eq__(self, other):
-        if type(other) in _RATIONAL:
-            return False
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.residue.coeffs == b.residue.coeffs
+        if type(other) is CyclotomicNumber:
+            if other.order != self.order:
+                self, other = self._pair(other)
+            return self.residue.coeffs == other.residue.coeffs
+        return False if type(other) in _RATIONAL else NotImplemented
 
     def __hash__(self):
         try:
@@ -247,7 +278,7 @@ class CyclotomicNumber(Immutable):
         return f"CyclotomicNumber({self.order}, {self})"
 
 
-# the slots are written once, by _raw and __hash__, past the __setattr__
+# the slots are written once, by _value and __hash__, past the __setattr__
 # that keeps the value immutable
 _set_order = CyclotomicNumber.order.__set__
 _set_residue = CyclotomicNumber.residue.__set__
@@ -369,10 +400,7 @@ class CyclotomicMatrix(Immutable):
     def __eq__(self, other):
         if not isinstance(other, CyclotomicMatrix):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return all(x == y for r1, r2 in zip(self.rows, other.rows)
-                   for x, y in zip(r1, r2))
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)

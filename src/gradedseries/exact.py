@@ -8,8 +8,9 @@ Representation conventions:
   ``Fraction``s, or ``CyclotomicNumber``s, which may carry different orders
   (their own arithmetic reconciles those).  A ``CyclotomicNumber`` is itself
   a Poly over Q reduced modulo a cyclotomic polynomial, so this one Poly
-  type serves both levels; a number's sums and products work on that Poly's
-  coefficient tuple directly.
+  type serves both levels; a number's sums, differences and products work
+  on that Poly's coefficient tuple directly, and build the result's residue
+  with no Poly arithmetic.
 * ``RationalFunction``: pair ``num/den`` of ``Poly``s over Q or Q(zeta_N)
   with ``gcd(num, den) = 1`` and ``den(0) = 1``.  One reducer produces
   that form for every value: it cancels ``poly_gcd``, the one gcd, which

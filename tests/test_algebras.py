@@ -140,6 +140,17 @@ class TestBuildTruncation:
                         if a + b == d)
             assert trunc.dims()[d] == count
 
+    def test_projection_without_an_ideal_is_the_vector_itself(self):
+        trunc = build_truncation(quantum_affine(skew_symmetric_q(3)), 3)
+        vec = {(0, 1): -1}
+        assert trunc.project(2, vec) is vec
+        # a quotient reduces into a new dict and leaves its input alone
+        quotient = build_truncation(
+            normal_quotient(skew_symmetric_q(2), [{(2, 0): 1}]), 4)
+        vec = {(0, 0): 1, (0, 1): 2}
+        assert quotient.project(2, vec) == {(0, 1): 2}
+        assert vec == {(0, 0): 1, (0, 1): 2}
+
     def test_quantum_affine_dims_match_series(self):
         for degrees in [(1, 1), (1, 2), (1, 1, 2), (2, 3)]:
             q = skew_symmetric_q(len(degrees))

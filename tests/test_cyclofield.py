@@ -20,7 +20,7 @@ def P(*coeffs):
 
 z3 = CyclotomicNumber.zeta(3)
 z4 = CyclotomicNumber.zeta(4)
-ORDERS = (3, 4, 5, 8, 9, 12, 15)
+ORDERS = (3, 4, 5, 6, 8, 9, 12, 15)
 
 
 def random_number(rng, n):
@@ -53,6 +53,16 @@ class TestCyclotomicNumber:
         half = CyclotomicNumber(4, [Fraction(1, 2), 0])
         assert half == Fraction(1, 2) and type(half) is Fraction
         assert isinstance(z3, CyclotomicNumber)
+
+    def test_degree_two_products_that_land_on_ints(self):
+        # in Q(i), Phi_4 = z^2 + 1: Fraction coordinates whose product's
+        # coordinates are integral follow the scalar rule
+        half = CyclotomicNumber(4, [Fraction(1, 2), Fraction(1, 2)])
+        one = half * CyclotomicNumber(4, [1, -1])
+        assert one == 1 and type(one) is int
+        z = half * CyclotomicNumber(4, [1, 1])
+        assert z == z4 and type(z) is CyclotomicNumber
+        assert z.coords == (0, 1) and [type(c) for c in z.coords] == [int, int]
 
     def test_inverse_and_division(self):
         assert z3.inverse() == z3 ** 2
