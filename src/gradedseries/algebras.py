@@ -214,6 +214,8 @@ def _q_merge(q, left, right):
             if x <= y:
                 break
             scalar = scalar * row[x]
+    if type(scalar) is Fraction:
+        scalar = _simplify(scalar)
     return scalar, tuple(sorted(left + right))
 
 
@@ -274,7 +276,7 @@ class Truncation(Immutable):
                     continue
                 for lc, s in self.mul_basis(d1, la, d2, lb).items():
                     out[lc] = out.get(lc, 0) + c * s
-        return {k: v for k, v in out.items() if v}
+        return {k: _simplify(v) for k, v in out.items() if v}
 
     def generator_vector(self, i):
         """(degree, sparse vector) of the i-th generator's image."""
@@ -631,7 +633,9 @@ def betti_numbers(trunc):
     * a label's id is its rank among all L labels and F_i's key (s, b) is
       s * L + id(b), so keys compare as the pairs do and the pivots are
       theirs.  Each basis product is computed once per call, in one place,
-      and kept under a * L + b as (id, coefficient) pairs.
+      and kept under a * L + b as (id, coefficient) pairs;
+    * the vectors handed to ``_rref_add`` follow the scalar rule: the sums
+      of a candidate and of an image turn an integral Fraction into an int.
     """
     cutoff = trunc.cutoff
     weight, gens = trunc.grading()
@@ -668,7 +672,7 @@ def betti_numbers(trunc):
             for i, y in prod:
                 i += k - b
                 out[i] = out.get(i, 0) + c * y
-        return {i: c for i, c in out.items() if i in keep}
+        return {i: _simplify(c) for i, c in out.items() if i in keep}
 
     entries = {(0, 0): 1}
     # F_0 = A on one generator of weight and degree 0, mapped onto k: the
@@ -710,6 +714,9 @@ def betti_numbers(trunc):
                                 for i, c3 in prod:
                                     i += base
                                     vec[i] = vec.get(i, 0) + c2 * c3
+                        for i, c in vec.items():
+                            if type(c) is Fraction and c.denominator == 1:
+                                vec[i] = c.numerator
                         if _rref_add(rows, vec) is not None:
                             found += 1
                             if found == dim:

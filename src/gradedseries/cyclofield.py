@@ -31,13 +31,17 @@ returns the result with no arithmetic: ``x + 0`` and ``x * 1`` are ``x``,
 Q(zeta_lcm), where z_N becomes z_M^(M/N), reduced mod Phi_M in the same way,
 and then take the same-order code.  A number hashes as
 its normalized trace Tr(x)/phi(N), which lifting leaves unchanged, so equal
-numbers hash alike whatever orders they carry; the hash is computed once per
-value and kept with it.  ``galois(k)`` is the automorphism z -> z^k, the
-residue p(z) sent to p(z^k) and reduced in the same way.
+numbers hash alike whatever orders they carry.  The hash is kept in a slot
+that ``_value`` (and ``exact._rebuild``, for a copy) leaves empty, so each
+value's first hash fills it and later ones read it.  ``galois(k)`` is the
+automorphism z -> z^k, the residue p(z) sent to p(z^k) and reduced in the
+same way.
 
 ``CyclotomicMatrix`` holds ints, Fractions and numbers of any orders under
 the same rule, and leaves every order question to that arithmetic; its
-product sums only the nonzero products of entries.
+product sums only the nonzero products of entries.  A matrix's nonzero
+columns are a cache slot as well, empty when it is made and filled the first
+time it is a right factor, so a group's closure scans each generator once.
 Rational functions with cyclotomic coefficients, such as the trace series
 1/det(I - t g), are ``exact.RationalFunction`` values; ``FieldFraction`` is
 another name for it.
@@ -50,9 +54,9 @@ from functools import cache
 from math import gcd, lcm
 
 from .cyclotomic import _divisors, cyclotomic_polynomial, mobius
-from .exact import (_RATIONAL, Immutable, Poly, RationalFunction, _rref_add,
-                    _set_coeffs, _simplified, _simplify, poly_to_str,
-                    scalar_inverse)
+from .exact import (_RATIONAL, Immutable, Poly, RationalFunction, _poly,
+                    _rref_add, _set_coeffs, _simplified, _simplify,
+                    poly_to_str, scalar_inverse)
 
 
 @cache
@@ -80,6 +84,7 @@ def _value(order, out):
     number = object.__new__(CyclotomicNumber)
     _set_order(number, order)
     _set_residue(number, residue)
+    _set_hash(number, None)
     return number
 
 
@@ -100,11 +105,13 @@ class CyclotomicNumber(Immutable):
     """Irrational element of Q(zeta_order): a Poly residue modulo Phi_order.
 
     Its coordinates follow the scalar rule; constructing one from rational
-    coordinates gives an int or a Fraction.  The value is immutable, and its
-    hash is computed on first use and kept.
+    coordinates gives an int or a Fraction.  The value is immutable; its
+    hash slot is empty when ``_value`` (or ``exact._rebuild``, for a copy)
+    makes it, and the hash is computed on first use and kept there.
     """
 
     __slots__ = ("order", "residue", "_hash")
+    _CACHES = ("_hash",)
 
     def __new__(cls, order, coords):
         if len(coords) != cyclotomic_polynomial(order).degree:
@@ -263,12 +270,10 @@ class CyclotomicNumber(Immutable):
         return False if type(other) in _RATIONAL else NotImplemented
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        value = hash(_mean_trace(self))
-        _set_hash(self, value)
+        value = self._hash
+        if value is None:
+            value = hash(_mean_trace(self))
+            _set_hash(self, value)
         return value
 
     def __str__(self):
@@ -352,16 +357,22 @@ def _entry(x):
 
 
 class CyclotomicMatrix(Immutable):
-    """Square matrix with cyclotomic entries; each entry keeps its own order."""
+    """Square matrix with cyclotomic entries; each entry keeps its own order.
 
-    __slots__ = ("rows",)
+    Its nonzero columns, the (row, entry) pairs of each column, are a cache
+    slot, empty when the matrix is made and filled by ``_nonzero_columns``
+    the first time the matrix is a right factor."""
+
+    __slots__ = ("rows", "_columns")
+    _CACHES = ("_columns",)
 
     def __init__(self, rows, order=None):
         """``order`` is unused; bench/workloads.py still passes it."""
         rows = tuple(tuple(_entry(x) for x in row) for row in rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        _set_rows(self, rows)
+        _set_columns(self, None)
 
     @classmethod
     def identity(cls, dim):
@@ -371,17 +382,29 @@ class CyclotomicMatrix(Immutable):
     def dim(self):
         return len(self.rows)
 
+    def _nonzero_columns(self):
+        """The (row, entry) pairs of each column's nonzero entries, as
+        tuples, built once and kept in the cache slot."""
+        cols = tuple(tuple((i, y) for i, y in enumerate(col) if y)
+                     for col in zip(*self.rows))
+        _set_columns(self, cols)
+        return cols
+
     def __mul__(self, other):
         """The product, over the nonzero products of entries only: each
         entry is the sum of those products, started from the first (the int
         0 when there is none), and a Fraction that lands on an integer
-        becomes an int, so the entries keep the scalar rule."""
+        becomes an int, so the entries keep the scalar rule.  The right
+        factor's nonzero columns are read from its cache, so a generator
+        that ``groups.closure`` multiplies by again and again is scanned
+        once."""
         if not isinstance(other, CyclotomicMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        cols = [[(i, y) for i, y in enumerate(col) if y]
-                for col in zip(*other.rows)]
+        cols = other._columns
+        if cols is None:
+            cols = other._nonzero_columns()
         rows = []
         for row in self.rows:
             out = []
@@ -395,6 +418,7 @@ class CyclotomicMatrix(Immutable):
             rows.append(tuple(out))
         product = object.__new__(CyclotomicMatrix)
         _set_rows(product, tuple(rows))
+        _set_columns(product, None)
         return product
 
     def __eq__(self, other):
@@ -424,10 +448,11 @@ class CyclotomicMatrix(Immutable):
 
     def reciprocal_charpoly(self):
         """Coefficients of det(I - t * g), ascending in t."""
-        # the polynomial entries of I - t g
-        mat = [[Poly((int(i == j), -x)) for j, x in enumerate(row)]
-               for i, row in enumerate(self.rows)]
-        return _det(mat, Poly()).coeffs
+        # the polynomial entries of I - t g, every zero one the same Poly
+        zero = Poly()
+        mat = [[_poly((int(i == j), -x)) if x or i == j else zero
+                for j, x in enumerate(row)] for i, row in enumerate(self.rows)]
+        return _det(mat, zero).coeffs
 
     def det(self):
         """The determinant, under the scalar rule: the int 0 exactly when the
@@ -442,6 +467,7 @@ class CyclotomicMatrix(Immutable):
 
 
 _set_rows = CyclotomicMatrix.rows.__set__
+_set_columns = CyclotomicMatrix._columns.__set__
 
 
 def _det(mat, zero=0):

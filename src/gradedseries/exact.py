@@ -72,8 +72,11 @@ _RATIONAL = frozenset((int, bool, Fraction))
 
 def _rebuild(cls, slots):
     """A ``cls`` value with the given (slot, value) pairs, set past its
-    guard: how a copy or an unpickled ``Immutable`` value is made."""
+    guard, and its cache slots empty: how a copy or an unpickled
+    ``Immutable`` value is made."""
     self = object.__new__(cls)
+    for name in cls._CACHES:
+        object.__setattr__(self, name, None)
     for name, value in slots:
         object.__setattr__(self, name, value)
     return self
@@ -82,9 +85,15 @@ def _rebuild(cls, slots):
 class Immutable:
     """Base of the value types whose slots are set once, when the value is
     made: assignment raises, and copy and pickle rebuild the value from its
-    slots.  A slot named ``_hash`` is a cache and is left out."""
+    slots.
+
+    A class names its cache slots in ``_CACHES``, next to its
+    ``__slots__``: each holds a value derived from the other slots, is None
+    (empty) when the value is made, and is filled once, on first use.  A
+    copy leaves them out and starts with them empty."""
 
     __slots__ = ()
+    _CACHES = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -92,7 +101,7 @@ class Immutable:
     def __reduce__(self):
         return _rebuild, (type(self), tuple(
             (name, getattr(self, name)) for name in self.__slots__
-            if name != "_hash"))
+            if name not in self._CACHES))
 
 
 def _is_scalar(x):
@@ -420,18 +429,22 @@ class RationalFunction(Immutable):
     Coefficients are ints, Fractions and CyclotomicNumbers of any orders,
     mixed freely, under the scalar rule of this module.  That reduced form
     is unique, so two values are equal exactly when their coefficients are,
-    and equal values hash alike.
+    and equal values hash alike.  The hash is kept in a slot that every
+    construction (``_assign``, and ``_rebuild`` for a copy) leaves empty,
+    and is computed on first use.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
+    _CACHES = ("_hash",)
 
     def __init__(self, num, den=(1,)):
         """num/den from Polys or coefficient sequences, reduced."""
         self._assign(*_lowest_terms(_as_poly(num), _as_poly(den)))
 
     def _assign(self, num, den):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_function_hash(self, None)
         return self
 
     @classmethod
@@ -479,10 +492,13 @@ class RationalFunction(Immutable):
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # den(0) = 1, so a constant den is 1 and the value equals num
-        if self.den.degree == 0:
-            return hash(self.num)
-        return hash((self.num, self.den))
+        value = self._hash
+        if value is None:
+            # den(0) = 1, so a constant den is 1 and the value equals num
+            value = hash(self.num if self.den.degree == 0
+                         else (self.num, self.den))
+            _set_function_hash(self, value)
+        return value
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -547,6 +563,13 @@ class RationalFunction(Immutable):
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+# the slots are written by _assign and __hash__, past the __setattr__ that
+# keeps the value immutable
+_set_num = RationalFunction.num.__set__
+_set_den = RationalFunction.den.__set__
+_set_function_hash = RationalFunction._hash.__set__
 
 
 def _integer_series(f):

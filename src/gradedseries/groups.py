@@ -64,17 +64,21 @@ class MatrixGroup(Immutable):
     remembers its parent and its members' indices there, so that its
     multiplication table is read off the parent's.  A group made by
     ``closure`` keeps the right action of each generator on the element
-    indices, found by closure's own products, for its table.  The table and
-    the rational classes are each built once, when first asked for.
+    indices, found by closure's own products, for its table, and the
+    matrix -> index dict its walk filled.  The index (for any other group),
+    the table and the rational classes are each built once, when first
+    asked for; they are its cache slots, which a copy starts without.
     """
 
     __slots__ = ("elements", "generators", "_index", "_table", "_parent",
                  "_perms", "_classes")
+    _CACHES = ("_index", "_table", "_classes")
 
-    def __init__(self, elements, generators, _parent=None, _perms=None):
+    def __init__(self, elements, generators, _parent=None, _perms=None,
+                 _index=None):
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(elements)})
+        object.__setattr__(self, "_index", _index)
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_parent", _parent)
         object.__setattr__(self, "_perms", _perms)
@@ -89,6 +93,9 @@ class MatrixGroup(Immutable):
         return self.elements[0].dim
 
     def index_of(self, matrix):
+        if self._index is None:
+            object.__setattr__(self, "_index", {
+                m: i for i, m in enumerate(self.elements)})
         return self._index[matrix]
 
     def multiplication_table(self):
@@ -112,7 +119,7 @@ class MatrixGroup(Immutable):
         # permutation.  Columns are filled breadth-first from the identity's.
         perms = self._perms
         if perms is None:
-            perms = [tuple(self._index[m * g] for m in self.elements)
+            perms = [tuple(self.index_of(m * g) for m in self.elements)
                      for g in self.generators]
         columns = {0: tuple(range(self.order))}
         queue = [0]
@@ -153,7 +160,7 @@ class MatrixGroup(Immutable):
     def _class_walk(self):
         table = self.multiplication_table()
         inverse = [row.index(0) for row in table]
-        gens = {self._index[g] for g in self.generators} - {0}
+        gens = {self.index_of(g) for g in self.generators} - {0}
         classes = [None] * self.order
         for r in range(self.order):
             if classes[r] is not None:
@@ -220,9 +227,12 @@ def closure(generators, cap=1000, dim=None, order=None):
     must equal ``dim`` when that is given.  Every product element *
     generator is computed and looked up once, and its index is kept as that
     generator's right-action permutation for the group's multiplication
-    table.  Raises CapExceededError once more than ``cap`` elements appear.
-    An empty generator list yields the trivial group (``dim`` then
-    required).  ``order`` is unused; bench/workloads.py still passes it.
+    table; the group takes over the walk's matrix -> index dict as its
+    index.  Each generator's nonzero columns are found once, on its first
+    product (``CyclotomicMatrix.__mul__``).  Raises CapExceededError once
+    more than ``cap`` elements appear.  An empty generator list yields the
+    trivial group (``dim`` then required).  ``order`` is unused;
+    bench/workloads.py still passes it.
     """
     gens = list(generators)
     if not gens:
@@ -255,7 +265,8 @@ def closure(generators, cap=1000, dim=None, order=None):
                     raise CapExceededError(
                         f"closure exceeded cap {cap}; group may be infinite")
             perm.append(k)
-    return MatrixGroup(elements, gens, _perms=[tuple(p) for p in perms])
+    return MatrixGroup(elements, gens, _perms=[tuple(p) for p in perms],
+                       _index=index)
 
 
 def subgroups(group, max_order=64):

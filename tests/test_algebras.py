@@ -730,6 +730,18 @@ class TestScalarRule:
                 assert all(obeys_scalar_rule(c)
                            for c in brute_force_trace(g, trunc)), g
 
+    def test_products_of_fraction_parameters_land_on_ints(self):
+        # q01 q02 = 1, so x1 x2 * x0 = x0 x1 x2 with the int 1; and a
+        # Fraction coefficient times 2 is the int 1
+        trunc = build_truncation(quantum_affine(
+            [[1, Fraction(2, 3), Fraction(3, 2)],
+             [Fraction(3, 2), 1, 1], [Fraction(2, 3), 1, 1]]), 3)
+        for got in (trunc.mul_basis(2, (1, 2), 1, (0,)),
+                    trunc.mul(2, {(1, 2): 1}, 1, {(0,): 1}),
+                    trunc.mul(1, {(0,): Fraction(1, 2)}, 1, {(1,): 2})):
+            assert [type(c) for c in got.values()] == [int], got
+            assert list(got.values()) == [1]
+
 
 class TestMolienWithBruteForce:
     def brute_assignment(self, group, trunc, den_bound):
@@ -1057,6 +1069,32 @@ class TestBetti:
                                     one_minus_power(2) ** ci), cutoff)
         want = {(i, i): c for i, c in enumerate(diagonal) if c}
         assert betti_numbers(trunc).entries == want
+
+    @pytest.mark.parametrize("pres", [
+        normal_quotient([[1] * 3] * 3,
+                        [{(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3}]),
+        quantum_affine([[1, Fraction(2, 3), Fraction(3, 2)],
+                        [Fraction(3, 2), 1, 1], [Fraction(2, 3), 1, 1]]),
+        # every scalar is +-1, but a pivot of the resolution is not
+        normal_quotient([[1] * 3] * 3, [{(0, 1, 1): -1, (1, 0, 1): -1,
+                                         (0, 2, 0): -1, (1, 1, 0): 1}]),
+    ], ids=["x2+2y2+3z2", "fraction-q", "unit-scalars"])
+    def test_eliminations_see_the_scalar_rule(self, pres, monkeypatch):
+        # neither an input of _rref_add nor a row it stores holds an
+        # integral Fraction
+        forms = {}
+
+        def spy(rows, vec):
+            assert all(obeys_scalar_rule(c) for c in vec.values()), vec
+            forms[id(rows)] = rows
+            return _rref_add(rows, vec)
+
+        monkeypatch.setattr(algebras, "_rref_add", spy)
+        trunc = build_truncation(pres, 8)
+        betti_numbers(trunc)
+        assert forms
+        assert all(obeys_scalar_rule(c) for rows in forms.values()
+                   for row in rows.values() for c in row.values())
 
     def test_the_work_of_a_koszul_table(self, monkeypatch):
         # k_{-1}[x1..x4] at cutoff 5: _rref_add counts the fill candidates

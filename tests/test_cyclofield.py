@@ -430,3 +430,62 @@ class TestFieldFraction:
                      (FieldFraction([1, 1], P(1, 1) * P(1, -z3)),
                       FieldFraction([1], [1, -z3]))):
             assert a == b and hash(a) == hash(b)
+
+
+class TestCacheSlots:
+    """A number's and a rational function's hash, and a matrix's nonzero
+    columns, are kept in slots that start empty and are filled once."""
+
+    def equal_numbers(self):
+        """(value, the same value built another way) pairs of numbers."""
+        rng = random.Random(36)
+        for _ in range(20):
+            x, y = random_number(rng, 12), random_number(rng, 12)
+            if not all(isinstance(v, CyclotomicNumber) for v in (x, y, x * y)):
+                continue
+            # a lift into a larger field, and a conjugate product
+            yield x, x.lift(24)
+            yield (x * y).galois(5), x.galois(5) * y.galois(5)
+        # z_12^2 keeps the order 12; it equals z_6
+        yield CyclotomicNumber.zeta(12) ** 2, CyclotomicNumber.zeta(6)
+
+    def test_a_number_hashes_once_like_an_equal_number(self):
+        for a, b in self.equal_numbers():
+            assert type(a) is type(b) is CyclotomicNumber
+            assert a._hash is None and b._hash is None and a == b
+            h = hash(a)
+            assert a._hash == h and hash(a) == h == hash(b) == b._hash
+
+    def test_a_rational_function_hashes_once_like_an_equal_one(self):
+        half = Fraction(1, 2)
+        num, den = P(1, z3), P(1, -half, z4)
+        extra = P(3, z4, half)
+        for a, b in ((FieldFraction(num, den),
+                      FieldFraction(num * extra, den * extra)),
+                     (-FieldFraction(num, den), FieldFraction(-num, den)),
+                     (FieldFraction(P(2, 2 * z3), P(2)), FieldFraction(num))):
+            assert a._hash is None and b._hash is None and a == b
+            h = hash(a)
+            assert a._hash == h and hash(a) == h == hash(b) == b._hash
+        # a constant rational function still hashes as its scalar
+        assert hash(FieldFraction(P(half), P(1))) == hash(half)
+
+    def test_a_right_factor_scans_its_columns_once(self, monkeypatch):
+        built = []
+        build = CyclotomicMatrix._nonzero_columns
+
+        def spy(m):
+            built.append(m)
+            return build(m)
+
+        monkeypatch.setattr(CyclotomicMatrix, "_nonzero_columns", spy)
+        g = CyclotomicMatrix([[0, z3, 0], [0, 0, Fraction(1, 2)], [1, 0, 0]])
+        assert g._columns is None
+        power = CyclotomicMatrix.identity(3)
+        for _ in range(4):
+            power = power * g
+        assert built == [g]
+        assert g._columns == ((((2, 1),), ((0, z3),), ((1, Fraction(1, 2)),)))
+        # every product starts with an empty cache of its own
+        assert power._columns is None
+        assert power == g * g * g * g

@@ -622,11 +622,11 @@ class TestScalarRuleAtConstructors:
 
 def _typed(x):
     """x with each scalar paired with its exact type and each immutable
-    value unfolded into its slots (all but the hash cache), so that == also
+    value unfolded into its slots (all but its cache slots), so that == also
     compares the types inside."""
     if isinstance(x, Immutable):
         return type(x), tuple((n, _typed(getattr(x, n))) for n in x.__slots__
-                              if n != "_hash")
+                              if n not in type(x)._CACHES)
     if isinstance(x, (tuple, list)):
         return type(x), tuple(_typed(y) for y in x)
     if isinstance(x, dict):
@@ -639,14 +639,21 @@ def _typed(x):
 _Z6 = CyclotomicNumber.zeta(6)
 
 
-def _subgroup_with_table():
-    """A subgroup, which keeps its parent, after its multiplication table
-    is built."""
+def _subgroup_with_caches():
+    """A subgroup, which keeps its parent, after its index, multiplication
+    table and rational classes are built."""
     group = closure([CyclotomicMatrix([[_Z6 ** 2, 0], [0, 1]]),
                      CyclotomicMatrix([[0, 1], [1, 0]])])
     sub = next(h for h in subgroups(group) if h.order == 6)
-    sub.multiplication_table()
+    sub.rational_classes()
     return sub
+
+
+def _right_factor():
+    """A matrix after a product that fills its cache of nonzero columns."""
+    matrix = CyclotomicMatrix([[_Z6, 1], [Fraction(1, 2), 0]])
+    CyclotomicMatrix.identity(2) * matrix
+    return matrix
 
 
 IMMUTABLE_VALUES = {
@@ -654,8 +661,8 @@ IMMUTABLE_VALUES = {
     "RationalFunction": lambda: RationalFunction([1, _Z6], [1, Fraction(-1, 3)]),
     "Series": lambda: Series([1, Fraction(2, 3), _Z6]),
     "CyclotomicNumber": lambda: _Z6 + Fraction(1, 2),
-    "CyclotomicMatrix": lambda: CyclotomicMatrix([[_Z6, 1], [Fraction(1, 2), 0]]),
-    "MatrixGroup": _subgroup_with_table,
+    "CyclotomicMatrix": _right_factor,
+    "MatrixGroup": _subgroup_with_caches,
     # a normal quotient's truncation holds an echelon form of its ideal
     "Truncation": lambda: build_truncation(normal_quotient(
         skew_symmetric_q(2), [{(2, 0): Fraction(1, 2), (0, 2): 3}]), 4),
@@ -669,10 +676,13 @@ IMMUTABLE_VALUES = {
 def test_immutable_values_copy_and_pickle(make, copier):
     value = make()
     hash(value)
+    caches = type(value)._CACHES
+    assert all(getattr(value, n) is not None for n in caches)
     again = copier(value)
     assert type(again) is type(value)
-    # the hash a number caches is not copied; it is computed again
-    assert not hasattr(again, "_hash")
+    # the copy's cached hash (and every other cache slot) is empty: a value
+    # cached on the original is not copied, it is computed again
+    assert all(getattr(again, n) is None for n in caches)
     assert _typed(again) == _typed(value)
     # MatrixGroup and Truncation compare by identity, so only their slots
     # can match

@@ -694,6 +694,52 @@ class TestMultiplicationTable:
             MatrixGroup(group.elements, []).multiplication_table()
 
 
+class TestClosureCaches:
+    def seeded_group_generators(self):
+        """Two diagonal 3x3 generators over Q(zeta_6), drawn from a seed
+        until they generate a group of order 12, built afresh per call."""
+        rng = random.Random(12)
+        while True:
+            exps = [[rng.randrange(6) for _ in range(3)] for _ in range(2)]
+            gens = [CyclotomicMatrix([[CyclotomicNumber.zeta(6, e[i])
+                                       if i == j else 0 for j in range(3)]
+                                      for i in range(3)]) for e in exps]
+            if closure(gens, cap=100).order == 12:
+                return [CyclotomicMatrix(g.rows) for g in gens]
+
+    def test_each_generator_is_scanned_once(self, monkeypatch):
+        gens = self.seeded_group_generators()
+        products = spy_calls(monkeypatch, CyclotomicMatrix, "__mul__")
+        scans = spy_calls(monkeypatch, CyclotomicMatrix, "_nonzero_columns")
+        group = closure(gens, cap=100)
+        assert group.order == 12
+        # |G| k products, by the right factors' columns that two scans made
+        assert len(products) == 24
+        assert [m for (m,) in scans] == gens
+        assert all(b in gens for _, b in products)
+
+    def test_the_walk_dict_is_the_index(self, monkeypatch):
+        gens = self.seeded_group_generators()
+        hashes = spy_calls(monkeypatch, CyclotomicMatrix, "__hash__")
+        group = closure(gens, cap=100)
+        # the identity's entry and one lookup per product: the group hashes
+        # no element again to index it
+        assert len(hashes) == 1 + 24
+        hashes.clear()
+        assert [group.index_of(m) for m in group.elements] == list(range(12))
+        assert len(hashes) == 12
+
+    def test_subgroups_index_only_when_asked(self):
+        group = closure(self.seeded_group_generators(), cap=100)
+        subs = subgroups(group)
+        assert all(h._index is None for h in subs)
+        for h in subs:
+            h.multiplication_table()  # read off the parent's table
+            assert h._index is None
+            assert [h.index_of(m) for m in h.elements] == list(range(h.order))
+            assert h._index is not None
+
+
 def matrix_closure(group, seeds):
     """The indices of the subgroup the seed elements generate, found by
     multiplying the matrices in pairs until the set is closed: an oracle
